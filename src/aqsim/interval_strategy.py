@@ -17,14 +17,24 @@ moves at most one edge per step and stays in holding (or is delivered).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import IO, Optional, Union
 
 from .adversary import Adversary
-from .network import EdgeId, Network, PacketPath, congestion_dilation
-from .sim_engine import EngineInvariantError, StepStats, Trace, _open_maybe
-from .strategies import Packet, get_discipline
+from .csvio import write_csv
+from .network import Network, PacketPath, congestion_dilation
+from .sim_engine import (
+    EngineInvariantError,
+    EngineState,
+    StepStats,
+    Trace,
+    advance,
+    inject,
+    settle,
+)
+from .strategies import DISCIPLINES, Packet, get_discipline
+
+_by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
 
 
 class Lemma1ViolationError(EngineInvariantError):
@@ -38,7 +48,6 @@ class PhaseRecord:
     duration_steps: int
     n_i: int
     d_i: int
-    max_active_queue_len: int
 
     @property
     def lemma1_bound(self) -> int:
@@ -46,16 +55,17 @@ class PhaseRecord:
 
 
 @dataclass
-class PhaseState:
-    network: Network
-    active: dict[EdgeId, list[Packet]]
-    holding: dict[EdgeId, list[Packet]]
-    packets: list[Packet] = field(default_factory=list)
+class PhaseState(EngineState):
+    """`queues` and `busy` hold the active phase. Every edge also owns a
+    holding queue; `held` is the set of edge indices whose holding queue is
+    non-empty. `demand[i]` counts the crossings of edge i that the running
+    phase's undelivered packets still have ahead of them; it is zero on every
+    edge whenever no phase runs."""
+
+    holding: list[list[Packet]] = field(default_factory=list)
+    held: set[int] = field(default_factory=set)
+    demand: list[int] = field(default_factory=list)
     records: list[PhaseRecord] = field(default_factory=list)
-    steps: list[StepStats] = field(default_factory=list)
-    now: int = 1
-    in_system: int = 0
-    delivered: int = 0
     # current phase
     phase_index: int = 0
     phase_open: bool = True  # phase 0 (empty) is running at startup
@@ -63,16 +73,15 @@ class PhaseState:
     phase_count: int = 0
     phase_n: int = 0
     phase_d: int = 0
-    phase_max_queue: int = 0
     active_remaining: int = 0
-    active_packets: list[Packet] = field(default_factory=list)
 
 
 def new_phase_state(network: Network) -> PhaseState:
     return PhaseState(
         network=network,
-        active={e: [] for e in network.edge_ids},
-        holding={e: [] for e in network.edge_ids},
+        queues=[[] for _ in network.edges],
+        holding=[[] for _ in network.edges],
+        demand=[0] * len(network.edges),
     )
 
 
@@ -90,30 +99,33 @@ def _close_phase(state: PhaseState) -> None:
             duration,
             state.phase_n,
             state.phase_d,
-            state.phase_max_queue,
         )
     )
     state.phase_open = False
 
 
 def _start_next_phase(state: PhaseState) -> None:
+    """Adopt every held packet into the active queues. Runs only once the
+    previous phase is over, so the active queues are all empty."""
     adopted: list[Packet] = []
-    for e in state.network.edge_ids:
-        movers = sorted(state.holding[e], key=lambda p: p.id)
-        state.holding[e] = []
-        state.active[e] = movers
+    for i in sorted(state.held):
+        movers = sorted(state.holding[i], key=lambda p: p.id)
+        state.holding[i] = []
+        state.queues[i] = movers
         adopted.extend(movers)
+    state.busy, state.held = state.held, state.busy
     state.phase_index += 1
     state.phase_start = state.now + 1
+    index, demand = state.network.edge_index, state.demand
     for p in adopted:
         p.arrived_in_queue_at = state.phase_start
         p.phase = state.phase_index
+        for e in p.path[p.hops_done :]:
+            demand[index[e]] += 1
     nd = congestion_dilation([PacketPath(p.path[p.hops_done :]) for p in adopted])
     state.phase_n, state.phase_d = nd.n, nd.d
     state.phase_count = len(adopted)
-    state.phase_max_queue = 0
     state.active_remaining = len(adopted)
-    state.active_packets = adopted
     state.phase_open = True
 
 
@@ -123,77 +135,33 @@ def interval_step(
     """One synchronous step of the phased protocol (mutates `state`)."""
     key = get_discipline(inner_discipline)
     now = state.now
-    active, holding = state.active, state.holding
+    active, holding = state.queues, state.holding
 
     # (1) injections join the holding queue of their first edge
-    new_paths = adversary.injections_for(now)
-    for path in new_paths:
-        pkt = Packet(
-            id=len(state.packets) + 1,
-            path=tuple(path),
-            injected_at=now,
-            arrived_in_queue_at=now,
-        )
-        state.packets.append(pkt)
-        holding[pkt.path[0]].append(pkt)
-    state.in_system += len(new_paths)
+    injected = inject(state, adversary, holding, state.held)
 
     max_queue = max(
-        (len(active[e]) + len(holding[e]) for e in state.network.edge_ids), default=0
+        (len(active[i]) + len(holding[i]) for i in state.busy | state.held), default=0
     )
-    if state.phase_open and state.phase_count:
-        state.phase_max_queue = max(
-            state.phase_max_queue, max(map(len, active.values()), default=0)
-        )
 
     delivered_now = 0
+    index = state.network.edge_index
 
-    # (2) pass-through: holding packets may cross edges the running phase
-    # can no longer need (idle set fixed before any movement this step)
+    # (2) pass-through: every held edge the running phase no longer demands
+    # sends its earliest-arrived holding packet one hop (demand is fixed
+    # before any movement this step)
     if improvement_on and state.phase_open and state.phase_count:
-        demanded: set = set()
-        for p in state.active_packets:
-            if p.delivered_at is None:
-                demanded.update(p.path[p.hops_done :])
-        for e in state.network.edge_ids:
-            if e in demanded:
-                continue
-            eligible = [p for p in holding[e] if p.arrived_in_queue_at <= now]
-            if not eligible:
-                continue
-            mover = min(eligible, key=lambda p: (p.arrived_in_queue_at, p.id))
-            holding[e].remove(mover)
-            mover.hops_done += 1
-            if mover.hops_done == len(mover.path):
-                mover.delivered_at = now
-                delivered_now += 1
-            else:
-                mover.arrived_in_queue_at = now + 1
-                holding[mover.path[mover.hops_done]].append(mover)
+        idle = [i for i in sorted(state.held) if not state.demand[i]]
+        _, delivered_now = advance(holding, state.held, idle, _by_arrival, now, index)
 
     # (3) the active phase advances exactly like the plain engine
-    chosen = [
-        (e, min(q, key=lambda p: (key(p), p.id))) for e, q in active.items() if q
-    ]
-    for e, pkt in chosen:
-        active[e].remove(pkt)
-        pkt.hops_done += 1
-        if pkt.hops_done == len(pkt.path):
-            pkt.delivered_at = now
-            delivered_now += 1
-            state.active_remaining -= 1
-        else:
-            pkt.arrived_in_queue_at = now + 1
-            active[pkt.path[pkt.hops_done]].append(pkt)
-
-    state.delivered += delivered_now
-    state.in_system -= delivered_now
-    if len(state.packets) != state.in_system + state.delivered:
-        raise EngineInvariantError(
-            f"conservation broken at step {now}: "
-            f"{len(state.packets)} injected != {state.in_system} queued + "
-            f"{state.delivered} delivered"
-        )
+    moved, delivered_active = advance(active, state.busy, sorted(state.busy), key, now, index)
+    demand = state.demand
+    for i, _ in moved:  # each crossing is one the phase no longer needs
+        demand[i] -= 1
+    state.active_remaining -= delivered_active
+    delivered_now += delivered_active
+    settle(state, delivered_now)
 
     # live bound check: a still-open phase at n*d steps can no longer finish in time
     if (
@@ -211,12 +179,10 @@ def interval_step(
     # (4) phase end: record it, then adopt the held packets as the next phase
     if state.phase_open and state.active_remaining == 0:
         _close_phase(state)
-    if not state.phase_open and any(holding[e] for e in state.network.edge_ids):
+    if not state.phase_open and state.held:
         _start_next_phase(state)
 
-    state.steps.append(
-        StepStats(now, state.in_system, len(new_paths), delivered_now, max_queue)
-    )
+    state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
     state.now = now + 1
     return state
 
@@ -277,23 +243,19 @@ def write_phases_csv(
 ) -> None:
     """One row per completed phase:
     phase_index,packet_count,n_i,d_i,duration,lemma1_bound."""
-    out, close = _open_maybe(dest)
-    try:
-        if header_comment:
-            out.write(f"# {header_comment}\n")
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["phase_index", "packet_count", "n_i", "d_i", "duration", "lemma1_bound"])
-        for rec in records:
-            w.writerow(
-                [
-                    rec.phase_index,
-                    rec.packet_count,
-                    rec.n_i,
-                    rec.d_i,
-                    rec.duration_steps,
-                    rec.lemma1_bound,
-                ]
+    write_csv(
+        dest,
+        ["phase_index", "packet_count", "n_i", "d_i", "duration", "lemma1_bound"],
+        (
+            (
+                rec.phase_index,
+                rec.packet_count,
+                rec.n_i,
+                rec.d_i,
+                rec.duration_steps,
+                rec.lemma1_bound,
             )
-    finally:
-        if close:
-            out.close()
+            for rec in records
+        ),
+        header_comment,
+    )

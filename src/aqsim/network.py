@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
 NodeId = Hashable
@@ -28,9 +29,14 @@ class Network:
     edges: tuple[Edge, ...]
     edge_by_id: dict[EdgeId, Edge] = field(repr=False, compare=False)
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e.id for e in self.edges)
+
+    @cached_property
+    def edge_index(self) -> dict[EdgeId, int]:
+        """Position of each edge in declaration order."""
+        return {eid: i for i, eid in enumerate(self.edge_ids)}
 
 
 def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId, EdgeId]]) -> Network:

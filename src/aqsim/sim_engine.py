@@ -5,17 +5,22 @@ queues (and may move the same step); every non-empty queue picks one packet
 under the discipline; all picked packets cross their edges simultaneously,
 landing in the next queue effective the following step. Unit capacity and
 packet conservation are re-checked every step.
+
+The step core (`inject`, `advance`, `settle`) is shared with the phased
+strategy. It keeps the set of non-empty queues, so a step costs time in
+proportion to the busy queues and the packets waiting in them, not to the
+number of edges.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import IO, Optional, Union
 
 from .adversary import Adversary
+from .csvio import write_csv
 from .network import EdgeId, Network
-from .strategies import Packet, get_discipline
+from .strategies import DisciplineKey, Packet, get_discipline
 
 
 class EngineInvariantError(RuntimeError):
@@ -57,32 +62,45 @@ class Trace:
 
 
 @dataclass
-class SimState:
+class EngineState:
+    """What plain and phased runs share: the packets, the per-step record and
+    one queue per edge, indexed in edge-declaration order, together with the
+    set of indices whose queue is non-empty (a phased run's active queues)."""
+
     network: Network
-    queues: dict[EdgeId, list[Packet]]
+    queues: list[list[Packet]]
+    busy: set[int] = field(default_factory=set)
     packets: list[Packet] = field(default_factory=list)
     steps: list[StepStats] = field(default_factory=list)
-    moves: Optional[list[tuple[int, EdgeId, int]]] = None
     now: int = 1
     in_system: int = 0
     delivered: int = 0
 
 
+@dataclass
+class SimState(EngineState):
+    moves: Optional[list[tuple[int, EdgeId, int]]] = None
+
+
 def new_state(network: Network, record_moves: bool = False) -> SimState:
     return SimState(
         network=network,
-        queues={e: [] for e in network.edge_ids},
+        queues=[[] for _ in network.edges],
         moves=[] if record_moves else None,
     )
 
 
-def step(state: SimState, strategy, adversary: Adversary) -> SimState:
-    """Execute one synchronous step, mutating and returning `state`."""
-    key = get_discipline(strategy)
-    now = state.now
-    queues = state.queues
-    packets = state.packets
+# ---- the step core both strategies use -------------------------------------
 
+
+def inject(
+    state: EngineState, adversary: Adversary, queues: list[list[Packet]], busy: set[int]
+) -> int:
+    """The adversary's packets for this step join the queue of their first
+    edge in `queues`; returns how many there were."""
+    now = state.now
+    packets = state.packets
+    index = state.network.edge_index
     new_paths = adversary.injections_for(now)
     for path in new_paths:
         pkt = Packet(
@@ -92,38 +110,81 @@ def step(state: SimState, strategy, adversary: Adversary) -> SimState:
             arrived_in_queue_at=now,
         )
         packets.append(pkt)
-        queues[pkt.path[0]].append(pkt)
+        i = index[pkt.path[0]]
+        queues[i].append(pkt)
+        busy.add(i)
     state.in_system += len(new_paths)
+    return len(new_paths)
 
-    max_queue = max(map(len, queues.values()), default=0)
 
-    chosen = [
-        (e, min(q, key=lambda p: (key(p), p.id))) for e, q in queues.items() if q
-    ]
-    delivered_now = 0
-    for e, pkt in chosen:
-        queues[e].remove(pkt)
+def advance(
+    queues: list[list[Packet]],
+    busy: set[int],
+    senders: list[int],
+    key: DisciplineKey,
+    now: int,
+    index: dict[EdgeId, int],
+) -> tuple[list[tuple[int, Packet]], int]:
+    """Each queue in `senders` (non-empty, listed in edge-declaration order)
+    sends the packet least in (key, id) across its edge. All crossings are
+    simultaneous: a packet lands in its next queue only after every sender has
+    picked, so no packet moves twice in one step. `busy`, the set of non-empty
+    queues, is kept exact.
+
+    Returns the (edge index, packet) crossings in edge order and the number of
+    packets that finished their path.
+    """
+    def rank(p: Packet) -> tuple:
+        return key(p), p.id
+
+    moved = [(i, min(queues[i], key=rank)) for i in senders]
+    delivered = 0
+    for i, pkt in moved:
+        q = queues[i]
+        q.remove(pkt)
+        if not q:
+            busy.discard(i)
         pkt.hops_done += 1
-        if state.moves is not None:
-            state.moves.append((now, e, pkt.id))
         if pkt.hops_done == len(pkt.path):
             pkt.delivered_at = now
-            delivered_now += 1
+            delivered += 1
         else:
             pkt.arrived_in_queue_at = now + 1
-            queues[pkt.path[pkt.hops_done]].append(pkt)
+            j = index[pkt.path[pkt.hops_done]]
+            queues[j].append(pkt)
+            busy.add(j)
+    return moved, delivered
+
+
+def settle(state: EngineState, delivered_now: int) -> None:
+    """Count this step's deliveries and re-check packet conservation."""
     state.delivered += delivered_now
     state.in_system -= delivered_now
-
-    if len(packets) != state.in_system + state.delivered:
+    if len(state.packets) != state.in_system + state.delivered:
         raise EngineInvariantError(
-            f"conservation broken at step {now}: "
-            f"{len(packets)} injected != {state.in_system} queued + {state.delivered} delivered"
+            f"conservation broken at step {state.now}: "
+            f"{len(state.packets)} injected != {state.in_system} queued + "
+            f"{state.delivered} delivered"
         )
 
-    state.steps.append(
-        StepStats(now, state.in_system, len(new_paths), delivered_now, max_queue)
+
+def step(state: SimState, strategy, adversary: Adversary) -> SimState:
+    """Execute one synchronous step, mutating and returning `state`."""
+    key = get_discipline(strategy)
+    now = state.now
+    queues, busy = state.queues, state.busy
+
+    injected = inject(state, adversary, queues, busy)
+    max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
+    moved, delivered_now = advance(
+        queues, busy, sorted(busy), key, now, state.network.edge_index
     )
+    if state.moves is not None:
+        edge_ids = state.network.edge_ids
+        state.moves += [(now, edge_ids[i], pkt.id) for i, pkt in moved]
+    settle(state, delivered_now)
+
+    state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
     state.now = now + 1
     return state
 
@@ -152,25 +213,17 @@ def run(
 # ---- CSV export -----------------------------------------------------------
 
 
-def _open_maybe(dest: Union[str, IO], mode: str = "w"):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, mode, newline=""), True
-
-
 def write_trace_csv(trace: Trace, dest: Union[str, IO], header_comment: str = "") -> None:
     """One row per step: step,total_in_system,injections,deliveries,max_queue_len."""
-    out, close = _open_maybe(dest)
-    try:
-        if header_comment:
-            out.write(f"# {header_comment}\n")
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["step", "total_in_system", "injections", "deliveries", "max_queue_len"])
-        for s in trace.steps:
-            w.writerow([s.step, s.total_in_system, s.injections, s.deliveries, s.max_queue_len])
-    finally:
-        if close:
-            out.close()
+    write_csv(
+        dest,
+        ["step", "total_in_system", "injections", "deliveries", "max_queue_len"],
+        (
+            (s.step, s.total_in_system, s.injections, s.deliveries, s.max_queue_len)
+            for s in trace.steps
+        ),
+        header_comment,
+    )
 
 
 def write_packets_csv(trace: Trace, dest: Union[str, IO], header_comment: str = "") -> None:
@@ -178,23 +231,18 @@ def write_packets_csv(trace: Trace, dest: Union[str, IO], header_comment: str = 
 
     Undelivered packets leave delivered_at and system_time empty.
     """
-    out, close = _open_maybe(dest)
-    try:
-        if header_comment:
-            out.write(f"# {header_comment}\n")
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["packet_id", "injected_at", "delivered_at", "system_time", "path_len"])
-        for p in trace.packets:
-            done = p.delivered_at is not None
-            w.writerow(
-                [
-                    p.id,
-                    p.injected_at,
-                    p.delivered_at if done else "",
-                    p.system_time if done else "",
-                    len(p.path),
-                ]
+    write_csv(
+        dest,
+        ["packet_id", "injected_at", "delivered_at", "system_time", "path_len"],
+        (
+            (
+                p.id,
+                p.injected_at,
+                "" if p.delivered_at is None else p.delivered_at,
+                "" if p.delivered_at is None else p.system_time,
+                len(p.path),
             )
-    finally:
-        if close:
-            out.close()
+            for p in trace.packets
+        ),
+        header_comment,
+    )

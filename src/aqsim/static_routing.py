@@ -8,7 +8,6 @@ randomized instance generators for line and in-tree shapes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from random import Random
@@ -26,7 +25,8 @@ from .network import (
     line_network,
     validate_path,
 )
-from .sim_engine import EngineInvariantError, _open_maybe, run
+from .csvio import write_csv
+from .sim_engine import EngineInvariantError, run
 
 
 class InfeasibleScheduleError(ValueError):
@@ -384,27 +384,21 @@ def write_sweep_csv(
     rows: Sequence[SweepRow], dest: Union[str, IO], header_comment: str = ""
 ) -> None:
     """instance_id,packets,edges,n,d,optimal,greedy_fifo,lemma1_bound"""
-    out, close = _open_maybe(dest)
-    try:
-        if header_comment:
-            out.write(f"# {header_comment}\n")
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(
-            ["instance_id", "packets", "edges", "n", "d", "optimal", "greedy_fifo", "lemma1_bound"]
-        )
-        for row in rows:
-            w.writerow(
-                [
-                    row.instance_id,
-                    row.packets,
-                    row.edges,
-                    row.n,
-                    row.d,
-                    row.optimal if row.optimal is not None else "exceeds_cap",
-                    row.greedy_fifo,
-                    row.lemma1_bound,
-                ]
+    write_csv(
+        dest,
+        ["instance_id", "packets", "edges", "n", "d", "optimal", "greedy_fifo", "lemma1_bound"],
+        (
+            (
+                row.instance_id,
+                row.packets,
+                row.edges,
+                row.n,
+                row.d,
+                row.optimal if row.optimal is not None else "exceeds_cap",
+                row.greedy_fifo,
+                row.lemma1_bound,
             )
-    finally:
-        if close:
-            out.close()
+            for row in rows
+        ),
+        header_comment,
+    )

@@ -118,12 +118,8 @@ def is_non_forward_looking(discipline) -> bool:
     return name in NON_FORWARD_LOOKING
 
 
-def select(discipline, queue: Sequence[Packet], now: int = 0) -> Packet:
-    """Pick the transmitting packet from a non-empty queue.
-
-    `now` is accepted for symmetry with the engine's call site; no current
-    key depends on it.
-    """
+def select(discipline, queue: Sequence[Packet]) -> Packet:
+    """Pick the transmitting packet from a non-empty queue."""
     if not queue:
         raise ValueError("select() on an empty queue")
     key = get_discipline(discipline)

@@ -1,0 +1,150 @@
+"""The busy-edge engine against the frozen full-scan reference in
+`reference_engine.py`: same steps, packets, phases and move order, for every
+discipline, plain and phased, with pass-through on and off."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import reference_engine as ref
+from aqsim.adversary import InjectionEvent, scripted_adversary
+from aqsim.interval_strategy import run_interval
+from aqsim.network import build_network, path
+from aqsim.sim_engine import run
+from aqsim.strategies import DISCIPLINES
+
+
+def _custom_key(p):  # any callable works as a discipline key
+    return (p.id * 7) % 5 - p.hops_done
+
+
+KEYS = sorted(DISCIPLINES) + [_custom_key]
+RATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
+
+
+def random_network(rng: random.Random):
+    """A line or a small in-tree, its edges declared in a shuffled order, with
+    every node's rootward path (in-tree) or every subpath (line) as a route."""
+    if rng.random() < 0.4:
+        k = rng.randint(1, 6)
+        edges = [(f"v{i}", f"v{i + 1}", f"e{i + 1}") for i in range(k)]
+        routes = [
+            tuple(f"e{x}" for x in range(i, j + 1))
+            for i in range(1, k + 1)
+            for j in range(i, k + 1)
+        ]
+        nodes = [f"v{i}" for i in range(k + 1)]
+    else:
+        parents = [rng.randrange(i) for i in range(1, rng.randint(2, 9))]
+        edges = [(f"n{i}", f"n{par}", f"e{i}") for i, par in enumerate(parents, start=1)]
+        routes = []
+        for v in range(1, len(parents) + 1):
+            walk = []
+            while v:
+                walk.append(f"e{v}")
+                v = parents[v - 1]
+            routes.extend(tuple(walk[:length]) for length in range(1, len(walk) + 1))
+        nodes = [f"n{i}" for i in range(len(parents) + 1)]
+    rng.shuffle(edges)
+    return build_network(nodes, edges), routes
+
+
+def admissible_events(rng: random.Random, routes, horizon: int, r: Fraction, b: int):
+    """Random routes, each kept only if every window through each of its edges
+    stays within floor(r*|I|)+b: per edge, the running minimum of
+    q*P(u) - p*u bounds what step t may add (as in SaturatingAdversary)."""
+    p, q = r.numerator, r.denominator
+    edges = {e for route in routes for e in route}
+    total = dict.fromkeys(edges, 0)
+    low = dict.fromkeys(edges, 0)
+    events = []
+    for t in range(1, horizon + 1):
+        for e in edges:
+            low[e] = min(low[e], q * total[e] - p * (t - 1))
+        for _ in range(rng.randint(0, 3)):
+            route = rng.choice(routes)
+            if all(q * (total[e] + 1) <= low[e] + p * t + q * b for e in route):
+                for e in route:
+                    total[e] += 1
+                events.append(InjectionEvent(t, path(*route)))
+    return events
+
+
+def outcome(trace):
+    packets = [
+        (p.id, p.path, p.injected_at, p.hops_done, p.delivered_at, p.phase)
+        for p in trace.packets
+    ]
+    return trace.steps, packets, trace.truncated, trace.moves
+
+
+def phases(records):
+    return [(r.phase_index, r.packet_count, r.duration_steps, r.n_i, r.d_i) for r in records]
+
+
+def check_same(net, events, r, b, key, mode, max_steps, max_phases=None):
+    def adversary():
+        return scripted_adversary(events, r, b, net)
+
+    if mode == "plain":
+        got = run(net, key, adversary(), max_steps, record_moves=True)
+        want = ref.run(net, key, adversary(), max_steps, record_moves=True)
+        assert outcome(got) == outcome(want)
+    else:
+        improve = mode == "passthrough"
+        got, got_rec = run_interval(net, key, adversary(), max_steps, improve, max_phases)
+        want, want_rec = ref.run_interval(net, key, adversary(), max_steps, improve, max_phases)
+        assert outcome(got) == outcome(want)
+        assert phases(got_rec) == phases(want_rec)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key=st.sampled_from(KEYS),
+    mode=st.sampled_from(("plain", "interval", "passthrough")),
+    r=st.sampled_from(RATES),
+    b=st.integers(1, 3),
+    horizon=st.integers(1, 30),
+    cut=st.booleans(),
+    max_phases=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_matches_reference_engine(seed, key, mode, r, b, horizon, cut, max_phases):
+    rng = random.Random(seed)
+    net, routes = random_network(rng)
+    events = admissible_events(rng, routes, horizon, r, b)
+    max_steps = rng.randint(1, horizon + 5) if cut else horizon + 200
+    check_same(net, events, r, b, key, mode, max_steps, max_phases)
+
+
+def test_merging_rails_match_reference_engine():
+    # a1 and b1 both feed the trunk t1 -> t2; the side rail s1 -> s2 stays
+    # clear of every phase, so pass-through has somewhere to go. Edges are
+    # declared against the flow, so declaration order differs from path order.
+    net = build_network(
+        ["a0", "b0", "m", "x", "y", "s0", "s1", "s2"],
+        [
+            ("s1", "s2", "s2"),
+            ("x", "y", "t2"),
+            ("m", "x", "t1"),
+            ("b0", "m", "b1"),
+            ("a0", "m", "a1"),
+            ("s0", "s1", "s1"),
+        ],
+    )
+    routes = [
+        ("a1", "t1", "t2"),
+        ("b1", "t1", "t2"),
+        ("a1", "t1"),
+        ("b1",),
+        ("t1", "t2"),
+        ("s1", "s2"),
+        ("s2",),
+    ]
+    r, b = Fraction(2, 3), 3
+    events = admissible_events(random.Random(7), routes, 120, r, b)
+    assert len(events) > 60
+    for key in KEYS:
+        for mode in ("plain", "interval", "passthrough"):
+            check_same(net, events, r, b, key, mode, 300)
