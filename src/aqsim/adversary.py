@@ -8,9 +8,9 @@ step 1. All window arithmetic is exact (rational r).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .network import EdgeId, Network, PacketPath, validate_path
@@ -75,18 +75,71 @@ class AdmissibilityResult:
         return self.ok
 
 
-# ---- the oracle ----------------------------------------------------------
+# ---- the window rule and the oracle ----------------------------------------
+
+
+class WindowBudget:
+    """The (r,b) window rule on one edge, fed its injection counts step by step.
+
+    Counts and b are integers, so count <= floor(r*|I|)+b and count <= r*|I|+b
+    coincide. With P(t) the injections in steps 1..t, the window [s,t] holds
+    P(t) - P(s-1), so every window ending at t holds iff
+    q*P(t) <= min_{0<=u<t} (q*P(u) - p*u) + p*t + q*b, where r = p/q.
+    `low` is that running minimum and `total` is P of the last step fed.
+    """
+
+    def __init__(self, rate: Fraction, b: int):
+        self.p, self.q, self.b = rate.numerator, rate.denominator, b
+        self.total = self.low = 0  # u = 0 gives q*P(0) - p*0 = 0
+
+    def headroom(self, t: int) -> int:
+        """Injections step t can still take. Call with increasing t and add the
+        step's count to `total` after each call; `total` is constant over the
+        steps skipped between calls, so folding u = t-1 in covers them all."""
+        self.low = min(self.low, self.q * self.total - self.p * (t - 1))
+        return (self.low + self.p * t) // self.q + self.b - self.total
+
+    def cap(self, length: int) -> int:
+        """floor(r*length) + b: the most injections a window of `length` steps may hold."""
+        return self.p * length // self.q + self.b
+
+
+def _shortest_violation(edge: EdgeId, steps: list, first: int, budget: WindowBudget) -> Violation:
+    """The shortest violating window on `edge`, earliest end first, given its
+    (step, count) pairs in step order and the index `first` of the pair at
+    which the earliest violating window ends. Trimming a step without
+    injections off either end keeps the count and never raises the cap, so a
+    shortest violating window starts and ends at injection steps: only those
+    pairs of steps are tried, and none ends before `first`."""
+    best: Optional[Violation] = None
+    for j, (end, _) in enumerate(steps[first:], start=first):
+        count = 0
+        for start, n in reversed(steps[: j + 1]):
+            count += n
+            if best is not None and end - start >= best.end - best.start:
+                break  # only longer windows remain for this end
+            if count > (cap := budget.cap(end - start + 1)):
+                best = Violation(edge, start, end, count, cap)
+                break
+    return best
 
 
 def verify_admissible(
     events: Sequence[InjectionEvent], r, b, horizon: int
 ) -> AdmissibilityResult:
-    """Exhaustively check every edge and every interval [s,t] within [1,horizon].
+    """Check every edge and every interval [s,t] within [1,horizon].
 
-    Returns the first violation found — smallest interval length first, then
-    earliest end step, edges in first-appearance order. Intended as the
-    independent oracle for every generator in this module; cost grows with
-    horizon^2 per distinct per-edge injection profile.
+    Edges are taken in first-appearance order; each edge's (step, count) pairs
+    go through a fresh `WindowBudget`. A window ending between injections holds
+    no more than the one ending at the last injection before it, so checking
+    at injection steps decides every window up to `horizon`. Edges used by the
+    same set of distinct paths see the same injections and are checked once.
+    The cost follows the number of events, not `horizon`.
+
+    On failure the witness is on the first violating edge: its shortest
+    violating window, earliest end first. It checks the output of every
+    generator in this module; the tests compare it with a naive recount that
+    shares no code with it.
     """
     rate = as_rate(r)
     b = _check_burst(b)
@@ -99,41 +152,26 @@ def verify_admissible(
     if horizon < 1:
         raise AdversaryError("horizon must be >= 1")
 
-    # Per-edge injection counts per step; a packet counts once per edge it uses.
-    counts: dict[EdgeId, list[int]] = {}
-    edge_order: list[EdgeId] = []
+    times: dict[tuple, list[int]] = {}  # distinct path -> its injection steps
     for ev in events:
-        for e in dict.fromkeys(ev.path.edges):
-            if e not in counts:
-                counts[e] = [0] * (horizon + 1)
-                edge_order.append(e)
-            counts[e][ev.time] += 1
+        times.setdefault(ev.path.edges, []).append(ev.time)
+    users: dict[EdgeId, list[int]] = {}  # edge -> indices of the distinct paths on it
+    for k, edges in enumerate(times):
+        for e in dict.fromkeys(edges):
+            users.setdefault(e, []).append(k)
 
-    p, q = rate.numerator, rate.denominator
-    allowed = [0] + [(p * length) // q + b for length in range(1, horizon + 1)]
+    first_edge: dict[tuple[int, ...], EdgeId] = {}  # same paths, same injections
+    for e, ks in users.items():
+        first_edge.setdefault(tuple(ks), e)
 
-    checked: dict[tuple, EdgeId] = {}  # identical profiles need checking once
-    for e in edge_order:
-        profile = tuple(counts[e])
-        if profile in checked:
-            continue
-        checked[profile] = e
-        prefix = [0] * (horizon + 1)
-        acc = 0
-        for t in range(1, horizon + 1):
-            acc += counts[e][t]
-            prefix[t] = acc
-        for length in range(1, horizon + 1):
-            cap = allowed[length]
-            # max over t of prefix[t] - prefix[t-length], t = length..horizon
-            worst = max(map(sub, prefix[length:], prefix[: horizon - length + 1]))
-            if worst > cap:
-                for t in range(length, horizon + 1):
-                    got = prefix[t] - prefix[t - length]
-                    if got > cap:
-                        return AdmissibilityResult(
-                            False, Violation(e, t - length + 1, t, got, cap)
-                        )
+    per_path = list(times.values())
+    for ks, e in first_edge.items():
+        steps = sorted(Counter(t for k in ks for t in per_path[k]).items())
+        budget = WindowBudget(rate, b)
+        for i, (t, n) in enumerate(steps):
+            if budget.headroom(t) < n:
+                return AdmissibilityResult(False, _shortest_violation(e, steps, i, budget))
+            budget.total += n
     return AdmissibilityResult(True)
 
 
@@ -243,13 +281,8 @@ def burst_adversary(network: Network, paths, b) -> BurstAdversary:
 
 class SaturatingAdversary(Adversary):
     """Greedy maximal injector of one fixed path: burst of b at step 1, then
-    one more packet whenever every window constraint still holds.
-
-    The incremental check is exact: injecting m at step t is allowed iff
-    q*(total(t-1) + m) <= min_{0<=u<t} (q*total(u) - p*u) + p*t + q*b,
-    which is the all-windows constraint cleared of floors (counts and b are
-    integers, so count <= floor(r|I|)+b and count <= r|I|+b coincide).
-    """
+    one more packet whenever every window constraint still holds, as decided
+    exactly by a `WindowBudget`."""
 
     def __init__(self, network: Network, path: PacketPath, r, b):
         if not validate_path(network, path):
@@ -258,18 +291,14 @@ class SaturatingAdversary(Adversary):
         self.b = _check_burst(b)
         self._path = path
         self._counts: list[int] = [0]  # injections per step, index 0 unused
-        self._total = 0  # sum of counts
-        self._min_g = 0  # min over computed u of q*total(u) - p*u  (u=0 gives 0)
+        self._budget = WindowBudget(self.r, self.b)
 
     def _extend(self, step: int) -> None:
-        p, q = self.r.numerator, self.r.denominator
         while len(self._counts) <= step:
             t = len(self._counts)
-            headroom = (self._min_g + p * t + q * self.b - q * self._total) // q
-            m = max(0, min(headroom, self.b if t == 1 else 1))
+            m = min(self._budget.headroom(t), self.b if t == 1 else 1)
             self._counts.append(m)
-            self._total += m
-            self._min_g = min(self._min_g, q * self._total - p * t)
+            self._budget.total += m
 
     def injections_for(self, step: int) -> list[PacketPath]:
         self._extend(step)

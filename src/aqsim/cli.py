@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation/domain error, 3 broken runtime invariant
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from typing import Optional, Sequence
@@ -16,6 +15,7 @@ import yaml
 
 from . import analysis
 from .adversary import AdversaryError
+from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
 from .network import NetworkError
 from .scenario import Scenario, ScenarioError, load_scenario, make_adversary
@@ -201,18 +201,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"# formula={args.formula} r={args.r} b={args.b} d={args.d}"
-        f" c1={args.c1} c2={args.c2} c3={args.c3} log_base={args.log_base}"
-    )
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["i", "value"])
-    for i, value in enumerate(series, start=1):
-        writer.writerow([i, value])
+    rows: list[tuple] = list(enumerate(series, start=1))
     if limit is not None:
-        writer.writerow(["limit", limit])
+        rows.append(("limit", limit))
     if len(series) >= 10:
-        writer.writerow(["growth", analysis.classify_growth(series).label])
+        rows.append(("growth", analysis.classify_growth(series).label))
+    write_csv(
+        sys.stdout, ["i", "value"], rows,
+        f"formula={args.formula} r={args.r} b={args.b} d={args.d}"
+        f" c1={args.c1} c2={args.c2} c3={args.c3} log_base={args.log_base}",
+    )
     return 0
 
 
@@ -228,11 +226,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"# sweep max_packets={args.max_packets} max_edges={args.max_edges}"
-        f" shapes={','.join(shapes)}"
+    write_sweep_csv(
+        rows, sys.stdout,
+        f"sweep max_packets={args.max_packets} max_edges={args.max_edges}"
+        f" shapes={','.join(shapes)}",
     )
-    write_sweep_csv(rows, sys.stdout)
     print(f"# {sweep_summary(rows)}")
     return 0
 

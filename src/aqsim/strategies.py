@@ -35,11 +35,6 @@ class Packet:
         return len(self.path) - self.hops_done
 
     @property
-    def current_edge(self):
-        """Edge the packet waits at; IndexError once delivered."""
-        return self.path[self.hops_done]
-
-    @property
     def system_time(self) -> Optional[int]:
         if self.delivered_at is None:
             return None

@@ -144,6 +144,32 @@ def test_verify_agrees_with_reference_on_random_scripts(raw, r, b):
                           if start <= ev.time <= end and edge in ev.path.edges)
             assert recount == count > allowed
 
+        # witness order: first violating edge in first-appearance order, then
+        # the shortest window on it, then the earliest end
+        def violates(edge, start, end):
+            count = sum(1 for ev in events
+                        if start <= ev.time <= end and edge in ev.path.edges)
+            return count > (r.numerator * (end - start + 1)) // r.denominator + b
+
+        windows = [(s, t) for t in range(1, 13) for s in range(1, t + 1)]
+        v = got.violation
+        edges = list(dict.fromkeys(e for ev in events for e in ev.path.edges))
+        for edge in edges[: edges.index(v.edge)]:
+            assert not any(violates(edge, s, t) for s, t in windows), edge
+        length = v.end - v.start + 1
+        for s, t in windows:
+            if t - s + 1 < length or (t - s + 1 == length and t < v.end):
+                assert not violates(v.edge, s, t), (s, t)
+
+
+def test_verify_cost_follows_events_not_horizon():
+    # two events 10**9 steps apart: a check that scans every window would hang
+    p = path("e1", "e2")
+    events = [InjectionEvent(1, p), InjectionEvent(10**9, p)]
+    adv = scripted_adversary(events, Fraction(1, 2), 1, line_network(2))
+    assert adv.done_after(10**9) and not adv.done_after(10**9 - 1)
+    assert verify_admissible(events, Fraction(1, 2), 1, 10**9).ok
+
 
 # ---- scripted adversary ---------------------------------------------------------
 
@@ -300,3 +326,6 @@ def test_saturating_admissible_for_random_parameters(r, b):
     net = line_network(2)
     adv = saturating_adversary(net, path("e1", "e2"), r, b)
     assert verify_admissible(adv.events(120), r, b, 120).ok
+    # the generator and verify_admissible share WindowBudget; the reference
+    # shares no code with either
+    assert reference_admissible(adv.events(40), r, b, 40)[0]

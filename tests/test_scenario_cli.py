@@ -281,6 +281,35 @@ def test_run_inadmissible_script_exits_2(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().err
 
 
+def test_run_sparse_long_horizon_script(tmp_path, capsys):
+    # loading checks the script's admissibility; that must not scan 10**9 steps
+    f = tmp_path / "sparse.yaml"
+    f.write_text(
+        textwrap.dedent(
+            """
+            name: sparse
+            network:
+              nodes: [v0, v1]
+              edges: [[v0, v1, e1]]
+            adversary:
+              kind: scripted
+              r: 0.5
+              b: 1
+              events:
+                - {step: 1, path: [e1]}
+                - {step: 1000000000, path: [e1]}
+            strategy: {kind: plain, discipline: FIFO}
+            run: {max_steps: 10}
+            """
+        )
+    )
+    rc = cli.main(["run", str(f), "--max-steps", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "steps run: 5 (truncated)" in capsys.readouterr().out
+    for suffix in ("trace", "packets"):
+        assert (tmp_path / f"sparse_{suffix}.csv").exists()
+
+
 def test_run_invariant_break_exits_3(scenario_dir, tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise EngineInvariantError("synthetic failure for the exit-code contract")
