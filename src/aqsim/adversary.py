@@ -8,9 +8,11 @@ step 1. All window arithmetic is exact (rational r).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .network import EdgeId, Network, PacketPath, validate_path
@@ -23,14 +25,10 @@ class AdversaryError(ValueError):
 def as_rate(r) -> Fraction:
     """Exact rational injection rate in (0,1); floats are read as their
     shortest decimal form (0.1 means exactly 1/10)."""
-    if isinstance(r, Fraction):
-        rate = r
-    elif isinstance(r, float):
-        rate = Fraction(str(r))
-    elif isinstance(r, (int, str)):
-        rate = Fraction(r)
-    else:
-        raise AdversaryError(f"cannot read injection rate from {r!r}")
+    try:
+        rate = Fraction(str(r) if isinstance(r, float) else r)
+    except (TypeError, ValueError, ZeroDivisionError):  # None, nan, inf, "abc", "1/0"
+        raise AdversaryError(f"cannot read injection rate from {r!r}") from None
     if not 0 < rate < 1:
         raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {rate}")
     return rate
@@ -104,23 +102,33 @@ class WindowBudget:
         return self.p * length // self.q + self.b
 
 
-def _shortest_violation(edge: EdgeId, steps: list, first: int, budget: WindowBudget) -> Violation:
+def _shortest_violation(edge: EdgeId, steps: list, budget: WindowBudget) -> Violation:
     """The shortest violating window on `edge`, earliest end first, given its
-    (step, count) pairs in step order and the index `first` of the pair at
-    which the earliest violating window ends. Trimming a step without
-    injections off either end keeps the count and never raises the cap, so a
-    shortest violating window starts and ends at injection steps: only those
-    pairs of steps are tried, and none ends before `first`."""
+    (step, count) pairs in step order.
+
+    With g(u) = q*P(u) - p*u, the window [u+1, t] breaks the rule iff
+    g(u) < g(t) - q*b. Trimming a step without injections off either end keeps
+    the count and never raises the cap, so a shortest violating window starts
+    and ends at injection steps: u runs over s-1 for the injection steps s. A
+    candidate u is of no use once a later one has no larger g, so the kept
+    candidates form a stack of suffix minima, increasing in u and in g, and
+    each end t bisects it for the latest u with g(u) < g(t) - q*b.
+    """
+    p, q, b = budget.p, budget.q, budget.b
+    stack: list[tuple[int, int, int]] = []  # (g(u), u, P(u)), g strictly increasing
     best: Optional[Violation] = None
-    for j, (end, _) in enumerate(steps[first:], start=first):
-        count = 0
-        for start, n in reversed(steps[: j + 1]):
-            count += n
-            if best is not None and end - start >= best.end - best.start:
-                break  # only longer windows remain for this end
-            if count > (cap := budget.cap(end - start + 1)):
-                best = Violation(edge, start, end, count, cap)
-                break
+    total = 0
+    for t, n in steps:
+        g = q * total - p * (t - 1)
+        while stack and stack[-1][0] >= g:
+            stack.pop()
+        stack.append((g, t - 1, total))
+        total += n
+        k = bisect_left(stack, q * total - p * t - q * b, key=itemgetter(0)) - 1
+        if k >= 0:
+            _, u, before = stack[k]
+            if best is None or t - u < best.end - best.start + 1:
+                best = Violation(edge, u + 1, t, total - before, budget.cap(t - u))
     return best
 
 
@@ -168,9 +176,9 @@ def verify_admissible(
     for ks, e in first_edge.items():
         steps = sorted(Counter(t for k in ks for t in per_path[k]).items())
         budget = WindowBudget(rate, b)
-        for i, (t, n) in enumerate(steps):
+        for t, n in steps:
             if budget.headroom(t) < n:
-                return AdmissibilityResult(False, _shortest_violation(e, steps, i, budget))
+                return AdmissibilityResult(False, _shortest_violation(e, steps, budget))
             budget.total += n
     return AdmissibilityResult(True)
 

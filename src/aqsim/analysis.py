@@ -41,17 +41,14 @@ def _check_phase(i: int) -> None:
 
 
 def line_phase_time_bound(i: int, r: float, b: float, d: float) -> float:
-    """Steps the i-th phase can need on a line: r^(i-1)*b + sum_{j<i} r^j*d."""
-    _check_phase(i)
-    _check_common(r, b, d)
-    return r ** (i - 1) * b + d * (1 - r**i) / (1 - r)
+    """Steps the i-th phase can need on a line: r^(i-1)*b + sum_{j<i} r^j*d,
+    the scheduler-family bound with c1 = c2 = 1 and c3 = 0."""
+    return theorem_phase_time_bound(i, r, b, d, 1, 1, 0)
 
 
 def line_phase_time_limit(r: float, d: float) -> float:
     """Limit of line_phase_time_bound as i grows: d/(1-r)."""
-    _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
-    _require(d >= 1, f"need d >= 1, got d={d}")
-    return d / (1 - r)
+    return theorem_phase_time_limit(r, d, 1, 1, 0)
 
 
 def line_delivery_bound(r: float, d: float) -> float:

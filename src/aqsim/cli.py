@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation/domain error, 3 broken runtime invariant
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -196,16 +197,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.i_max < 1:
         print(f"error: --i-max must be >= 1, got {args.i_max}", file=sys.stderr)
         return 2
+    for name in ("r", "b", "d", "c1", "c2", "c3", "log_base"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be finite, got {value}", file=sys.stderr)
+            return 2
     try:
         series, limit = _bound_series(args)
+        rows: list[tuple] = list(enumerate(series, start=1))
+        if limit is not None:
+            rows.append(("limit", limit))
+        if len(series) >= 10:
+            rows.append(("growth", analysis.classify_growth(series).label))
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows: list[tuple] = list(enumerate(series, start=1))
-    if limit is not None:
-        rows.append(("limit", limit))
-    if len(series) >= 10:
-        rows.append(("growth", analysis.classify_growth(series).label))
     write_csv(
         sys.stdout, ["i", "value"], rows,
         f"formula={args.formula} r={args.r} b={args.b} d={args.d}"

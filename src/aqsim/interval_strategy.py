@@ -3,16 +3,17 @@ holding all new injections in second queues.
 
 Every edge owns an active queue and a holding queue. Injections land in
 holding; only active packets advance (under a pluggable inner discipline).
-When the active set empties, the phase ends that same step: holding queues
-are copied into the active queues (per edge, sorted by packet id), and the
-next phase starts the following step. Step 0 is the empty startup state, so
-the empty phase 0 closes immediately at step 1 and step-1 injections always
-form phase 1.
+A phase runs exactly while some active queue is non-empty, so it ends on the
+step its last active packet is delivered. Whenever every active queue is empty
+and some holding queue is not, the holding queues are copied into the active
+queues (per edge, sorted by packet id) and the next phase starts the following
+step. Step 0 is the empty startup state, so the empty phase 0 closes at step 1
+and step-1 injections always form phase 1.
 
 With the improvement enabled, a holding packet may cross its current edge
-while a non-empty phase runs, provided no undelivered active packet has that
-edge among its remaining edges — it can never collide with the phase. It
-moves at most one edge per step and stays in holding (or is delivered).
+while a phase runs, provided no undelivered active packet has that edge among
+its remaining edges — it can never collide with the phase. It moves at most
+one edge per step and stays in holding (or is delivered).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .sim_engine import (
     inject,
     settle,
 )
-from .strategies import DISCIPLINES, Packet, get_discipline
+from .strategies import DISCIPLINES, DisciplineKey, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
 
@@ -56,52 +57,34 @@ class PhaseRecord:
 
 @dataclass
 class PhaseState(EngineState):
-    """`queues` and `busy` hold the active phase. Every edge also owns a
-    holding queue; `held` is the set of edge indices whose holding queue is
-    non-empty. `demand[i]` counts the crossings of edge i that the running
-    phase's undelivered packets still have ahead of them; it is zero on every
-    edge whenever no phase runs."""
+    """`queues` and `busy` hold the active phase, which runs exactly while
+    `busy` is non-empty. Every edge also owns a holding queue; `held` is the
+    set of edge indices whose holding queue is non-empty. `demand[i]` counts
+    the crossings of edge i that the running phase's undelivered packets still
+    have ahead of them; it is zero on every edge whenever no phase runs."""
 
     holding: list[list[Packet]] = field(default_factory=list)
     held: set[int] = field(default_factory=set)
     demand: list[int] = field(default_factory=list)
     records: list[PhaseRecord] = field(default_factory=list)
-    # current phase
+    # the current (or last) phase
     phase_index: int = 0
-    phase_open: bool = True  # phase 0 (empty) is running at startup
     phase_start: int = 1
     phase_count: int = 0
     phase_n: int = 0
     phase_d: int = 0
-    active_remaining: int = 0
-
-
-def new_phase_state(network: Network) -> PhaseState:
-    return PhaseState(
-        network=network,
-        queues=[[] for _ in network.edges],
-        holding=[[] for _ in network.edges],
-        demand=[0] * len(network.edges),
-    )
 
 
 def _close_phase(state: PhaseState) -> None:
-    duration = state.now - state.phase_start + 1 if state.phase_count else 0
+    duration = state.now - state.phase_start + 1
     bound = state.phase_n * state.phase_d
-    if state.phase_count and duration > bound:
+    if duration > bound:
         raise Lemma1ViolationError(
             f"phase {state.phase_index} took {duration} steps, bound n*d = {bound}"
         )
     state.records.append(
-        PhaseRecord(
-            state.phase_index,
-            state.phase_count,
-            duration,
-            state.phase_n,
-            state.phase_d,
-        )
+        PhaseRecord(state.phase_index, state.phase_count, duration, state.phase_n, state.phase_d)
     )
-    state.phase_open = False
 
 
 def _start_next_phase(state: PhaseState) -> None:
@@ -125,61 +108,50 @@ def _start_next_phase(state: PhaseState) -> None:
     nd = congestion_dilation([PacketPath(p.path[p.hops_done :]) for p in adopted])
     state.phase_n, state.phase_d = nd.n, nd.d
     state.phase_count = len(adopted)
-    state.active_remaining = len(adopted)
-    state.phase_open = True
 
 
 def interval_step(
-    state: PhaseState, inner_discipline, adversary: Adversary, improvement_on: bool
+    state: PhaseState, key: DisciplineKey, adversary: Adversary, improvement_on: bool
 ) -> PhaseState:
-    """One synchronous step of the phased protocol (mutates `state`)."""
-    key = get_discipline(inner_discipline)
+    """One synchronous step of the phased protocol (mutates `state`); `key` is
+    the inner discipline's resolved key."""
     now = state.now
-    active, holding = state.queues, state.holding
+    active, holding, busy, held = state.queues, state.holding, state.busy, state.held
+    index, demand = state.network.edge_index, state.demand
 
     # (1) injections join the holding queue of their first edge
-    injected = inject(state, adversary, holding, state.held)
+    injected = inject(state, adversary, holding, held)
 
-    max_queue = max(
-        (len(active[i]) + len(holding[i]) for i in state.busy | state.held), default=0
-    )
+    max_queue = max((len(active[i]) + len(holding[i]) for i in busy | held), default=0)
 
+    # (2) pass-through: while a phase runs, every held edge it no longer
+    # demands sends its earliest-arrived holding packet one hop (demand is
+    # fixed before any movement this step)
     delivered_now = 0
-    index = state.network.edge_index
-
-    # (2) pass-through: every held edge the running phase no longer demands
-    # sends its earliest-arrived holding packet one hop (demand is fixed
-    # before any movement this step)
-    if improvement_on and state.phase_open and state.phase_count:
-        idle = [i for i in sorted(state.held) if not state.demand[i]]
-        _, delivered_now = advance(holding, state.held, idle, _by_arrival, now, index)
+    if improvement_on and busy:
+        idle = [i for i in sorted(held) if not demand[i]]
+        _, delivered_now = advance(holding, held, idle, _by_arrival, now, index)
 
     # (3) the active phase advances exactly like the plain engine
-    moved, delivered_active = advance(active, state.busy, sorted(state.busy), key, now, index)
-    demand = state.demand
+    moved, delivered_active = advance(active, busy, sorted(busy), key, now, index)
     for i, _ in moved:  # each crossing is one the phase no longer needs
         demand[i] -= 1
-    state.active_remaining -= delivered_active
     delivered_now += delivered_active
     settle(state, delivered_now)
 
-    # live bound check: a still-open phase at n*d steps can no longer finish in time
-    if (
-        state.phase_open
-        and state.phase_count
-        and state.active_remaining > 0
-        and now - state.phase_start + 1 >= state.phase_n * state.phase_d
-    ):
+    # live bound check: a phase still running at n*d steps can no longer finish in time
+    running = now - state.phase_start + 1
+    if busy and running >= state.phase_n * state.phase_d:
         raise Lemma1ViolationError(
-            f"phase {state.phase_index} still running after "
-            f"{now - state.phase_start + 1} steps, bound n*d = "
-            f"{state.phase_n * state.phase_d}"
+            f"phase {state.phase_index} still running after {running} steps, "
+            f"bound n*d = {state.phase_n * state.phase_d}"
         )
 
-    # (4) phase end: record it, then adopt the held packets as the next phase
-    if state.phase_open and state.active_remaining == 0:
+    # (4) phase end: the step that empties the active queues closes the phase;
+    # with no phase running, the held packets start the next one
+    if moved and not busy:
         _close_phase(state)
-    if not state.phase_open and state.held:
+    if not busy and held:
         _start_next_phase(state)
 
     state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
@@ -196,24 +168,22 @@ def run_interval(
     max_phases: Optional[int] = None,
 ) -> tuple[Trace, list[PhaseRecord]]:
     """Full phased run; stops at max_steps, at system drain, or once
-    `max_phases` non-startup phases have completed."""
+    `max_phases` non-startup phases have completed. Step 1 always runs."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    get_discipline(inner_discipline)  # fail fast on unknown names
-    state = new_phase_state(network)
+    key = get_discipline(inner_discipline)
+    state = PhaseState(
+        network,
+        [[] for _ in network.edges],
+        holding=[[] for _ in network.edges],
+        demand=[0] * len(network.edges),
+    )
+    state.records.append(PhaseRecord(0, 0, 0, 0, 0))  # the empty startup phase closes at step 1
     while state.now <= max_steps:
-        if (
-            state.in_system == 0
-            and not state.phase_open
-            and adversary.done_after(state.now - 1)
-        ):
+        if state.now > 1 and state.in_system == 0 and adversary.done_after(state.now - 1):
             break
-        interval_step(state, inner_discipline, adversary, improvement_on)
-        if (
-            max_phases is not None
-            and state.records
-            and state.records[-1].phase_index >= max_phases
-        ):
+        interval_step(state, key, adversary, improvement_on)
+        if max_phases is not None and state.records[-1].phase_index >= max_phases:
             break
     truncated = state.in_system > 0 or not adversary.done_after(state.now - 1)
 
@@ -222,11 +192,7 @@ def run_interval(
 
 
 def _check_startup_rule(state: PhaseState) -> None:
-    """Phase 0 is empty and instantaneous; step-1 injections belong to phase 1."""
-    if state.records:
-        first = state.records[0]
-        if first.phase_index != 0 or first.packet_count != 0 or first.duration_steps != 0:
-            raise EngineInvariantError(f"startup rule broken: first record {first}")
+    """Step-1 injections belong to phase 1."""
     for p in state.packets:
         if p.injected_at == 1 and p.phase not in (None, 1):
             raise EngineInvariantError(

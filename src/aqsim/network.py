@@ -42,13 +42,17 @@ class Network:
 def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId, EdgeId]]) -> Network:
     """Validate and freeze a network; edge iteration order is the declaration order.
 
-    Rejects duplicate node ids, duplicate edge ids, endpoints outside the node
-    set, and parallel edges (a second edge on the same ordered node pair).
+    Rejects unhashable ids, duplicate node ids, duplicate edge ids, endpoints
+    outside the node set, and parallel edges (a second edge on the same
+    ordered node pair).
     """
     node_tuple = tuple(nodes)
     if not node_tuple:
         raise NetworkError("node list must be non-empty")
-    node_set = set(node_tuple)
+    try:
+        node_set = set(node_tuple)
+    except TypeError:
+        raise NetworkError("node ids must be hashable") from None
     if len(node_set) != len(node_tuple):
         raise NetworkError("duplicate node id in node list")
 
@@ -56,6 +60,10 @@ def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId,
     by_id: dict[EdgeId, Edge] = {}
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for src, dst, eid in edges:
+        try:
+            hash((src, dst, eid))
+        except TypeError:
+            raise NetworkError(f"edge {eid!r}: ids must be hashable") from None
         if eid in by_id:
             raise NetworkError(f"duplicate edge id {eid!r}")
         if src not in node_set:
@@ -71,12 +79,12 @@ def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId,
     return Network(node_tuple, tuple(edge_list), by_id)
 
 
-def line_network(num_edges: int, prefix: str = "e") -> Network:
+def line_network(num_edges: int) -> Network:
     """One-way connection line: nodes v0..vk joined by forward edges e1..ek."""
     if num_edges < 1:
         raise NetworkError("line needs at least one edge")
     nodes = [f"v{i}" for i in range(num_edges + 1)]
-    edges = [(f"v{i}", f"v{i + 1}", f"{prefix}{i + 1}") for i in range(num_edges)]
+    edges = [(f"v{i}", f"v{i + 1}", f"e{i + 1}") for i in range(num_edges)]
     return build_network(nodes, edges)
 
 
@@ -121,11 +129,12 @@ def path(*edge_ids: EdgeId) -> PacketPath:
 
 def validate_path(network: Network, p: PacketPath) -> bool:
     """True iff every edge exists and consecutive edges share a node. Never raises."""
-    by_id = network.edge_by_id
-    if any(e not in by_id for e in p.edges):
+    try:
+        edges = [network.edge_by_id[e] for e in p.edges]
+    except (KeyError, TypeError):  # undeclared, or unhashable and so no edge id
         return False
-    for a, b in zip(p.edges, p.edges[1:]):
-        if by_id[a].dst != by_id[b].src:
+    for a, b in zip(edges, edges[1:]):
+        if a.dst != b.src:
             return False
     return True
 

@@ -77,19 +77,6 @@ class EngineState:
     delivered: int = 0
 
 
-@dataclass
-class SimState(EngineState):
-    moves: Optional[list[tuple[int, EdgeId, int]]] = None
-
-
-def new_state(network: Network, record_moves: bool = False) -> SimState:
-    return SimState(
-        network=network,
-        queues=[[] for _ in network.edges],
-        moves=[] if record_moves else None,
-    )
-
-
 # ---- the step core both strategies use -------------------------------------
 
 
@@ -168,27 +155,6 @@ def settle(state: EngineState, delivered_now: int) -> None:
         )
 
 
-def step(state: SimState, strategy, adversary: Adversary) -> SimState:
-    """Execute one synchronous step, mutating and returning `state`."""
-    key = get_discipline(strategy)
-    now = state.now
-    queues, busy = state.queues, state.busy
-
-    injected = inject(state, adversary, queues, busy)
-    max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
-    moved, delivered_now = advance(
-        queues, busy, sorted(busy), key, now, state.network.edge_index
-    )
-    if state.moves is not None:
-        edge_ids = state.network.edge_ids
-        state.moves += [(now, edge_ids[i], pkt.id) for i, pkt in moved]
-    settle(state, delivered_now)
-
-    state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
-    state.now = now + 1
-    return state
-
-
 def run(
     network: Network,
     strategy,
@@ -196,18 +162,29 @@ def run(
     max_steps: int,
     record_moves: bool = False,
 ) -> Trace:
-    """Iterate `step` until `max_steps`, or until the system is empty and the
-    adversary has nothing left to inject."""
+    """Step until `max_steps`, or until the system is empty and the adversary
+    has nothing left to inject."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    get_discipline(strategy)  # fail fast on unknown names
-    state = new_state(network, record_moves)
+    key = get_discipline(strategy)
+    state = EngineState(network, [[] for _ in network.edges])
+    queues, busy = state.queues, state.busy
+    index, edge_ids = network.edge_index, network.edge_ids
+    moves = [] if record_moves else None
     while state.now <= max_steps:
-        if state.in_system == 0 and adversary.done_after(state.now - 1):
+        now = state.now
+        if state.in_system == 0 and adversary.done_after(now - 1):
             break
-        step(state, strategy, adversary)
+        injected = inject(state, adversary, queues, busy)
+        max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
+        moved, delivered_now = advance(queues, busy, sorted(busy), key, now, index)
+        if moves is not None:
+            moves += [(now, edge_ids[i], pkt.id) for i, pkt in moved]
+        settle(state, delivered_now)
+        state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
+        state.now = now + 1
     truncated = state.in_system > 0 or not adversary.done_after(state.now - 1)
-    return Trace(state.steps, state.packets, truncated, state.moves)
+    return Trace(state.steps, state.packets, truncated, moves)
 
 
 # ---- CSV export -----------------------------------------------------------

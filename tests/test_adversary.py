@@ -47,7 +47,9 @@ def test_as_rate_accepts_floats_exactly():
     assert as_rate(Fraction(2, 3)) == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 1.5, -0.25, "1"])
+@pytest.mark.parametrize(
+    "bad", [0, 1, 1.5, -0.25, "1", float("nan"), float("inf"), "abc", "1/0"]
+)
 def test_as_rate_requires_open_unit_interval(bad):
     with pytest.raises(AdversaryError):
         as_rate(bad)
@@ -169,6 +171,17 @@ def test_verify_cost_follows_events_not_horizon():
     adv = scripted_adversary(events, Fraction(1, 2), 1, line_network(2))
     assert adv.done_after(10**9) and not adv.done_after(10**9 - 1)
     assert verify_admissible(events, Fraction(1, 2), 1, 10**9).ok
+
+
+def test_verify_long_shortest_witness():
+    # one edge, events at floor(1.9*i)+1: the shortest violating window spans
+    # 992 injections, which a search that walks back over every injection in
+    # the window for each end would pay for quadratically
+    events = [InjectionEvent(19 * i // 10 + 1, path("e1")) for i in range(20_000)]
+    res = verify_admissible(events, Fraction(1, 2), 50, events[-1].time)
+    v = res.violation
+    assert not res.ok
+    assert (v.edge, v.start, v.end, v.count, v.allowed) == ("e1", 1, 1883, 992, 991)
 
 
 # ---- scripted adversary ---------------------------------------------------------

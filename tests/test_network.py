@@ -44,6 +44,19 @@ def test_build_network_rejects_parallel_edges():
         build_network(nodes=["a", "b"], edges=[("a", "b", "e1"), ("a", "b", "e2")])
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        ([[1, 2], "b"], []),  # unhashable node id
+        (["a", "b"], [("a", "b", ["e1"])]),  # unhashable edge id
+        (["a", "b"], [("a", {"x": 1}, "e1")]),  # unhashable endpoint
+    ],
+)
+def test_build_network_rejects_unhashable_ids(nodes, edges):
+    with pytest.raises(NetworkError, match="hashable"):
+        build_network(nodes=nodes, edges=edges)
+
+
 def test_single_node_network_is_valid():
     net = build_network(nodes=["only"], edges=[])
     assert net.edges == ()
@@ -90,6 +103,8 @@ def test_validate_path_contiguity():
     assert not validate_path(net, path("e2", "e1"))  # wrong direction
     assert not validate_path(net, path("e1", "e3"))  # gap
     assert not validate_path(net, path("e1", "nope"))  # unknown edge
+    assert not validate_path(net, path("e1", {"x": 1}))  # unhashable entry
+    assert not validate_path(net, path(["e1"]))
 
 
 def test_validate_path_on_tree_rootward_only():

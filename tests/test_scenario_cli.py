@@ -239,6 +239,51 @@ def test_run_scenario_problems_exit_2_and_name_fields(tmp_path, capsys):
     assert "adversary.r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", [".nan", ".inf", '"abc"', '"1/0"'])
+def test_run_unreadable_rate_exits_2(tmp_path, capsys, rate):
+    f = tmp_path / "rate.yaml"
+    f.write_text(
+        textwrap.dedent(
+            f"""
+            network:
+              nodes: [v0, v1]
+              edges: [[v0, v1, e1]]
+            adversary: {{kind: saturating, r: {rate}, b: 2, path: [e1]}}
+            strategy: {{kind: interval, discipline: FIFO}}
+            run: {{max_steps: 10}}
+            """
+        )
+    )
+    assert cli.main(["run", str(f)]) == 2
+    assert "error: adversary.r: cannot read injection rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, paths, needle",
+    [
+        ("[[1, 2], v1]", "[[v0, v1, e1]]", "[[e1]]", "error: network: node ids"),
+        ("[v0, v1]", "[[v0, v1, [e1]]]", "[[e1]]", "error: network: edge ['e1']"),
+        ("[v0, v1]", "[[v0, v1, e1]]", "[[{x: 1}]]", "error: adversary.paths[0]: not a"),
+    ],
+)
+def test_run_unhashable_ids_exit_2(tmp_path, capsys, nodes, edges, paths, needle):
+    f = tmp_path / "ids.yaml"
+    f.write_text(
+        textwrap.dedent(
+            f"""
+            network:
+              nodes: {nodes}
+              edges: {edges}
+            adversary: {{kind: burst, b: 1, paths: {paths}}}
+            strategy: {{kind: plain, discipline: FIFO}}
+            run: {{max_steps: 10}}
+            """
+        )
+    )
+    assert cli.main(["run", str(f)]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_run_improvement_override_needs_interval(scenario_dir, tmp_path, capsys):
     rc = cli.main([
         "run", str(scenario_dir / "burst_fifo.yaml"),
@@ -352,6 +397,30 @@ def test_bounds_theorem_packets_start_at_b(capsys):
 def test_bounds_nonforward_domain_error_exits_2(capsys):
     assert cli.main(["bounds", "nonforward", "--b", "1"]) == 2
     assert "b >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonforward", "--b", "inf"],
+        ["line", "--r", "nan"],
+        ["tree", "--d=-inf"],
+        ["theorem-time", "--c1", "nan"],
+        ["theorem-time", "--c2", "inf"],
+        ["theorem-packets", "--c3", "inf"],
+        ["nonforward", "--log-base", "inf"],
+    ],
+)
+def test_bounds_non_finite_argument_exits_2(capsys, argv):
+    assert cli.main(["bounds", *argv]) == 2
+    flag = argv[1].split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+
+
+def test_bounds_growth_label_error_exits_2(capsys):
+    # the series overflows to inf and then nan, which the growth label rejects
+    assert cli.main(["bounds", "nonforward", "--b", "1e308", "--d", "1e308"]) == 2
+    assert capsys.readouterr().err.startswith("error: series values must be non-negative")
 
 
 def test_bounds_bad_imax_exits_2(capsys):
