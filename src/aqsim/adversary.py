@@ -8,9 +8,12 @@ step 1. All window arithmetic is exact (rational r).
 
 from __future__ import annotations
 
+import re
+import reprlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -22,13 +25,40 @@ class AdversaryError(ValueError):
     pass
 
 
+# A rate may have at most this many digits in its numerator and denominator
+# (CPython's default cap on int/str conversion), so no rate costs more to read
+# or to print than that.
+_MAX_DIGITS = 4300
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _huge_exponent(r) -> bool:
+    """Whether the decimal `r` carries an exponent above `_MAX_DIGITS` in
+    magnitude, which `Fraction` would expand into a power of ten."""
+    if isinstance(r, Decimal):
+        exponent = r.as_tuple().exponent
+        return isinstance(exponent, int) and abs(exponent) > _MAX_DIGITS
+    match = _EXPONENT.search(r) if isinstance(r, str) else None
+    if match is None:
+        return False
+    digits = match.group(1).replace("_", "").lstrip("0")
+    return len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS
+
+
 def as_rate(r) -> Fraction:
     """Exact rational injection rate in (0,1); floats are read as their
     shortest decimal form (0.1 means exactly 1/10)."""
-    try:
+    if _huge_exponent(r):
+        raise AdversaryError(
+            f"injection rate exponent exceeds {_MAX_DIGITS} in {reprlib.repr(r)}"
+        )
+    try:  # refuses None, nan, inf, "abc", "1/0" and Decimal("Infinity")
         rate = Fraction(str(r) if isinstance(r, float) else r)
-    except (TypeError, ValueError, ZeroDivisionError):  # None, nan, inf, "abc", "1/0"
-        raise AdversaryError(f"cannot read injection rate from {r!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise AdversaryError(f"cannot read injection rate from {reprlib.repr(r)}") from None
+    if abs(rate.numerator) >= _TOO_MANY_DIGITS or rate.denominator >= _TOO_MANY_DIGITS:
+        raise AdversaryError(f"injection rate has more than {_MAX_DIGITS} digits")
     if not 0 < rate < 1:
         raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {rate}")
     return rate

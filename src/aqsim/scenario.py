@@ -51,11 +51,15 @@ class Scenario:
     max_steps: int
 
 
+# libyaml's parser when PyYAML was built with it; both accept the same documents
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario file. OSError and YAML errors propagate;
     structural problems raise ScenarioError listing every offending field."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=_Loader)
     default_name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(data, default_name)
 

@@ -6,15 +6,15 @@ under the discipline; all picked packets cross their edges simultaneously,
 landing in the next queue effective the following step. Unit capacity and
 packet conservation are re-checked every step.
 
-The step core (`inject`, `advance`, `settle`) is shared with the phased
-strategy. It keeps the set of non-empty queues, so a step costs time in
-proportion to the busy queues and the packets waiting in them, not to the
-number of edges.
+The step core (`inject`, `advance`, `check_conservation`) is shared with the
+phased strategy. Callers keep the set of non-empty queues, so a step costs
+time in proportion to the busy queues and the packets waiting in them, not to
+the number of edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional, Union
 
 from .adversary import Adversary
@@ -61,33 +61,20 @@ class Trace:
         return sum(1 for p in self.packets if p.delivered_at is not None)
 
 
-@dataclass
-class EngineState:
-    """What plain and phased runs share: the packets, the per-step record and
-    one queue per edge, indexed in edge-declaration order, together with the
-    set of indices whose queue is non-empty (a phased run's active queues)."""
-
-    network: Network
-    queues: list[list[Packet]]
-    busy: set[int] = field(default_factory=set)
-    packets: list[Packet] = field(default_factory=list)
-    steps: list[StepStats] = field(default_factory=list)
-    now: int = 1
-    in_system: int = 0
-    delivered: int = 0
-
-
 # ---- the step core both strategies use -------------------------------------
 
 
 def inject(
-    state: EngineState, adversary: Adversary, queues: list[list[Packet]], busy: set[int]
+    adversary: Adversary,
+    now: int,
+    packets: list[Packet],
+    index: dict[EdgeId, int],
+    queues: list[list[Packet]],
+    busy: set[int],
 ) -> int:
-    """The adversary's packets for this step join the queue of their first
-    edge in `queues`; returns how many there were."""
-    now = state.now
-    packets = state.packets
-    index = state.network.edge_index
+    """The adversary's packets for step `now` are appended to `packets` and
+    join the queue of their first edge in `queues`, whose non-empty indices
+    `busy` holds; returns how many there were."""
     new_paths = adversary.injections_for(now)
     for path in new_paths:
         pkt = Packet(
@@ -100,7 +87,6 @@ def inject(
         i = index[pkt.path[0]]
         queues[i].append(pkt)
         busy.add(i)
-    state.in_system += len(new_paths)
     return len(new_paths)
 
 
@@ -143,15 +129,12 @@ def advance(
     return moved, delivered
 
 
-def settle(state: EngineState, delivered_now: int) -> None:
-    """Count this step's deliveries and re-check packet conservation."""
-    state.delivered += delivered_now
-    state.in_system -= delivered_now
-    if len(state.packets) != state.in_system + state.delivered:
+def check_conservation(now: int, packets: list[Packet], in_system: int, delivered: int) -> None:
+    """Every packet injected so far is either still queued or delivered."""
+    if len(packets) != in_system + delivered:
         raise EngineInvariantError(
-            f"conservation broken at step {state.now}: "
-            f"{len(state.packets)} injected != {state.in_system} queued + "
-            f"{state.delivered} delivered"
+            f"conservation broken at step {now}: "
+            f"{len(packets)} injected != {in_system} queued + {delivered} delivered"
         )
 
 
@@ -163,28 +146,37 @@ def run(
     record_moves: bool = False,
 ) -> Trace:
     """Step until `max_steps`, or until the system is empty and the adversary
-    has nothing left to inject."""
+    has nothing left to inject.
+
+    One queue per edge, indexed in edge-declaration order; `busy` is the set
+    of indices whose queue is non-empty.
+    """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(strategy)
-    state = EngineState(network, [[] for _ in network.edges])
-    queues, busy = state.queues, state.busy
     index, edge_ids = network.edge_index, network.edge_ids
+    queues: list[list[Packet]] = [[] for _ in network.edges]
+    busy: set[int] = set()
+    packets: list[Packet] = []
+    steps: list[StepStats] = []
     moves = [] if record_moves else None
-    while state.now <= max_steps:
-        now = state.now
-        if state.in_system == 0 and adversary.done_after(now - 1):
+    in_system = delivered = 0
+    now = 1
+    while now <= max_steps:
+        if in_system == 0 and adversary.done_after(now - 1):
             break
-        injected = inject(state, adversary, queues, busy)
+        injected = inject(adversary, now, packets, index, queues, busy)
         max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
         moved, delivered_now = advance(queues, busy, sorted(busy), key, now, index)
         if moves is not None:
             moves += [(now, edge_ids[i], pkt.id) for i, pkt in moved]
-        settle(state, delivered_now)
-        state.steps.append(StepStats(now, state.in_system, injected, delivered_now, max_queue))
-        state.now = now + 1
-    truncated = state.in_system > 0 or not adversary.done_after(state.now - 1)
-    return Trace(state.steps, state.packets, truncated, moves)
+        in_system += injected - delivered_now
+        delivered += delivered_now
+        check_conservation(now, packets, in_system, delivered)
+        steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
+        now += 1
+    truncated = in_system > 0 or not adversary.done_after(now - 1)
+    return Trace(steps, packets, truncated, moves)
 
 
 # ---- CSV export -----------------------------------------------------------

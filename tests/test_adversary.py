@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -45,14 +46,25 @@ def test_as_rate_accepts_floats_exactly():
     assert as_rate(0.1) == Fraction(1, 10)
     assert as_rate("0.3") == Fraction(3, 10)
     assert as_rate(Fraction(2, 3)) == Fraction(2, 3)
+    assert as_rate("1e-4299") == Fraction(1, 10**4299)  # the most digits a rate may have
 
 
 @pytest.mark.parametrize(
-    "bad", [0, 1, 1.5, -0.25, "1", float("nan"), float("inf"), "abc", "1/0"]
+    "bad",
+    [0, 1, 1.5, -0.25, "1", float("nan"), float("inf"), "abc", "1/0"]
+    # exponents and digit counts that would cost seconds to expand or to print
+    + ["1e5000", "1e-5000", "1e-10000000", "1e-4300", "1e5_000"]
+    + [
+        pytest.param(Decimal("1e-10000000"), id="decimal-1e-10000000"),
+        pytest.param(Decimal("Infinity"), id="decimal-inf"),
+        pytest.param(Fraction(1, 10**4300), id="fraction-4301-digits"),
+        pytest.param("0." + "0" * 5000 + "1", id="5002-digit-decimal"),
+    ],
 )
 def test_as_rate_requires_open_unit_interval(bad):
-    with pytest.raises(AdversaryError):
+    with pytest.raises(AdversaryError) as err:
         as_rate(bad)
+    assert len(str(err.value)) < 100  # no message spells out a huge value
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True])

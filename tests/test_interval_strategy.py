@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import aqsim.interval_strategy
 from aqsim.adversary import (
     InjectionEvent,
     burst_adversary,
@@ -15,7 +16,7 @@ from aqsim.interval_strategy import (
     run_interval,
     write_phases_csv,
 )
-from aqsim.network import build_network, line_network, path
+from aqsim.network import CongestionDilation, build_network, line_network, path
 from aqsim.sim_engine import EngineInvariantError
 from aqsim.static_routing import greedy_schedule, random_instance
 
@@ -259,6 +260,17 @@ def test_truncation_reported_when_phase_cut():
 
 def test_lemma1_violation_is_an_engine_invariant():
     assert issubclass(Lemma1ViolationError, EngineInvariantError)
+
+
+def test_live_check_stops_a_phase_that_reaches_its_bound(monkeypatch):
+    # understate the phase's n*d: two packets over e1,e2 need more than 1 step
+    monkeypatch.setattr(
+        aqsim.interval_strategy, "congestion_dilation", lambda paths: CongestionDilation(1, 1)
+    )
+    net = line_network(2)
+    adv = burst_adversary(net, [path("e1", "e2")] * 2, 2)
+    with pytest.raises(Lemma1ViolationError, match=r"^phase 1 still running .* n\*d = 1$"):
+        run_interval(net, "FIFO", adv, max_steps=10)
 
 
 def test_phases_csv_schema():

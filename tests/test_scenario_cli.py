@@ -2,8 +2,9 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+import yaml
 
-from aqsim import cli
+from aqsim import cli, scenario
 from aqsim.adversary import AdversaryError
 from aqsim.scenario import ScenarioError, load_scenario, make_adversary, parse_scenario
 from aqsim.sim_engine import EngineInvariantError
@@ -40,6 +41,21 @@ def test_load_improvement_scenario(scenario_dir):
     assert sc.improvement is False
     assert len(sc.events) == 9
     assert sc.events[-1].time == 8
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree(scenario_dir, tmp_path, monkeypatch):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("network: {nodes: [v0, v1]\n")
+    files = sorted(scenario_dir.glob("*.yaml"))
+    assert files
+    loaded = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(scenario, "_Loader", loader)
+        loaded.append([load_scenario(str(f)) for f in files])
+        with pytest.raises(yaml.YAMLError):
+            load_scenario(str(broken))
+    assert loaded[0] == loaded[1]
 
 
 def _valid_doc():
@@ -239,8 +255,7 @@ def test_run_scenario_problems_exit_2_and_name_fields(tmp_path, capsys):
     assert "adversary.r" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", [".nan", ".inf", '"abc"', '"1/0"'])
-def test_run_unreadable_rate_exits_2(tmp_path, capsys, rate):
+def _rate_scenario(tmp_path, rate: str) -> str:
     f = tmp_path / "rate.yaml"
     f.write_text(
         textwrap.dedent(
@@ -254,8 +269,19 @@ def test_run_unreadable_rate_exits_2(tmp_path, capsys, rate):
             """
         )
     )
-    assert cli.main(["run", str(f)]) == 2
+    return str(f)
+
+
+@pytest.mark.parametrize("rate", [".nan", ".inf", '"abc"', '"1/0"'])
+def test_run_unreadable_rate_exits_2(tmp_path, capsys, rate):
+    assert cli.main(["run", _rate_scenario(tmp_path, rate)]) == 2
     assert "error: adversary.r: cannot read injection rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ['"1e5000"', '"1e-5000"', '"1e-10000000"'])
+def test_run_huge_exponent_rate_exits_2(tmp_path, capsys, rate):
+    assert cli.main(["run", _rate_scenario(tmp_path, rate), "--out", str(tmp_path)]) == 2
+    assert "error: adversary.r: injection rate exponent exceeds 4300" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
