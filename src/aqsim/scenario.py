@@ -5,6 +5,7 @@ problem found."""
 from __future__ import annotations
 
 import os
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -54,12 +55,20 @@ class Scenario:
 # libyaml's parser when PyYAML was built with it; both accept the same documents
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+_short = reprlib.Repr()
+_short.maxstring = 80
+
 
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario file. OSError and YAML errors propagate;
-    structural problems raise ScenarioError listing every offending field."""
+    a value PyYAML cannot build and structural problems raise ScenarioError
+    listing every offending field."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.load(fh, Loader=_Loader)
+        try:
+            data = yaml.load(fh, Loader=_Loader)
+        except ValueError as exc:  # e.g. an integer literal over Python's digit limit
+            problem = f"scenario: cannot read a value: {_short.repr(str(exc))}"
+            raise ScenarioError([problem]) from None
     default_name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(data, default_name)
 

@@ -154,7 +154,9 @@ def bruteforce_optimal_makespan(
     (b) a state revisited no earlier than before cannot improve. Skipping
     fully-idle steps is safe because deleting an idle step from any feasible
     schedule keeps it feasible. `upper_bound` may pass a known-feasible
-    makespan (e.g. from greedy_schedule) to tighten the search.
+    makespan (e.g. from greedy_schedule) to tighten the search. No schedule
+    beats the root's lower bound max(n, d), so the search stops as soon as it
+    meets it, and does not start when `upper_bound` already does.
     """
     if cap < instance.d:
         raise ValueError(f"cap {cap} below dilation {instance.d}")
@@ -180,6 +182,11 @@ def bruteforce_optimal_makespan(
             if heaviest > slack:
                 slack = heaviest
         return slack
+
+    root = tuple([0] * total)
+    floor = lower_bound(root)  # max(n, d): no schedule is shorter
+    if upper_bound is not None and upper_bound == floor <= cap:
+        return floor
 
     def dfs(hops: tuple[int, ...], step_no: int) -> None:
         nonlocal best
@@ -208,8 +215,10 @@ def bruteforce_optimal_makespan(
                 if c is not None:
                     child[c] += 1
             dfs(tuple(child), step_no + 1)
+            if best == floor:
+                return
 
-    dfs(tuple([0] * total), 1)
+    dfs(root, 1)
     return best if best <= cap else None
 
 

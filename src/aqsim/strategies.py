@@ -8,6 +8,8 @@ smallest id and every run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, eq
 from typing import Callable, Optional, Sequence
 
 
@@ -113,9 +115,25 @@ def is_non_forward_looking(discipline) -> bool:
     return name in NON_FORWARD_LOOKING
 
 
+_packet_id = attrgetter("id")
+
+
+def least(queue: Sequence[Packet], key: DisciplineKey) -> int:
+    """Index of the packet least in (key, id) in a non-empty queue. The key is
+    evaluated once per packet, in queue order; ids break ties only when the
+    least key is shared."""
+    ranks = list(map(key, queue))
+    low = min(ranks)
+    ties = ranks.count(low)
+    if ties == 1:
+        return ranks.index(low)
+    ids = list(map(_packet_id, queue))
+    tied = ids if ties == len(ids) else compress(ids, map(eq, ranks, repeat(low)))
+    return ids.index(min(tied))
+
+
 def select(discipline, queue: Sequence[Packet]) -> Packet:
     """Pick the transmitting packet from a non-empty queue."""
     if not queue:
         raise ValueError("select() on an empty queue")
-    key = get_discipline(discipline)
-    return min(queue, key=lambda p: (key(p), p.id))
+    return queue[least(queue, get_discipline(discipline))]

@@ -284,6 +284,21 @@ def test_run_huge_exponent_rate_exits_2(tmp_path, capsys, rate):
     assert "error: adversary.r: injection rate exponent exceeds 4300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["r: 0.5", "b: 2"])
+def test_run_huge_integer_literal_exits_2(tmp_path, capsys, field):
+    # PyYAML builds an unquoted integer with int(), which refuses over 4,300 digits
+    _rate_scenario(tmp_path, "0.5")  # writes tmp_path / "rate.yaml"
+    f = tmp_path / "rate.yaml"
+    name = field.split(":")[0]
+    f.write_text(f.read_text().replace(field, f"{name}: 1{'0' * 5000}"))
+    with pytest.raises(ScenarioError, match="cannot read a value"):
+        load_scenario(str(f))
+    assert cli.main(["run", str(f), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: cannot read a value: ")
+    assert "4300 digits" in err and len(err) < 150
+
+
 @pytest.mark.parametrize(
     "nodes, edges, paths, needle",
     [

@@ -187,6 +187,25 @@ def test_upper_bound_hint_does_not_change_the_optimum(seed):
             == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy))
 
 
+def test_stop_at_root_bound_keeps_the_optimum():
+    # the search stops once it meets max(n, d), and skips itself when greedy
+    # already does; capped one step lower, the full search must find nothing
+    rng = random.Random(2024)
+    greedy_at_floor = optimum_at_floor = 0
+    for _ in range(150):
+        inst = random_instance(rng, 4, 4)
+        floor, cap = max(inst.n, inst.d), lemma1_bound(inst.n, inst.d)
+        _, greedy = greedy_schedule(inst, "FIFO")
+        optimal = bruteforce_optimal_makespan(inst, cap)
+        assert optimal == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
+        assert floor <= optimal <= greedy
+        if optimal > inst.d:
+            assert bruteforce_optimal_makespan(inst, optimal - 1) is None
+        greedy_at_floor += greedy == floor
+        optimum_at_floor += optimal == floor < greedy
+    assert greedy_at_floor and optimum_at_floor
+
+
 # ---- enumeration --------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from aqsim.strategies import (
     Packet,
     get_discipline,
     is_non_forward_looking,
+    least,
     select,
 )
 
@@ -137,6 +138,16 @@ def test_select_ignores_storage_order(raw, name, rng):
 def test_select_returns_queue_member(raw, name):
     q = _build_queue(raw)
     assert select(name, q) in q
+
+
+@given(packet_lists, st.sampled_from(sorted(DISCIPLINES)))
+def test_least_is_min_over_key_then_id_with_one_key_call_each(raw, name):
+    q = _build_queue(raw)
+    key = DISCIPLINES[name]
+    calls = []
+    i = least(q, lambda p: calls.append(p.id) or key(p))
+    assert q[i] is min(q, key=lambda p: (key(p), p.id))
+    assert calls == [p.id for p in q]
 
 
 @given(packet_lists)
