@@ -18,7 +18,7 @@ from . import analysis
 from .adversary import AdversaryError
 from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
-from .scenario import Scenario, ScenarioError, load_scenario, make_adversary
+from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
 from .static_routing import run_sweep, sweep_summary, write_sweep_csv
 

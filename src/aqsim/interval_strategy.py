@@ -20,15 +20,8 @@ from typing import IO, Optional, Union
 
 from .adversary import Adversary
 from .csvio import write_csv
-from .network import Network, PacketPath, congestion_dilation
-from .sim_engine import (
-    EngineInvariantError,
-    StepStats,
-    Trace,
-    advance,
-    check_conservation,
-    inject,
-)
+from .network import Network, congestion_dilation
+from .sim_engine import EngineInvariantError, StepStats, Trace, advance, inject
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
@@ -70,10 +63,12 @@ def run_interval(
     queue and the next phase starts the following step. Queue order does not
     matter: each sender picks the packet least in (key, id).
     `demand[i]` counts the crossings of edge i that the running phase's
-    undelivered packets still have ahead of them; it is zero on every edge
-    whenever no phase runs. The current (or last) phase started at step
-    `start` with `count` packets, congestion `n` and dilation `d`; its index is
-    `len(records)` until it closes.
+    undelivered packets still have ahead of them: a phase start fills it from
+    the `crossings` of the phase's one `congestion_dilation` call, and each
+    crossing takes one off. It is zero on every edge whenever no phase runs.
+    The current (or last) phase started at step `start` with `count` packets,
+    congestion `n` and dilation `d`; its index is `len(records)` until it
+    closes.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -88,7 +83,7 @@ def run_interval(
     steps: list[StepStats] = []
     records = [PhaseRecord(0, 0, 0, 0, 0)]  # the empty startup phase closes at step 1
     start, count, n, d = 1, 0, 0, 0
-    in_system = delivered = 0
+    in_system = 0
     now = 1
     while now <= max_steps:
         if now > 1 and in_system == 0 and adversary.done_after(now - 1):
@@ -111,10 +106,9 @@ def run_interval(
             demand[i] -= 1
         delivered_now += delivered_active
         in_system += injected - delivered_now
-        delivered += delivered_now
-        check_conservation(now, packets, in_system, delivered)
 
-        # live bound check: a phase still running at n*d steps can no longer finish in time
+        # the one n*d check: a phase still running at n*d steps can no longer
+        # finish in time, so no phase ever closes past its bound
         running = now - start + 1
         if busy and running >= n * d:
             raise Lemma1ViolationError(
@@ -122,49 +116,30 @@ def run_interval(
             )
         # the step that empties the active queues closes the phase
         if moved and not busy:
-            if running > n * d:
-                raise Lemma1ViolationError(
-                    f"phase {len(records)} took {running} steps, bound n*d = {n * d}"
-                )
             records.append(PhaseRecord(len(records), count, running, n, d))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
         if not busy and held:
             start = now + 1
-            adopted: list[Packet] = []
-            for i in sorted(held):
+            remaining = []
+            for i in held:
                 active[i], holding[i] = holding[i], active[i]
-                adopted += active[i]
+                for p in active[i]:
+                    p.arrived_in_queue_at = start
+                    p.phase = len(records)
+                    remaining.append(p.path[p.hops_done :])
             busy, held = held, busy
-            for p in adopted:
-                p.arrived_in_queue_at = start
-                p.phase = len(records)
-                for e in p.path[p.hops_done :]:
-                    demand[index[e]] += 1
-            nd = congestion_dilation([PacketPath(p.path[p.hops_done :]) for p in adopted])
-            count, n, d = len(adopted), nd.n, nd.d
+            nd = congestion_dilation(remaining)
+            for e, c in nd.crossings.items():
+                demand[index[e]] = c
+            count, n, d = len(remaining), nd.n, nd.d
 
         steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
         now += 1
         if max_phases is not None and len(records) > max_phases:
             break
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-
-    _check_startup_rule(packets)
     return Trace(steps, packets, truncated, None), records
-
-
-def _check_startup_rule(packets: list[Packet]) -> None:
-    """Step-1 injections belong to phase 1."""
-    for p in packets:
-        if p.injected_at == 1 and p.phase not in (None, 1):
-            raise EngineInvariantError(
-                f"startup rule broken: packet {p.id} injected at step 1 is phase {p.phase}"
-            )
-        if p.injected_at == 1 and p.phase is None and p.delivered_at is None:
-            raise EngineInvariantError(
-                f"startup rule broken: packet {p.id} injected at step 1 never adopted"
-            )
 
 
 def write_phases_csv(

@@ -143,13 +143,16 @@ def validate_path(network: Network, p: PacketPath) -> bool:
 class CongestionDilation:
     n: int  # max number of path crossings of any single edge
     d: int  # longest path, in edges
+    crossings: dict[EdgeId, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-def congestion_dilation(packet_paths: Sequence[PacketPath]) -> CongestionDilation:
-    """Congestion n and dilation d of a packet set.
+def congestion_dilation(packet_paths: Sequence[Sequence[EdgeId]]) -> CongestionDilation:
+    """Congestion n and dilation d of a packet set, given as edge sequences
+    (`PacketPath`s or plain tuples).
 
     n counts edge crossings, so an edge repeated within one walk counts each
     occurrence; identical to counting paths when all paths are simple.
+    `crossings` keeps the count for every edge crossed.
     """
     if not packet_paths:
         raise NetworkError("congestion/dilation undefined for an empty packet set")
@@ -157,6 +160,6 @@ def congestion_dilation(packet_paths: Sequence[PacketPath]) -> CongestionDilatio
     d = 0
     for p in packet_paths:
         d = max(d, len(p))
-        for e in p.edges:
+        for e in p:
             crossings[e] = crossings.get(e, 0) + 1
-    return CongestionDilation(n=max(crossings.values()), d=d)
+    return CongestionDilation(max(crossings.values()), d, crossings)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 

@@ -163,11 +163,13 @@ def bruteforce_optimal_makespan(
     paths = [p.edges for p in instance.paths]
     lengths = [len(pe) for pe in paths]
     total = len(paths)
-    edge_order = [e for e in instance.network.edge_ids]
+    edge_ids = instance.network.edge_ids
 
     best = cap + 1 if upper_bound is None else min(cap, upper_bound) + 1
     memo: dict[tuple[int, ...], int] = {}
 
+    # counted inline: calling congestion_dilation on the remaining paths here
+    # made run_sweep(4, 4) 17-27% slower
     def lower_bound(hops: tuple[int, ...]) -> int:
         slack = 0
         load: dict[EdgeId, int] = {}
@@ -183,8 +185,7 @@ def bruteforce_optimal_makespan(
                 slack = heaviest
         return slack
 
-    root = tuple([0] * total)
-    floor = lower_bound(root)  # max(n, d): no schedule is shorter
+    floor = max(instance.n, instance.d)  # the root's lower_bound: no schedule is shorter
     if upper_bound is not None and upper_bound == floor <= cap:
         return floor
 
@@ -205,7 +206,7 @@ def bruteforce_optimal_makespan(
         for i in range(total):
             if hops[i] < lengths[i]:
                 waiting.setdefault(paths[i][hops[i]], []).append(i)
-        busy_edges = [e for e in edge_order if e in waiting]
+        busy_edges = [e for e in edge_ids if e in waiting]
         options = [waiting[e] + [None] for e in busy_edges]
         for combo in product(*options):
             if all(c is None for c in combo):
@@ -218,7 +219,7 @@ def bruteforce_optimal_makespan(
             if best == floor:
                 return
 
-    dfs(root, 1)
+    dfs((0,) * total, 1)
     return best if best <= cap else None
 
 
@@ -264,18 +265,29 @@ def _is_path_shape(parents: Sequence[int]) -> bool:
 
 def tree_shapes(max_edges: int) -> list[tuple[int, ...]]:
     """Canonical parent vectors of all non-path in-trees with <= max_edges
-    edges (path shapes are enumerated as lines instead)."""
+    edges (path shapes are enumerated as lines instead): for each edge count,
+    the lexicographically least vector of each shape, in lexicographic order.
+
+    Shapes grow one leaf at a time. The last node of a parent vector is always
+    a leaf, and deleting it from a tree's least vector leaves the least vector
+    of the smaller tree. So extending every least vector of the (m-1)-edge
+    level (path shapes included) by each parent in 0..m-1, in order, and
+    keeping the first vector per shape gives the m-edge level in order.
+    """
     shapes: list[tuple[int, ...]] = []
-    seen: set[tuple] = set()
+    level: list[tuple[int, ...]] = [()]
     for m in range(1, max_edges + 1):
-        for parents in product(*[range(i) for i in range(1, m + 1)]):
-            if _is_path_shape(parents):
-                continue
-            key = _canonical_shape(parents)
-            if key in seen:
-                continue
-            seen.add(key)
-            shapes.append(parents)
+        seen: set[tuple] = set()
+        grown = []
+        for parents in level:
+            for par in range(m):
+                child = parents + (par,)
+                key = _canonical_shape(child)
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(child)
+        level = grown
+        shapes += [parents for parents in level if not _is_path_shape(parents)]
     return shapes
 
 

@@ -148,3 +148,18 @@ def test_merging_rails_match_reference_engine():
     for key in KEYS:
         for mode in ("plain", "interval", "passthrough"):
             check_same(net, events, r, b, key, mode, 300)
+
+
+def test_walks_that_repeat_an_edge_match_reference_engine():
+    # e1/e2 form the two-cycle v0 <-> v1, e3 leaves it; some routes cross e1
+    # twice, so a phase still demands e1 after its first crossing
+    net = build_network(
+        ["v0", "v1", "v2"], [("v0", "v1", "e1"), ("v1", "v0", "e2"), ("v1", "v2", "e3")]
+    )
+    routes = [("e1", "e2", "e1", "e3"), ("e2", "e1"), ("e1", "e2", "e1"), ("e1",), ("e3",)]
+    r, b = Fraction(2, 3), 3
+    events = admissible_events(random.Random(11), routes, 120, r, b)
+    assert len(events) > 40
+    for key in KEYS:
+        for mode in ("plain", "interval", "passthrough"):
+            check_same(net, events, r, b, key, mode, 400)

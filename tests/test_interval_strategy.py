@@ -273,6 +273,17 @@ def test_live_check_stops_a_phase_that_reaches_its_bound(monkeypatch):
         run_interval(net, "FIFO", adv, max_steps=10)
 
 
+def test_live_check_fires_at_the_bound_not_one_step_late(monkeypatch):
+    # the phase takes 3 steps; understate n*d as 2, one step short
+    monkeypatch.setattr(
+        aqsim.interval_strategy, "congestion_dilation", lambda paths: CongestionDilation(1, 2)
+    )
+    net = line_network(2)
+    adv = burst_adversary(net, [path("e1", "e2")] * 2, 2)
+    with pytest.raises(Lemma1ViolationError, match=r"^phase 1 still running after 2 steps, "):
+        run_interval(net, "FIFO", adv, max_steps=10)
+
+
 def test_phases_csv_schema():
     net = line_network(4)
     adv = burst_adversary(net, [path("e1", "e2", "e3", "e4")] * 4, 4)

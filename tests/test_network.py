@@ -134,6 +134,12 @@ def test_congestion_dilation_single_long_path():
     assert cd.d == 3
 
 
+def test_congestion_dilation_counts_each_crossing_of_a_walk():
+    cd = congestion_dilation([path("e1", "e2", "e1")])
+    assert (cd.n, cd.d) == (2, 3)
+    assert cd.crossings == {"e1": 2, "e2": 1}
+
+
 def test_congestion_dilation_rejects_empty():
     with pytest.raises(NetworkError):
         congestion_dilation([])

@@ -1,5 +1,6 @@
 import io
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +229,41 @@ def test_tree_shapes_counts_and_path_exclusion():
     for parents in tree_shapes(4):
         # a path would have pairwise-distinct parents
         assert len(set(parents)) < len(parents)
+
+
+# rooted unlabelled trees with k nodes, k = 1..12 (OEIS A000081)
+ROOTED_TREES = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+def test_tree_shapes_per_level_counts_match_rooted_trees():
+    shapes = tree_shapes(11)
+    per_level = [sum(1 for s in shapes if len(s) == m) for m in range(1, 12)]
+    # an m-edge tree has m+1 nodes; the one path shape per level is left out
+    assert per_level == [ROOTED_TREES[m] - 1 for m in range(1, 12)]
+    cumulative = [sum(per_level[:m]) for m in range(1, 12)]
+    assert cumulative == [0, 1, 4, 12, 31, 78, 192, 477, 1195, 3036, 7801]
+
+
+def _product_scan_shapes(max_edges):
+    """The former enumeration, kept as the reference: every parent vector in
+    lexicographic order, the first of each non-path shape kept."""
+
+    def canon(parents, v=0):
+        kids = [c for c, par in enumerate(parents, start=1) if par == v]
+        return tuple(sorted(canon(parents, c) for c in kids))
+
+    shapes, seen = [], set()
+    for m in range(1, max_edges + 1):
+        for parents in product(*[range(i) for i in range(1, m + 1)]):
+            key = canon(parents)
+            if len(set(parents)) < m and key not in seen:
+                seen.add(key)
+                shapes.append(parents)
+    return shapes
+
+
+def test_tree_shapes_equal_the_product_scan():
+    assert tree_shapes(7) == _product_scan_shapes(7)
 
 
 def test_enumerate_instances_counts():
