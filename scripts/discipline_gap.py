@@ -4,7 +4,8 @@ optimal makespan on small static instances?
 Enumerates every instance up to the given size, solves each exactly, runs
 every discipline greedily, and prints per-discipline statistics: how often
 the greedy schedule is optimal, the mean relative gap, and the single worst
-instance encountered.
+instance encountered. Instances that repeat a path pattern under other edge
+names (`relabel`) reuse its optimum and makespans.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from aqsim.static_routing import (
     enumerate_instances,
     greedy_schedule,
     lemma1_bound,
+    relabel,
 )
 from aqsim.strategies import DISCIPLINES
 
@@ -40,13 +42,18 @@ def main(argv=None) -> int:
     worst = {name: (0.0, None, 0, 0) for name in names}  # (gap, paths, greedy, opt)
     count = 0
 
+    solved = {}  # pattern -> (optimal, makespan per discipline)
     for inst in enumerate_instances(args.max_packets, args.max_edges, shapes):
-        cap = lemma1_bound(inst.n, inst.d)
-        optimal = bruteforce_optimal_makespan(inst, cap)
-        assert optimal is not None  # n*d always suffices
+        key = relabel(inst.paths)
+        if key not in solved:
+            cap = lemma1_bound(inst.n, inst.d)
+            optimal = bruteforce_optimal_makespan(inst, cap)
+            assert optimal is not None  # n*d always suffices
+            solved[key] = optimal, {name: greedy_schedule(inst, name)[1] for name in names}
+        optimal, makespans = solved[key]
         count += 1
         for name in names:
-            _, makespan = greedy_schedule(inst, name)
+            makespan = makespans[name]
             gap = (makespan - optimal) / optimal
             gap_sum[name] += gap
             if makespan == optimal:

@@ -52,10 +52,14 @@ def make_instance(network: Network, paths: Iterable[PacketPath]) -> StaticInstan
     path_tuple = tuple(paths)
     if not path_tuple:
         raise NetworkError("static instance needs at least one packet")
-    for i, p in enumerate(path_tuple):
+    _check_paths(network, path_tuple)
+    return StaticInstance(network, path_tuple, congestion_dilation(path_tuple))
+
+
+def _check_paths(network: Network, paths: Sequence[PacketPath]) -> None:
+    for i, p in enumerate(paths):
         if not validate_path(network, p):
             raise NetworkError(f"packet {i + 1}: invalid path {p.edges}")
-    return StaticInstance(network, path_tuple, congestion_dilation(path_tuple))
 
 
 @dataclass(frozen=True)
@@ -291,11 +295,14 @@ def tree_shapes(max_edges: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def enumerate_instances(
-    max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
-) -> Iterator[StaticInstance]:
-    """All static instances with 1..max_packets packets on line and non-path
-    in-tree networks with 1..max_edges edges, in deterministic order."""
+def _enumerate_paths(
+    max_packets: int, max_edges: int, shapes: Sequence[str]
+) -> Iterator[tuple[Network, tuple[PacketPath, ...]]]:
+    """The (network, paths) pairs behind `enumerate_instances`, in its order.
+    Each pool's candidate paths are validated once, so every combination of
+    them is a valid instance."""
+    if not shapes:
+        raise ValueError("no shapes given; expected 'line', 'tree' or both")
     for shape in shapes:
         if shape not in ("line", "tree"):
             raise ValueError(f"unknown shape {shape!r}; expected 'line' or 'tree'")
@@ -309,9 +316,27 @@ def enumerate_instances(
         for parents in tree_shapes(max_edges):
             pools.append((in_tree_network(parents), tree_paths(parents)))
     for network, candidates in pools:
+        _check_paths(network, candidates)
         for size in range(1, max_packets + 1):
             for combo in combinations_with_replacement(candidates, size):
-                yield make_instance(network, combo)
+                yield network, combo
+
+
+def enumerate_instances(
+    max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
+) -> Iterator[StaticInstance]:
+    """All static instances with 1..max_packets packets on line and non-path
+    in-tree networks with 1..max_edges edges, in deterministic order."""
+    for network, paths in _enumerate_paths(max_packets, max_edges, shapes):
+        yield StaticInstance(network, paths, congestion_dilation(paths))
+
+
+def relabel(paths: Iterable[Sequence[EdgeId]]) -> tuple[tuple[int, ...], ...]:
+    """The paths with each edge replaced by the index of its first appearance.
+    Packets keep their order, since packet ids break the disciplines' ties.
+    Instances with the same key differ only in edge names (see `run_sweep`)."""
+    index: dict[EdgeId, int] = {}
+    return tuple(tuple(index.setdefault(e, len(index)) for e in p) for p in paths)
 
 
 def random_instance(rng: Random, max_packets: int, max_edges: int) -> StaticInstance:
@@ -368,24 +393,30 @@ class SweepRow:
 def run_sweep(
     max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
 ) -> list[SweepRow]:
-    """Brute-force optimum vs greedy FIFO for every enumerated instance."""
+    """Brute-force optimum vs greedy FIFO for every enumerated instance.
+
+    Each relabelled path pattern (`relabel`) is solved once and its result
+    reused for every instance that repeats it under other edge names. The rows
+    are the same as solving each instance on its own: a row's values other
+    than `instance_id`, `packets` and `edges` depend only on the pattern,
+    because the engine picks by (discipline key, packet id) whatever the edge
+    names, and the branch and bound's admissible pruning finds the optimum in
+    any edge order.
+    """
     rows: list[SweepRow] = []
-    for idx, inst in enumerate(enumerate_instances(max_packets, max_edges, shapes), start=1):
-        _, greedy = greedy_schedule(inst, "FIFO")
-        cap = lemma1_bound(inst.n, inst.d)
-        optimal = bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
-        rows.append(
-            SweepRow(
-                idx,
-                len(inst.paths),
-                len(inst.network.edges),
-                inst.n,
-                inst.d,
-                optimal,
-                greedy,
-                cap,
-            )
-        )
+    solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, Optional[int], int, int]] = {}
+    for idx, (network, paths) in enumerate(
+        _enumerate_paths(max_packets, max_edges, shapes), start=1
+    ):
+        key = relabel(paths)
+        result = solved.get(key)
+        if result is None:
+            inst = StaticInstance(network, paths, congestion_dilation(paths))
+            _, greedy = greedy_schedule(inst, "FIFO")
+            cap = lemma1_bound(inst.n, inst.d)
+            optimal = bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
+            result = solved[key] = (inst.n, inst.d, optimal, greedy, cap)
+        rows.append(SweepRow(idx, len(paths), len(network.edges), *result))
     return rows
 
 

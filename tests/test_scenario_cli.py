@@ -492,5 +492,12 @@ def test_sweep_rejects_unknown_shape(capsys):
     assert cli.main(["sweep", "--shapes", "circle"]) == 2
 
 
+def test_sweep_rejects_an_empty_shape_list(capsys):
+    assert cli.main(["sweep", "--shapes", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no shapes given")
+
+
 def test_sweep_rejects_nonpositive_limits(capsys):
     assert cli.main(["sweep", "--max-packets", "0"]) == 2

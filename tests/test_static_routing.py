@@ -5,7 +5,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqsim.network import NetworkError, in_tree_network, line_network, path
+import aqsim.static_routing as static_routing
+from aqsim.network import (
+    NetworkError,
+    PacketPath,
+    build_network,
+    in_tree_network,
+    line_network,
+    path,
+)
 from aqsim.static_routing import (
     InfeasibleScheduleError,
     Schedule,
@@ -19,6 +27,7 @@ from aqsim.static_routing import (
     make_instance,
     makespan_of,
     random_instance,
+    relabel,
     run_sweep,
     sweep_summary,
     tree_paths,
@@ -278,6 +287,51 @@ def test_enumerate_instances_rejects_unknown_shape():
         list(enumerate_instances(2, 2, ("circle",)))
 
 
+def test_enumerate_instances_and_sweep_reject_an_empty_shape_list():
+    with pytest.raises(ValueError, match="no shapes"):
+        list(enumerate_instances(2, 2, ()))
+    with pytest.raises(ValueError, match="no shapes"):
+        run_sweep(2, 2, ())
+
+
+def test_relabel_gives_translated_line_instances_one_key():
+    near = [path("e1", "e2"), path("e2"), path("e1")]
+    far = [path("e3", "e4"), path("e4"), path("e3")]
+    assert relabel(near) == relabel(far) == ((0, 1), (1,), (0,))
+
+
+def test_relabel_keeps_packet_order():
+    # packet ids break FIFO ties, so the same paths in another order are
+    # another instance
+    assert relabel([path("e1", "e2"), path("e2")]) != relabel([path("e2"), path("e1", "e2")])
+    assert relabel([path("e1"), path("e1", "e2")]) != relabel([path("e1", "e2"), path("e1")])
+
+
+def _renamed(inst, rng):
+    """The instance with every edge renamed and the edges declared in a
+    shuffled order."""
+    edges = list(inst.network.edges)
+    names = [f"x{k}" for k in range(len(edges))]
+    rng.shuffle(names)
+    rename = {e.id: name for e, name in zip(edges, names)}
+    rng.shuffle(edges)
+    network = build_network(inst.network.nodes, [(e.src, e.dst, rename[e.id]) for e in edges])
+    return make_instance(network, [PacketPath(tuple(rename[e] for e in p)) for p in inst.paths])
+
+
+def test_makespans_do_not_depend_on_edge_names_or_declaration_order():
+    # the sweep reuses one solve for every instance with the same relabel key
+    rng = random.Random(808)
+    for _ in range(60):
+        inst = random_instance(rng, 4, 5)
+        twin = _renamed(inst, rng)
+        assert relabel(twin.paths) == relabel(inst.paths)
+        for name in sorted(DISCIPLINES):
+            assert greedy_schedule(twin, name)[1] == greedy_schedule(inst, name)[1]
+        cap = lemma1_bound(inst.n, inst.d)
+        assert bruteforce_optimal_makespan(twin, cap) == bruteforce_optimal_makespan(inst, cap)
+
+
 def test_random_instance_is_seed_deterministic():
     a = random_instance(random.Random(99), 4, 4)
     b = random_instance(random.Random(99), 4, 4)
@@ -296,6 +350,41 @@ def test_sweep_rows_and_summary():
     assert sweep_summary(rows) == "no instance exceeded n+d (16 instances checked)"
     # the order-matters instance shows up with greedy 3 vs optimal 2
     assert any(row.greedy_fifo > row.optimal for row in rows)
+
+
+@pytest.mark.parametrize(
+    "max_packets, max_edges, shapes",
+    [(4, 4, ("line", "tree")), (2, 6, ("tree",)), (3, 5, ("tree",))],
+)
+def test_sweep_rows_equal_solving_every_instance(max_packets, max_edges, shapes):
+    expected = []
+    for idx, inst in enumerate(enumerate_instances(max_packets, max_edges, shapes), start=1):
+        _, greedy = greedy_schedule(inst, "FIFO")
+        cap = lemma1_bound(inst.n, inst.d)
+        optimal = bruteforce_optimal_makespan(inst, cap)
+        expected.append(
+            (idx, len(inst.paths), len(inst.network.edges), inst.n, inst.d, optimal, greedy, cap)
+        )
+    got = [
+        (r.instance_id, r.packets, r.edges, r.n, r.d, r.optimal, r.greedy_fifo, r.lemma1_bound)
+        for r in run_sweep(max_packets, max_edges, shapes)
+    ]
+    assert got == expected
+
+
+def test_sweep_solves_each_relabelled_pattern_once(monkeypatch):
+    calls = []
+    solve = static_routing.bruteforce_optimal_makespan
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(static_routing, "bruteforce_optimal_makespan", counting)
+    rows = run_sweep(4, 4)
+    assert len(rows) == 3967
+    assert len(calls) == 1205
+    assert len({relabel(inst.paths) for inst in calls}) == 1205
 
 
 def test_sweep_csv_schema():
