@@ -216,6 +216,122 @@ def test_stop_at_root_bound_keeps_the_optimum():
     assert greedy_at_floor and optimum_at_floor
 
 
+def test_hint_below_the_root_bound_raises():
+    # optimum 4: a search that trusted these hints would answer 2 and 3
+    inst = make_instance(line_network(2), [path("e1", "e2")] * 3)
+    for hint in (1, 2):
+        with pytest.raises(ValueError, match="below max"):
+            bruteforce_optimal_makespan(inst, cap=6, upper_bound=hint)
+    assert bruteforce_optimal_makespan(inst, cap=6, upper_bound=4) == 4
+
+
+def test_infeasible_hint_within_cap_raises():
+    # max(n, d) = 3 but the pipeline needs 3 + 3 - 1 = 5 steps
+    inst = make_instance(line_network(3), [path("e1", "e2", "e3")] * 3)
+    with pytest.raises(ValueError, match="not a feasible makespan"):
+        bruteforce_optimal_makespan(inst, cap=9, upper_bound=4)
+    assert bruteforce_optimal_makespan(inst, cap=9, upper_bound=5) == 5
+    # a hint above the cap only caps the search, as before
+    assert bruteforce_optimal_makespan(inst, cap=4, upper_bound=6) is None
+
+
+def _idling_search(instance, cap, upper_bound=None):
+    """The former branch and bound, kept as the reference: it also branches on
+    every busy edge idling, and skips only the steps where all edges idle."""
+    paths = [p.edges for p in instance.paths]
+    lengths = [len(pe) for pe in paths]
+    total = len(paths)
+    edge_ids = instance.network.edge_ids
+    best = cap + 1 if upper_bound is None else min(cap, upper_bound) + 1
+    memo = {}
+
+    def lower_bound(hops):
+        slack = 0
+        load = {}
+        for i in range(total):
+            rem = lengths[i] - hops[i]
+            if rem > slack:
+                slack = rem
+            for e in paths[i][hops[i]:]:
+                load[e] = load.get(e, 0) + 1
+        if load:
+            heaviest = max(load.values())
+            if heaviest > slack:
+                slack = heaviest
+        return slack
+
+    floor = max(instance.n, instance.d)
+    if upper_bound is not None and upper_bound == floor <= cap:
+        return floor
+
+    def dfs(hops, step_no):
+        nonlocal best
+        if all(hops[i] == lengths[i] for i in range(total)):
+            if step_no - 1 < best:
+                best = step_no - 1
+            return
+        if step_no - 1 + lower_bound(hops) >= best:
+            return
+        seen = memo.get(hops)
+        if seen is not None and seen <= step_no:
+            return
+        memo[hops] = step_no
+        waiting = {}
+        for i in range(total):
+            if hops[i] < lengths[i]:
+                waiting.setdefault(paths[i][hops[i]], []).append(i)
+        options = [waiting[e] + [None] for e in edge_ids if e in waiting]
+        for combo in product(*options):
+            if all(c is None for c in combo):
+                continue
+            child = list(hops)
+            for c in combo:
+                if c is not None:
+                    child[c] += 1
+            dfs(tuple(child), step_no + 1)
+            if best == floor:
+                return
+
+    dfs((0,) * total, 1)
+    return best if best <= cap else None
+
+
+def _assert_same_search(inst):
+    cap = lemma1_bound(inst.n, inst.d)
+    _, greedy = greedy_schedule(inst, "FIFO")
+    optimal = bruteforce_optimal_makespan(inst, cap)
+    assert optimal == _idling_search(inst, cap)
+    assert bruteforce_optimal_makespan(inst, cap, upper_bound=greedy) == optimal
+    assert _idling_search(inst, cap, upper_bound=greedy) == optimal
+    if optimal > inst.d:
+        assert bruteforce_optimal_makespan(inst, optimal - 1) is None
+        assert _idling_search(inst, optimal - 1) is None
+    return optimal, greedy
+
+
+def test_non_idling_search_equals_the_idling_search_on_small_patterns():
+    patterns = {}
+    for network, paths in static_routing._enumerate_paths(4, 4, ("line", "tree")):
+        patterns.setdefault(relabel(paths), (network, paths))
+    assert len(patterns) == 1205
+    for network, paths in patterns.values():
+        _assert_same_search(make_instance(network, paths))
+
+
+def test_non_idling_search_equals_the_idling_search_on_random_instances():
+    rng = random.Random(4242)
+    for _ in range(300):
+        _assert_same_search(random_instance(rng, 6, 6))
+
+
+def test_non_idling_search_beats_greedy_fifo_by_hand():
+    # FIFO sends packet 1 on e1 first, so the long packet 3 finishes at step
+    # 4; sending packet 3 first on e1 and packet 2 first on e2 takes 3
+    net = line_network(3)
+    inst = make_instance(net, [path("e1"), path("e2"), path("e1", "e2", "e3")])
+    assert _assert_same_search(inst) == (3, 4)
+
+
 # ---- enumeration --------------------------------------------------------------------
 
 
@@ -298,6 +414,7 @@ def test_relabel_gives_translated_line_instances_one_key():
     near = [path("e1", "e2"), path("e2"), path("e1")]
     far = [path("e3", "e4"), path("e4"), path("e3")]
     assert relabel(near) == relabel(far) == ((0, 1), (1,), (0,))
+    assert relabel([p.edges for p in far]) == relabel(iter(far)) == relabel(near)
 
 
 def test_relabel_keeps_packet_order():
