@@ -46,10 +46,12 @@ def main(argv=None) -> int:
     for inst in enumerate_instances(args.max_packets, args.max_edges, shapes):
         key = relabel(inst.paths)
         if key not in solved:
+            makespans = {name: greedy_schedule(inst, name) for name in names}
+            # the least greedy makespan is feasible and at most n*d, so the
+            # search returns an optimum no larger than it, never None
             cap = lemma1_bound(inst.n, inst.d)
-            optimal = bruteforce_optimal_makespan(inst, cap)
-            assert optimal is not None  # n*d always suffices
-            solved[key] = optimal, {name: greedy_schedule(inst, name)[1] for name in names}
+            optimal = bruteforce_optimal_makespan(inst, cap, min(makespans.values()))
+            solved[key] = optimal, makespans
         optimal, makespans = solved[key]
         count += 1
         for name in names:

@@ -102,6 +102,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: adversary: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path under one
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
+
     records: Optional[list[PhaseRecord]] = None
     try:
         if scenario.strategy_kind == "interval":
@@ -117,7 +123,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"fatal: runtime invariant broken: {exc}", file=sys.stderr)
         return 3
 
-    os.makedirs(args.out, exist_ok=True)
     mode = (
         f"interval({discipline}) improvement={'on' if improvement else 'off'}"
         if scenario.strategy_kind == "interval"
@@ -129,16 +134,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         f" strategy={mode} max_steps={max_steps}"
     )
     written = []
-    trace_path = os.path.join(args.out, f"{scenario.name}_trace.csv")
-    write_trace_csv(trace, trace_path, header)
-    written.append(trace_path)
-    packets_path = os.path.join(args.out, f"{scenario.name}_packets.csv")
-    write_packets_csv(trace, packets_path, header)
-    written.append(packets_path)
-    if records is not None:
-        phases_path = os.path.join(args.out, f"{scenario.name}_phases.csv")
-        write_phases_csv(records, phases_path, header)
-        written.append(phases_path)
+    try:
+        trace_path = os.path.join(args.out, f"{scenario.name}_trace.csv")
+        write_trace_csv(trace, trace_path, header)
+        written.append(trace_path)
+        packets_path = os.path.join(args.out, f"{scenario.name}_packets.csv")
+        write_packets_csv(trace, packets_path, header)
+        written.append(packets_path)
+        if records is not None:
+            phases_path = os.path.join(args.out, f"{scenario.name}_phases.csv")
+            write_phases_csv(records, phases_path, header)
+            written.append(phases_path)
+    except OSError as exc:  # a CSV target is a directory, or cannot be written
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
 
     print(f"scenario {scenario.name}: {header[len(f'scenario={scenario.name} '):]}")
     print(

@@ -139,7 +139,7 @@ def run_interval(
         if max_phases is not None and len(records) > max_phases:
             break
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-    return Trace(steps, packets, truncated, None), records
+    return Trace(steps, packets, truncated), records
 
 
 def write_phases_csv(

@@ -44,7 +44,6 @@ class Trace:
     steps: list[StepStats]
     packets: list[Packet]  # every injected packet, in id order
     truncated: bool  # cut at max_steps with work (or injections) remaining
-    moves: Optional[list[tuple[int, EdgeId, int]]] = None  # (step, edge, packet id)
 
     @property
     def last_step(self) -> int:
@@ -138,13 +137,7 @@ def advance(
     return moved, delivered
 
 
-def run(
-    network: Network,
-    strategy,
-    adversary: Adversary,
-    max_steps: int,
-    record_moves: bool = False,
-) -> Trace:
+def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Trace:
     """Step until `max_steps`, or until the system is empty and the adversary
     has nothing left to inject.
 
@@ -154,12 +147,11 @@ def run(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(strategy)
-    index, edge_ids = network.edge_index, network.edge_ids
+    index = network.edge_index
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     packets: list[Packet] = []
     steps: list[StepStats] = []
-    moves = [] if record_moves else None
     in_system = 0
     now = 1
     while now <= max_steps:
@@ -167,14 +159,12 @@ def run(
             break
         injected = inject(adversary, now, packets, index, queues, busy)
         max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
-        moved, delivered_now = advance(queues, busy, sorted(busy), key, now, index)
-        if moves is not None:
-            moves += [(now, edge_ids[i], pkt.id) for i, pkt in moved]
+        _, delivered_now = advance(queues, busy, sorted(busy), key, now, index)
         in_system += injected - delivered_now
         steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
         now += 1
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-    return Trace(steps, packets, truncated, moves)
+    return Trace(steps, packets, truncated)
 
 
 # ---- CSV export -----------------------------------------------------------

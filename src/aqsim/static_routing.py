@@ -1,9 +1,9 @@
 """Static routing: all packets present at step 1, none injected later.
 
-Covers instance/schedule types with an independent feasibility checker, a
-greedy scheduler built on the engine (burst at step 1), the n*d bound, a
-branch-and-bound optimal-makespan oracle for toy instances, and exhaustive /
-randomized instance generators for line and in-tree shapes.
+Covers the instance type, the greedy makespan of an engine run (burst at
+step 1), the n*d bound, a branch-and-bound optimal-makespan oracle for toy
+instances, and exhaustive / randomized instance generators for line and
+in-tree shapes.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .network import (
 )
 from .csvio import write_csv
 from .sim_engine import EngineInvariantError, run
-
-
-class InfeasibleScheduleError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,67 +58,6 @@ def _check_paths(network: Network, paths: Sequence[PacketPath]) -> None:
             raise NetworkError(f"packet {i + 1}: invalid path {p.edges}")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Per-step, per-edge moves: (step, edge id, 1-based packet index)."""
-
-    instance: StaticInstance
-    moves: tuple[tuple[int, EdgeId, int], ...]
-
-
-def check_schedule(schedule: Schedule) -> None:
-    """Raise InfeasibleScheduleError (with the broken constraint) unless every
-    move follows its packet's path in order, steps are >= 1 and strictly
-    increasing per packet, and no edge carries two packets in one step."""
-    inst = schedule.instance
-    per_packet: dict[int, list[tuple[int, EdgeId]]] = {}
-    slot_taken: set[tuple[int, EdgeId]] = set()
-    for step_no, edge, pid in schedule.moves:
-        if not 1 <= pid <= len(inst.paths):
-            raise InfeasibleScheduleError(f"move references unknown packet {pid}")
-        if step_no < 1:
-            raise InfeasibleScheduleError(f"packet {pid}: move at step {step_no} < 1")
-        if (step_no, edge) in slot_taken:
-            raise InfeasibleScheduleError(
-                f"edge {edge!r} carries two packets at step {step_no}"
-            )
-        slot_taken.add((step_no, edge))
-        per_packet.setdefault(pid, []).append((step_no, edge))
-    for pid, moves in per_packet.items():
-        moves.sort()
-        path = inst.paths[pid - 1].edges
-        if len(moves) > len(path):
-            raise InfeasibleScheduleError(f"packet {pid}: more moves than path edges")
-        last_step = 0
-        for k, (step_no, edge) in enumerate(moves):
-            if edge != path[k]:
-                raise InfeasibleScheduleError(
-                    f"packet {pid}: move {k + 1} crosses {edge!r}, path says {path[k]!r}"
-                )
-            if step_no <= last_step:
-                raise InfeasibleScheduleError(
-                    f"packet {pid}: edge {k + 1} not strictly after edge {k}"
-                )
-            last_step = step_no
-    return None
-
-
-def is_complete(schedule: Schedule) -> bool:
-    """True iff every packet crosses its whole path."""
-    crossed: dict[int, int] = {}
-    for _, _, pid in schedule.moves:
-        crossed[pid] = crossed.get(pid, 0) + 1
-    return all(
-        crossed.get(i + 1, 0) == len(p.edges) for i, p in enumerate(schedule.instance.paths)
-    )
-
-
-def makespan_of(schedule: Schedule) -> int:
-    """Last step at which any packet moves (0 for no moves); checks feasibility."""
-    check_schedule(schedule)
-    return max((m[0] for m in schedule.moves), default=0)
-
-
 def lemma1_bound(n: int, d: int) -> int:
     """Worst-case steps for any greedy discipline on a static instance: n*d."""
     if n < 1 or d < 1:
@@ -130,18 +65,18 @@ def lemma1_bound(n: int, d: int) -> int:
     return n * d
 
 
-def greedy_schedule(instance: StaticInstance, discipline) -> tuple[Schedule, int]:
-    """Run the engine with everything injected at step 1; lift the trace into
-    a Schedule. The run must drain within n*d steps — anything else is a bug."""
+def greedy_schedule(instance: StaticInstance, discipline) -> int:
+    """The makespan of the engine run with everything injected at step 1: the
+    step of its last move, which in a drained run is a delivery. The run must
+    drain within n*d steps — anything else is a bug."""
     bound = lemma1_bound(instance.n, instance.d)
     adversary = burst_adversary(instance.network, instance.paths, b=instance.n)
-    trace = run(instance.network, discipline, adversary, max_steps=bound, record_moves=True)
+    trace = run(instance.network, discipline, adversary, max_steps=bound)
     if trace.truncated:
         raise EngineInvariantError(
             f"greedy {discipline} run exceeded the n*d = {bound} bound"
         )
-    makespan = max((m[0] for m in trace.moves), default=0)
-    return Schedule(instance, tuple(trace.moves)), makespan
+    return trace.last_step
 
 
 # ---- brute-force optimal makespan -----------------------------------------
@@ -395,13 +330,13 @@ class SweepRow:
     edges: int
     n: int
     d: int
-    optimal: Optional[int]
+    optimal: int
     greedy_fifo: int
     lemma1_bound: int
 
     @property
     def exceeds_n_plus_d(self) -> bool:
-        return self.optimal is not None and self.optimal > self.n + self.d
+        return self.optimal > self.n + self.d
 
 
 def run_sweep(
@@ -418,7 +353,7 @@ def run_sweep(
     on the edge names either.
     """
     rows: list[SweepRow] = []
-    solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, Optional[int], int, int]] = {}
+    solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, int, int, int]] = {}
     for idx, (network, paths) in enumerate(
         _enumerate_paths(max_packets, max_edges, shapes), start=1
     ):
@@ -426,7 +361,7 @@ def run_sweep(
         result = solved.get(key)
         if result is None:
             inst = StaticInstance(network, paths, congestion_dilation(paths))
-            _, greedy = greedy_schedule(inst, "FIFO")
+            greedy = greedy_schedule(inst, "FIFO")
             cap = lemma1_bound(inst.n, inst.d)
             optimal = bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
             result = solved[key] = (inst.n, inst.d, optimal, greedy, cap)
@@ -460,7 +395,7 @@ def write_sweep_csv(
                 row.edges,
                 row.n,
                 row.d,
-                row.optimal if row.optimal is not None else "exceeds_cap",
+                row.optimal,
                 row.greedy_fifo,
                 row.lemma1_bound,
             )

@@ -1,0 +1,85 @@
+"""Engine crossings seen from the tests, and the one feasibility checker for
+them.
+
+The engines keep no log of their moves. `recorded_moves` wraps `advance`, the
+step core through which `aqsim.sim_engine.run` and
+`aqsim.interval_strategy.run_interval` send every packet, and logs each
+crossing as (step, edge id, packet id) in the order the engine makes it.
+`check_schedule` holds such a list of crossings to the rules of a feasible
+schedule.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
+
+from aqsim import interval_strategy, sim_engine
+
+
+@contextmanager
+def recorded_moves():
+    """Inside the block, every crossing either engine makes is appended to the
+    yielded list as (step, edge id, packet id)."""
+    moves = []
+    advance = sim_engine.advance
+
+    def logged(queues, busy, senders, key, now, index):
+        moved, delivered = advance(queues, busy, senders, key, now, index)
+        edge_of = {i: e for e, i in index.items()}
+        moves.extend((now, edge_of[i], pkt.id) for i, pkt in moved)
+        return moved, delivered
+
+    with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(
+        interval_strategy, "advance", logged
+    ):
+        yield moves
+
+
+def check_schedule(paths, moves, injected_at=None, complete=True) -> list[list[int]]:
+    """Raise AssertionError, naming the broken rule, unless `moves`, a list of
+    (step, edge id, packet id) crossings by the packets with ids
+    1..len(paths), is feasible:
+
+    - every id names a packet;
+    - no edge carries two packets in one step;
+    - each packet crosses the edges of its path in order, at strictly
+      increasing steps, none before its injection step (`injected_at`, by
+      packet, all 1 when not given) and no more than its path has;
+    - with `complete`, each packet crosses its whole path.
+
+    Returns each packet's crossing steps, in packet id order.
+    """
+    paths = [tuple(p) for p in paths]
+    injected_at = [1] * len(paths) if injected_at is None else injected_at
+    per_packet: list[list[tuple]] = [[] for _ in paths]
+    taken = set()
+    for step, edge, pid in moves:
+        if not 1 <= pid <= len(paths):
+            raise AssertionError(f"move references unknown packet {pid}")
+        if step < injected_at[pid - 1]:
+            raise AssertionError(
+                f"packet {pid}: move at step {step} < {injected_at[pid - 1]}, its injection step"
+            )
+        if (step, edge) in taken:
+            raise AssertionError(f"edge {edge!r} carries two packets at step {step}")
+        taken.add((step, edge))
+        per_packet[pid - 1].append((step, edge))
+    steps = []
+    for pid, (path, crossings) in enumerate(zip(paths, per_packet), start=1):
+        crossings.sort(key=lambda c: c[0])  # stable: a packet's same-step moves stay in order
+        if len(crossings) > len(path):
+            raise AssertionError(f"packet {pid}: more moves than path edges")
+        for k, (step, edge) in enumerate(crossings):
+            if edge != path[k]:
+                raise AssertionError(
+                    f"packet {pid}: move {k + 1} crosses {edge!r}, path says {path[k]!r}"
+                )
+            if k and step <= crossings[k - 1][0]:
+                raise AssertionError(f"packet {pid}: edge {k + 1} not strictly after edge {k}")
+        if complete and len(crossings) < len(path):
+            raise AssertionError(
+                f"packet {pid}: crosses {len(crossings)} of its {len(path)} edges"
+            )
+        steps.append([step for step, _ in crossings])
+    return steps

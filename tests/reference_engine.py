@@ -79,7 +79,15 @@ def step(state: SimState, strategy, adversary) -> SimState:
     return state
 
 
-def run(network, strategy, adversary, max_steps: int, record_moves: bool = False) -> Trace:
+@dataclass
+class MoveTrace(Trace):
+    """A Trace that also hands back the moves: (step, edge id, packet id) in
+    step order, then edge-declaration order."""
+
+    moves: Optional[list[tuple[int, EdgeId, int]]] = None
+
+
+def run(network, strategy, adversary, max_steps: int, record_moves: bool = False) -> MoveTrace:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     get_discipline(strategy)
@@ -93,7 +101,7 @@ def run(network, strategy, adversary, max_steps: int, record_moves: bool = False
             break
         step(state, strategy, adversary)
     truncated = state.in_system > 0 or not adversary.done_after(state.now - 1)
-    return Trace(state.steps, state.packets, truncated, state.moves)
+    return MoveTrace(state.steps, state.packets, truncated, state.moves)
 
 
 # ---- phased runs -------------------------------------------------------------
@@ -288,4 +296,4 @@ def run_interval(
         ):
             break
     truncated = state.in_system > 0 or not adversary.done_after(state.now - 1)
-    return Trace(state.steps, state.packets, truncated, None), state.records
+    return Trace(state.steps, state.packets, truncated), state.records

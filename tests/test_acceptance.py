@@ -85,7 +85,7 @@ def test_c2_greedy_always_within_lemma_bound():
         inst = random_instance(rng, 4, 4)
         cap = lemma1_bound(inst.n, inst.d)
         for name in DISCIPLINES:
-            _, makespan = greedy_schedule(inst, name)
+            makespan = greedy_schedule(inst, name)
             assert makespan <= cap, (
                 f"{name} needed {makespan} > n*d = {cap} on {inst.paths}")
             checked += 1

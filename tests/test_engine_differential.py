@@ -1,6 +1,8 @@
 """The busy-edge engine against the frozen full-scan reference in
 `reference_engine.py`: same steps, packets, phases and move order, for every
-discipline, plain and phased, with pass-through on and off."""
+discipline, plain and phased, with pass-through on and off. The reference
+records no moves for phased runs, so their crossings are held to the rules of
+a feasible schedule instead."""
 
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
+from crossings import check_schedule, recorded_moves
 from aqsim.adversary import InjectionEvent, scripted_adversary
 from aqsim.interval_strategy import run_interval
 from aqsim.network import build_network, path
@@ -76,7 +79,7 @@ def outcome(trace):
         (p.id, p.path, p.injected_at, p.hops_done, p.delivered_at, p.phase)
         for p in trace.packets
     ]
-    return trace.steps, packets, trace.truncated, trace.moves
+    return trace.steps, packets, trace.truncated
 
 
 def phases(records):
@@ -88,9 +91,11 @@ def check_same(net, events, r, b, key, mode, max_steps, max_phases=None):
         return scripted_adversary(events, r, b, net)
 
     if mode == "plain":
-        got = run(net, key, adversary(), max_steps, record_moves=True)
+        with recorded_moves() as moves:
+            got = run(net, key, adversary(), max_steps)
         want = ref.run(net, key, adversary(), max_steps, record_moves=True)
         assert outcome(got) == outcome(want)
+        assert moves == want.moves
     else:
         improve = mode == "passthrough"
         got, got_rec = run_interval(net, key, adversary(), max_steps, improve, max_phases)
@@ -116,6 +121,35 @@ def test_matches_reference_engine(seed, key, mode, r, b, horizon, cut, max_phase
     events = admissible_events(rng, routes, horizon, r, b)
     max_steps = rng.randint(1, horizon + 5) if cut else horizon + 200
     check_same(net, events, r, b, key, mode, max_steps, max_phases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key=st.sampled_from(KEYS),
+    improve=st.booleans(),
+    r=st.sampled_from(RATES),
+    b=st.integers(1, 3),
+    horizon=st.integers(1, 30),
+    cut=st.booleans(),
+    max_phases=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_phased_crossings_are_feasible(seed, key, improve, r, b, horizon, cut, max_phases):
+    rng = random.Random(seed)
+    net, routes = random_network(rng)
+    events = admissible_events(rng, routes, horizon, r, b)
+    max_steps = rng.randint(1, horizon + 5) if cut else horizon + 200
+    adversary = scripted_adversary(events, r, b, net)
+    with recorded_moves() as moves:
+        trace, _ = run_interval(net, key, adversary, max_steps, improve, max_phases)
+    packets = trace.packets
+    steps = check_schedule(
+        [p.path for p in packets], moves, [p.injected_at for p in packets], complete=False
+    )
+    for p, crossed in zip(packets, steps):
+        assert len(crossed) == p.hops_done
+        delivered = len(crossed) == len(p.path)
+        assert p.delivered_at == (crossed[-1] if delivered else None)
 
 
 def test_merging_rails_match_reference_engine():

@@ -156,7 +156,7 @@ def test_phase_one_duration_equals_greedy_makespan():
     rng = random.Random(11)
     for _ in range(100):
         inst = random_instance(rng, 4, 4)
-        _, makespan = greedy_schedule(inst, "FIFO")
+        makespan = greedy_schedule(inst, "FIFO")
         adv = burst_adversary(inst.network, inst.paths, len(inst.paths))
         _, records = run_interval(
             inst.network, "FIFO", adv, max_steps=inst.n * inst.d + 8)

@@ -225,6 +225,35 @@ def test_run_plain_scenario_has_no_phase_csv(tmp_path, scenario_dir):
     assert not (tmp_path / "burst_fifo_phases.csv").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_run_out_naming_a_file_exits_2_before_running(
+    scenario_dir, tmp_path, monkeypatch, capsys, under
+):
+    # --out is an existing file, or a directory path under one
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+
+    def explode(*args, **kwargs):
+        raise EngineInvariantError("the run must not start")
+
+    monkeypatch.setattr(cli, "run", explode)
+    rc = cli.main(["run", str(scenario_dir / "burst_fifo.yaml"), "--out", str(target / under)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out: ")
+    assert target.read_text() == "keep me\n"
+
+
+def test_run_csv_target_that_is_a_directory_exits_2(scenario_dir, tmp_path, capsys):
+    (tmp_path / "burst_fifo_packets.csv").mkdir()
+    rc = cli.main(["run", str(scenario_dir / "burst_fifo.yaml"), "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out: ")
+    assert "wrote" not in captured.out
+
+
 def test_run_missing_file_exits_2(capsys):
     assert cli.main(["run", "no_such_file.yaml"]) == 2
     assert "cannot read scenario" in capsys.readouterr().err

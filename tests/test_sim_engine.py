@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossings import check_schedule, recorded_moves
 from aqsim.adversary import burst_adversary, saturating_adversary, scripted_adversary, InjectionEvent
 from aqsim.network import line_network, path
 from aqsim.sim_engine import run, write_packets_csv, write_trace_csv
@@ -132,13 +133,13 @@ def test_unit_capacity_and_accounting(seed, name):
     rng = random.Random(seed)
     inst = random_instance(rng, 4, 4)
     adv = burst_adversary(inst.network, inst.paths, b=inst.n)
-    trace = run(inst.network, name, adv, max_steps=inst.n * inst.d, record_moves=True)
+    with recorded_moves() as moves:
+        trace = run(inst.network, name, adv, max_steps=inst.n * inst.d)
     assert not trace.truncated
 
-    used = set()
-    for step_no, edge, pid in trace.moves:
-        assert (step_no, edge) not in used  # one crossing per edge per step
-        used.add((step_no, edge))
+    # one crossing per edge per step; every packet crossed exactly its path,
+    # in order
+    steps = check_schedule(inst.paths, moves)
 
     # per-step bookkeeping: in-system count tracks injections minus deliveries
     running = 0
@@ -147,25 +148,19 @@ def test_unit_capacity_and_accounting(seed, name):
         assert s.total_in_system == running
     assert running == 0
 
-    # every packet crossed exactly its path, in order
-    by_pid = {}
-    for step_no, edge, pid in trace.moves:
-        by_pid.setdefault(pid, []).append((step_no, edge))
-    for pkt in trace.packets:
-        crossings = sorted(by_pid[pkt.id])
-        assert tuple(e for _, e in crossings) == pkt.path
-        steps_used = [t for t, _ in crossings]
-        assert all(a < b for a, b in zip(steps_used, steps_used[1:]))
-        assert pkt.delivered_at == steps_used[-1]
+    for pkt, crossed in zip(trace.packets, steps):
+        assert pkt.path == inst.paths[pkt.id - 1].edges
+        assert pkt.delivered_at == crossed[-1]
         assert pkt.system_time >= len(pkt.path)
 
 
 def test_nonempty_system_always_moves_something():
     net = line_network(4)
     adv = burst_adversary(net, [path("e1", "e2", "e3", "e4")] * 4, 4)
-    trace = run(net, "LIFO", adv, max_steps=50, record_moves=True)
+    with recorded_moves() as moves:
+        trace = run(net, "LIFO", adv, max_steps=50)
     moves_by_step = {}
-    for step_no, _, _ in trace.moves:
+    for step_no, _, _ in moves:
         moves_by_step[step_no] = moves_by_step.get(step_no, 0) + 1
     prev_in_system = 0
     for s in trace.steps:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aqsim.static_routing as static_routing
+from crossings import check_schedule, recorded_moves
 from aqsim.network import (
     NetworkError,
     PacketPath,
@@ -15,17 +16,12 @@ from aqsim.network import (
     path,
 )
 from aqsim.static_routing import (
-    InfeasibleScheduleError,
-    Schedule,
     bruteforce_optimal_makespan,
-    check_schedule,
     enumerate_instances,
     greedy_schedule,
-    is_complete,
     lemma1_bound,
     line_paths,
     make_instance,
-    makespan_of,
     random_instance,
     relabel,
     run_sweep,
@@ -54,54 +50,44 @@ def test_make_instance_rejects_bad_input():
         make_instance(net, [path("e2", "e1")])
 
 
-# ---- schedules ------------------------------------------------------------------
+# ---- schedules: the feasibility checker in tests/crossings.py -------------------
+
+DEMO_PATHS = [path("e1", "e2"), path("e1")]
 
 
-def _demo_instance():
-    net = line_network(2)
-    return make_instance(net, [path("e1", "e2"), path("e1")])
-
-
-def test_empty_schedule_has_makespan_zero():
-    sched = Schedule(_demo_instance(), ())
-    assert makespan_of(sched) == 0
-    assert not is_complete(sched)
+def test_empty_schedule_is_feasible_but_incomplete():
+    assert check_schedule(DEMO_PATHS, (), complete=False) == [[], []]
+    with pytest.raises(AssertionError, match="crosses 0 of its 2 edges"):
+        check_schedule(DEMO_PATHS, ())
 
 
 def test_complete_schedule_roundtrip():
-    inst = _demo_instance()
-    sched = Schedule(inst, ((1, "e1", 1), (2, "e2", 1), (2, "e1", 2)))
-    assert makespan_of(sched) == 2
-    assert is_complete(sched)
+    moves = ((1, "e1", 1), (2, "e2", 1), (2, "e1", 2))
+    assert check_schedule(DEMO_PATHS, moves) == [[1, 2], [2]]
 
 
 def test_check_schedule_rejects_edge_collision():
-    inst = _demo_instance()
-    sched = Schedule(inst, ((1, "e1", 1), (1, "e1", 2)))
-    with pytest.raises(InfeasibleScheduleError, match="two packets"):
-        check_schedule(sched)
+    with pytest.raises(AssertionError, match="two packets"):
+        check_schedule(DEMO_PATHS, ((1, "e1", 1), (1, "e1", 2)))
 
 
 def test_check_schedule_rejects_out_of_order_path():
-    inst = _demo_instance()
-    sched = Schedule(inst, ((1, "e2", 1),))
-    with pytest.raises(InfeasibleScheduleError, match="path says"):
-        check_schedule(sched)
+    with pytest.raises(AssertionError, match="path says"):
+        check_schedule(DEMO_PATHS, ((1, "e2", 1),))
 
 
 def test_check_schedule_rejects_simultaneous_hops():
-    inst = _demo_instance()
-    sched = Schedule(inst, ((1, "e1", 1), (1, "e2", 1)))
-    with pytest.raises(InfeasibleScheduleError, match="strictly after"):
-        check_schedule(sched)
+    with pytest.raises(AssertionError, match="strictly after"):
+        check_schedule(DEMO_PATHS, ((1, "e1", 1), (1, "e2", 1)))
 
 
 def test_check_schedule_rejects_unknown_packet_and_bad_step():
-    inst = _demo_instance()
-    with pytest.raises(InfeasibleScheduleError, match="unknown packet"):
-        check_schedule(Schedule(inst, ((1, "e1", 9),)))
-    with pytest.raises(InfeasibleScheduleError, match="< 1"):
-        check_schedule(Schedule(inst, ((0, "e1", 1),)))
+    with pytest.raises(AssertionError, match="unknown packet"):
+        check_schedule(DEMO_PATHS, ((1, "e1", 9),))
+    with pytest.raises(AssertionError, match="< 1"):
+        check_schedule(DEMO_PATHS, ((0, "e1", 1),))
+    with pytest.raises(AssertionError, match="more moves"):
+        check_schedule(DEMO_PATHS, ((1, "e1", 2), (2, "e1", 2)), complete=False)
 
 
 def test_lemma1_bound_values():
@@ -117,16 +103,17 @@ def test_lemma1_bound_values():
 def test_unobstructed_packet_needs_exactly_its_path_length():
     net = line_network(3)
     inst = make_instance(net, [path("e1", "e2", "e3")])
-    sched, makespan = greedy_schedule(inst, "FIFO")
+    with recorded_moves() as moves:
+        makespan = greedy_schedule(inst, "FIFO")
     assert makespan == 3
-    assert is_complete(sched)
+    assert check_schedule(inst.paths, moves) == [[1, 2, 3]]
     assert bruteforce_optimal_makespan(inst, cap=9) == 3
 
 
 def test_two_packets_one_edge_serialize():
     net = line_network(1)
     inst = make_instance(net, [path("e1"), path("e1")])
-    _, makespan = greedy_schedule(inst, "FIFO")
+    makespan = greedy_schedule(inst, "FIFO")
     assert makespan == 2
     assert bruteforce_optimal_makespan(inst, cap=2) == 2
 
@@ -134,7 +121,7 @@ def test_two_packets_one_edge_serialize():
 def test_three_packets_shared_two_edge_path():
     net = line_network(2)
     inst = make_instance(net, [path("e1", "e2")] * 3)
-    _, greedy = greedy_schedule(inst, "FIFO")
+    greedy = greedy_schedule(inst, "FIFO")
     assert greedy == 4  # pipeline: 3 + 2 - 1
     assert bruteforce_optimal_makespan(inst, cap=6) == 4
 
@@ -143,7 +130,7 @@ def test_greedy_beats_nothing_when_order_matters():
     # short packet first forces the long one to wait; the optimum flips them
     net = line_network(2)
     inst = make_instance(net, [path("e1"), path("e1", "e2")])
-    _, greedy = greedy_schedule(inst, "FIFO")
+    greedy = greedy_schedule(inst, "FIFO")
     assert greedy == 3
     assert bruteforce_optimal_makespan(inst, cap=4) == 2
 
@@ -160,7 +147,7 @@ def test_identical_full_line_pipeline_formula():
         for k in range(1, 5):
             net = line_network(k)
             inst = make_instance(net, [path(*[f"e{i}" for i in range(1, k + 1)])] * b)
-            _, greedy = greedy_schedule(inst, "FIFO")
+            greedy = greedy_schedule(inst, "FIFO")
             assert greedy == b + k - 1
             assert greedy <= lemma1_bound(inst.n, inst.d)
 
@@ -169,10 +156,10 @@ def test_identical_full_line_pipeline_formula():
 @given(st.integers(0, 10_000), st.sampled_from(sorted(DISCIPLINES)))
 def test_greedy_schedules_are_feasible_and_complete(seed, name):
     inst = random_instance(random.Random(seed), 4, 4)
-    sched, makespan = greedy_schedule(inst, name)
-    check_schedule(sched)
-    assert is_complete(sched)
-    assert makespan == makespan_of(sched)
+    with recorded_moves() as moves:
+        makespan = greedy_schedule(inst, name)
+    steps = check_schedule(inst.paths, moves)
+    assert makespan == max(crossed[-1] for crossed in steps)
     assert max(inst.n, inst.d) <= makespan <= lemma1_bound(inst.n, inst.d)
 
 
@@ -181,7 +168,7 @@ def test_greedy_schedules_are_feasible_and_complete(seed, name):
 def test_bruteforce_never_beaten_by_greedy(seed):
     inst = random_instance(random.Random(seed), 3, 3)
     cap = lemma1_bound(inst.n, inst.d)
-    _, greedy = greedy_schedule(inst, "FIFO")
+    greedy = greedy_schedule(inst, "FIFO")
     optimal = bruteforce_optimal_makespan(inst, cap)
     assert optimal is not None
     assert max(inst.n, inst.d) <= optimal <= greedy
@@ -192,7 +179,7 @@ def test_bruteforce_never_beaten_by_greedy(seed):
 def test_upper_bound_hint_does_not_change_the_optimum(seed):
     inst = random_instance(random.Random(seed), 3, 3)
     cap = lemma1_bound(inst.n, inst.d)
-    _, greedy = greedy_schedule(inst, "FIFO")
+    greedy = greedy_schedule(inst, "FIFO")
     assert (bruteforce_optimal_makespan(inst, cap)
             == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy))
 
@@ -205,7 +192,7 @@ def test_stop_at_root_bound_keeps_the_optimum():
     for _ in range(150):
         inst = random_instance(rng, 4, 4)
         floor, cap = max(inst.n, inst.d), lemma1_bound(inst.n, inst.d)
-        _, greedy = greedy_schedule(inst, "FIFO")
+        greedy = greedy_schedule(inst, "FIFO")
         optimal = bruteforce_optimal_makespan(inst, cap)
         assert optimal == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
         assert floor <= optimal <= greedy
@@ -298,7 +285,7 @@ def _idling_search(instance, cap, upper_bound=None):
 
 def _assert_same_search(inst):
     cap = lemma1_bound(inst.n, inst.d)
-    _, greedy = greedy_schedule(inst, "FIFO")
+    greedy = greedy_schedule(inst, "FIFO")
     optimal = bruteforce_optimal_makespan(inst, cap)
     assert optimal == _idling_search(inst, cap)
     assert bruteforce_optimal_makespan(inst, cap, upper_bound=greedy) == optimal
@@ -444,7 +431,7 @@ def test_makespans_do_not_depend_on_edge_names_or_declaration_order():
         twin = _renamed(inst, rng)
         assert relabel(twin.paths) == relabel(inst.paths)
         for name in sorted(DISCIPLINES):
-            assert greedy_schedule(twin, name)[1] == greedy_schedule(inst, name)[1]
+            assert greedy_schedule(twin, name) == greedy_schedule(inst, name)
         cap = lemma1_bound(inst.n, inst.d)
         assert bruteforce_optimal_makespan(twin, cap) == bruteforce_optimal_makespan(inst, cap)
 
@@ -476,7 +463,7 @@ def test_sweep_rows_and_summary():
 def test_sweep_rows_equal_solving_every_instance(max_packets, max_edges, shapes):
     expected = []
     for idx, inst in enumerate(enumerate_instances(max_packets, max_edges, shapes), start=1):
-        _, greedy = greedy_schedule(inst, "FIFO")
+        greedy = greedy_schedule(inst, "FIFO")
         cap = lemma1_bound(inst.n, inst.d)
         optimal = bruteforce_optimal_makespan(inst, cap)
         expected.append(
