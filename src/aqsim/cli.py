@@ -7,8 +7,10 @@ Exit codes: 0 success, 2 validation/domain error, 3 broken runtime invariant
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import secrets
 import sys
 from typing import Optional, Sequence
 
@@ -65,6 +67,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---- run -------------------------------------------------------------------
+
+
+def _write_csv_set(out_dir: str, name: str, outputs, header: str) -> list[str]:
+    """Write one run's CSVs, `<name>_<kind>.csv` for each (kind, writer, data)
+    in `outputs`, to `out_dir` as a whole set, and return their paths.
+
+    Each CSV is written to a temporary name first, and the files are renamed
+    only after the last write succeeds. On an OSError the temporary files and
+    any file of the set already renamed are removed, and the error is raised
+    again, so a failed run leaves no partial set behind.
+    """
+    tag = secrets.token_hex(4)
+    temps: list[str] = []
+    done: list[str] = []
+    try:
+        for kind, writer, data in outputs:
+            tmp = os.path.join(out_dir, f".{name}_{kind}.{tag}.tmp")
+            with open(tmp, "x", newline="") as fh:
+                temps.append(tmp)
+                writer(data, fh, header)
+        for tmp, (kind, _, _) in zip(temps, outputs):
+            final = os.path.join(out_dir, f"{name}_{kind}.csv")
+            os.replace(tmp, final)
+            done.append(final)
+    except OSError:
+        for path in temps[len(done):] + done:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return done
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -133,18 +165,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         f" r={scenario.r if scenario.r is not None else '-'} b={scenario.b}"
         f" strategy={mode} max_steps={max_steps}"
     )
-    written = []
+    outputs = [("trace", write_trace_csv, trace), ("packets", write_packets_csv, trace)]
+    if records is not None:
+        outputs.append(("phases", write_phases_csv, records))
     try:
-        trace_path = os.path.join(args.out, f"{scenario.name}_trace.csv")
-        write_trace_csv(trace, trace_path, header)
-        written.append(trace_path)
-        packets_path = os.path.join(args.out, f"{scenario.name}_packets.csv")
-        write_packets_csv(trace, packets_path, header)
-        written.append(packets_path)
-        if records is not None:
-            phases_path = os.path.join(args.out, f"{scenario.name}_phases.csv")
-            write_phases_csv(records, phases_path, header)
-            written.append(phases_path)
+        written = _write_csv_set(args.out, scenario.name, outputs, header)
     except OSError as exc:  # a CSV target is a directory, or cannot be written
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2

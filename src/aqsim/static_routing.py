@@ -1,9 +1,9 @@
 """Static routing: all packets present at step 1, none injected later.
 
-Covers the instance type, the greedy makespan of an engine run (burst at
-step 1), the n*d bound, a branch-and-bound optimal-makespan oracle for toy
-instances, and exhaustive / randomized instance generators for line and
-in-tree shapes.
+Covers the instance type, the greedy makespan (every packet queued at step 1
+and drained through the engines' step core), the n*d bound, a
+branch-and-bound optimal-makespan oracle for toy instances, and exhaustive /
+randomized instance generators for line and in-tree shapes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from itertools import combinations_with_replacement, product
 from random import Random
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
-from .adversary import burst_adversary
 from .network import (
     CongestionDilation,
     EdgeId,
@@ -26,7 +25,8 @@ from .network import (
     validate_path,
 )
 from .csvio import write_csv
-from .sim_engine import EngineInvariantError, run
+from .sim_engine import EngineInvariantError, advance
+from .strategies import Packet, get_discipline
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,36 @@ def lemma1_bound(n: int, d: int) -> int:
 
 
 def greedy_schedule(instance: StaticInstance, discipline) -> int:
-    """The makespan of the engine run with everything injected at step 1: the
-    step of its last move, which in a drained run is a delivery. The run must
-    drain within n*d steps — anything else is a bug."""
+    """The makespan of the greedy run under `discipline`: the step of the last
+    delivery, with every packet queued at step 1.
+
+    Packet k (in `instance.paths` order, so ids break ties as in an engine
+    run) starts in the queue of its first edge, and `sim_engine.advance`, the
+    step core of both engines, is called until every queue is empty. No
+    adversary, trace or per-step record is built; the makespan equals
+    `run(network, discipline, burst_adversary(network, paths, b=n), n*d)
+    .last_step`. The run must drain within n*d steps — anything else is a
+    bug, raised as EngineInvariantError.
+    """
     bound = lemma1_bound(instance.n, instance.d)
-    adversary = burst_adversary(instance.network, instance.paths, b=instance.n)
-    trace = run(instance.network, discipline, adversary, max_steps=bound)
-    if trace.truncated:
-        raise EngineInvariantError(
-            f"greedy {discipline} run exceeded the n*d = {bound} bound"
-        )
-    return trace.last_step
+    key = get_discipline(discipline)
+    network = instance.network
+    index = network.edge_index
+    queues: list[list[Packet]] = [[] for _ in network.edges]
+    busy: set[int] = set()
+    for k, p in enumerate(instance.paths, start=1):
+        i = index[p.edges[0]]
+        queues[i].append(Packet(id=k, path=p.edges, injected_at=1, arrived_in_queue_at=1))
+        busy.add(i)
+    now = 0
+    while busy:
+        now += 1
+        if now > bound:
+            raise EngineInvariantError(
+                f"greedy {discipline} run exceeded the n*d = {bound} bound"
+            )
+        advance(queues, busy, sorted(busy), key, now, index)
+    return now
 
 
 # ---- brute-force optimal makespan -----------------------------------------

@@ -2,9 +2,11 @@
 them.
 
 The engines keep no log of their moves. `recorded_moves` wraps `advance`, the
-step core through which `aqsim.sim_engine.run` and
-`aqsim.interval_strategy.run_interval` send every packet, and logs each
-crossing as (step, edge id, packet id) in the order the engine makes it.
+step core through which `aqsim.sim_engine.run`,
+`aqsim.interval_strategy.run_interval` and `aqsim.static_routing.greedy_schedule`
+send every packet, and logs each crossing as (step, edge id, packet id) in the
+order the engine makes it. Each of the three modules calls `advance` through
+its own module name, so all three names are patched.
 `check_schedule` holds such a list of crossings to the rules of a feasible
 schedule.
 """
@@ -14,13 +16,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from aqsim import interval_strategy, sim_engine
+from aqsim import interval_strategy, sim_engine, static_routing
 
 
 @contextmanager
 def recorded_moves():
-    """Inside the block, every crossing either engine makes is appended to the
-    yielded list as (step, edge id, packet id)."""
+    """Inside the block, every crossing either engine or the greedy static
+    runner makes is appended to the yielded list as (step, edge id, packet
+    id)."""
     moves = []
     advance = sim_engine.advance
 
@@ -32,7 +35,7 @@ def recorded_moves():
 
     with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(
         interval_strategy, "advance", logged
-    ):
+    ), mock.patch.object(static_routing, "advance", logged):
         yield moves
 
 

@@ -252,6 +252,23 @@ def test_run_csv_target_that_is_a_directory_exits_2(scenario_dir, tmp_path, caps
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --out: ")
     assert "wrote" not in captured.out
+    # the set is whole or absent: the trace CSV, renamed before the packets
+    # rename failed, is removed again, and no temporary file is left
+    assert not (tmp_path / "burst_fifo_trace.csv").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["burst_fifo_packets.csv"]
+
+
+def test_run_failed_csv_write_leaves_no_file(scenario_dir, tmp_path, monkeypatch, capsys):
+    def failing(trace, dest, header_comment=""):
+        dest.write("step,partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_packets_csv", failing)
+    rc = cli.main(["run", str(scenario_dir / "burst_fifo.yaml"), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --out: [Errno 28] No space left on device"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_missing_file_exits_2(capsys):

@@ -1,3 +1,4 @@
+import functools
 import io
 import random
 from itertools import product
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import aqsim.static_routing as static_routing
 from crossings import check_schedule, recorded_moves
+from aqsim.adversary import burst_adversary
 from aqsim.network import (
     NetworkError,
     PacketPath,
@@ -30,6 +32,7 @@ from aqsim.static_routing import (
     tree_shapes,
     write_sweep_csv,
 )
+from aqsim.sim_engine import EngineInvariantError, run
 from aqsim.strategies import DISCIPLINES
 
 # ---- instances ----------------------------------------------------------------
@@ -161,6 +164,73 @@ def test_greedy_schedules_are_feasible_and_complete(seed, name):
     steps = check_schedule(inst.paths, moves)
     assert makespan == max(crossed[-1] for crossed in steps)
     assert max(inst.n, inst.d) <= makespan <= lemma1_bound(inst.n, inst.d)
+
+
+@functools.cache
+def _distinct_patterns(max_packets, max_edges):
+    """One instance per relabelled path pattern of enumerate_instances, in
+    enumeration order."""
+    patterns = {}
+    for network, paths in static_routing._enumerate_paths(max_packets, max_edges, ("line", "tree")):
+        patterns.setdefault(relabel(paths), (network, paths))
+    return tuple(make_instance(network, paths) for network, paths in patterns.values())
+
+
+def _counting(name):
+    key = DISCIPLINES[name]
+    calls = [0]
+
+    def counted(p):
+        calls[0] += 1
+        return key(p)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_greedy_runner_equals_the_burst_engine_run(name):
+    # the former greedy_schedule, an engine run of a burst at step 1, is the
+    # reference; the key is called once per queued packet of each sender on
+    # both paths, so a counting key sees the same number of calls
+    for inst in _distinct_patterns(4, 4):
+        ref_key, ref_calls = _counting(name)
+        adversary = burst_adversary(inst.network, inst.paths, b=inst.n)
+        trace = run(inst.network, ref_key, adversary, lemma1_bound(inst.n, inst.d))
+        assert not trace.truncated
+        got_key, got_calls = _counting(name)
+        makespan = greedy_schedule(inst, got_key)
+        assert makespan == trace.last_step == greedy_schedule(inst, name)
+        assert got_calls == ref_calls
+
+
+def test_greedy_runner_raises_past_the_nd_bound(monkeypatch):
+    inst = make_instance(line_network(1), [path("e1"), path("e1")])
+    assert greedy_schedule(inst, "FIFO") == 2
+    monkeypatch.setattr(static_routing, "lemma1_bound", lambda n, d: 1)
+    with pytest.raises(EngineInvariantError, match=r"greedy FIFO run exceeded the n\*d = 1 bound"):
+        greedy_schedule(inst, "FIFO")
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_greedy_makespans_meet_the_shortest_path_certificate(name):
+    # line subpaths and rootward in-tree paths are shortest paths, so every
+    # greedy discipline drains k packets within d + k - 1 steps (Mansour and
+    # Patt-Shamir, "Greedy packet scheduling on shortest paths", J.
+    # Algorithms 1993); no schedule beats max(n, d)
+    for inst in _distinct_patterns(4, 4):
+        makespan = greedy_schedule(inst, name)
+        assert max(inst.n, inst.d) <= makespan <= inst.d + len(inst.paths) - 1, inst.paths
+
+
+def test_in_tree_witness_exceeds_n_plus_d_minus_1_except_under_ftg():
+    # two leaf edges e2 and e3 feed e1; n = d = 2
+    inst = make_instance(
+        in_tree_network([0, 1, 1]), [path("e2"), path("e2", "e1"), path("e3"), path("e3", "e1")]
+    )
+    assert (inst.n, inst.d) == (2, 2)
+    makespans = {name: greedy_schedule(inst, name) for name in DISCIPLINES}
+    assert makespans.pop("FTG") == 3
+    assert set(makespans.values()) == {4}
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,12 +367,10 @@ def _assert_same_search(inst):
 
 
 def test_non_idling_search_equals_the_idling_search_on_small_patterns():
-    patterns = {}
-    for network, paths in static_routing._enumerate_paths(4, 4, ("line", "tree")):
-        patterns.setdefault(relabel(paths), (network, paths))
+    patterns = _distinct_patterns(4, 4)
     assert len(patterns) == 1205
-    for network, paths in patterns.values():
-        _assert_same_search(make_instance(network, paths))
+    for inst in patterns:
+        _assert_same_search(inst)
 
 
 def test_non_idling_search_equals_the_idling_search_on_random_instances():
