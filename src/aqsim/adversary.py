@@ -4,6 +4,11 @@ The admission rule: for every edge e and every closed step interval I, the
 number of injected packets whose path contains e and whose time lies in I is
 at most floor(r*|I|) + b, with |I| counted inclusively and time starting at
 step 1. All window arithmetic is exact (rational r).
+
+`WindowBudget` is the one implementation of that rule. Every finite adversary
+is a `ScriptedAdversary`, checked at construction by `verify_admissible`; a
+burst is the script that injects all its paths at step 1. The saturating
+generator asks a `WindowBudget` how much each step may take.
 """
 
 from __future__ import annotations
@@ -283,38 +288,21 @@ def scripted_adversary(events, r, b, network: Optional[Network] = None) -> Scrip
     return ScriptedAdversary(events, r, b, network)
 
 
-class BurstAdversary(Adversary):
-    """All packets at step 1, nothing afterwards. Admissible for every rate
-    r in (0,1) as long as no edge is used by more than b paths."""
+def burst_adversary(network: Network, paths, b) -> ScriptedAdversary:
+    """All `paths` injected at step 1, nothing afterwards: a script of step-1
+    events, checked by `verify_admissible` like any other script.
 
-    def __init__(self, network: Network, paths: Sequence[PacketPath], b):
-        self.b = _check_burst(b)
-        self.r = None  # unconstrained: single-step windows only need the burst
-        self._paths = list(paths)
-        load: dict[EdgeId, int] = {}
-        for path in self._paths:
-            if not validate_path(network, path):
-                raise AdversaryError(f"invalid path {path.edges}")
-            for e in dict.fromkeys(path.edges):
-                load[e] = load.get(e, 0) + 1
-        if load and max(load.values()) > self.b:
-            worst = max(load, key=lambda e: (load[e], str(e)))
-            raise AdversaryError(
-                f"edge {worst!r} carries {load[worst]} paths, exceeding burst b={self.b}"
-            )
-
-    def injections_for(self, step: int) -> list[PacketPath]:
-        return list(self._paths) if step == 1 else []
-
-    def done_after(self, step: int) -> bool:
-        return step >= 1
-
-    def events(self, horizon: int) -> list[InjectionEvent]:
-        return [InjectionEvent(1, path) for path in self._paths]
-
-
-def burst_adversary(network: Network, paths, b) -> BurstAdversary:
-    return BurstAdversary(network, paths, b)
+    The window [1,1] allows floor(r)+b = b and every longer window holds the
+    same events and allows at least b, so for every rate r in (0,1) the burst
+    is admissible exactly when no edge carries more than b of the paths. Any
+    fixed rate in (0,1) therefore decides the check, and 1/2 is used; the
+    returned adversary keeps `r = None`, since a burst constrains no rate.
+    """
+    adversary = ScriptedAdversary(
+        (InjectionEvent(1, path) for path in paths), Fraction(1, 2), b, network
+    )
+    adversary.r = None
+    return adversary
 
 
 class SaturatingAdversary(Adversary):

@@ -246,6 +246,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # e.g. d**i for a large --d or --i-max
+        print(f"error: a {args.formula} bound overflows a float: {exc}", file=sys.stderr)
+        return 2
     write_csv(
         sys.stdout, ["i", "value"], rows,
         f"formula={args.formula} r={args.r} b={args.b} d={args.d}"

@@ -79,13 +79,23 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     def fail(where: str, msg: str) -> None:
         problems.append(f"{where}: {msg}")
 
+    def unknown_keys(mapping: dict, known: set, prefix: str, what="unknown field") -> None:
+        for key in mapping:
+            if key not in known:
+                fail(f"{prefix}{key}", what)
+
+    def positive_int(raw: Any, where: str) -> Optional[int]:
+        """`raw` if it is an integer >= 1 (not a bool), else None after a problem."""
+        if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+            fail(where, f"must be an integer >= 1, got {raw!r}")
+            return None
+        return raw
+
     if not isinstance(data, dict):
         raise ScenarioError(["top level: expected a mapping"])
 
-    known = {"name", "network", "adversary", "strategy", "run"}
-    for key in data:
-        if key not in known:
-            fail(str(key), "unknown section")
+    sections = {"name", "network", "adversary", "strategy", "run"}
+    unknown_keys(data, sections, "", "unknown section")
 
     # -- name
     name = data.get("name", default_name)
@@ -147,10 +157,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if adv_kind not in ADVERSARY_KINDS:
             fail("adversary.kind", f"must be one of {', '.join(ADVERSARY_KINDS)}")
             adv_kind = ""
-        allowed = {"kind", "r", "b", "path", "paths", "events"}
-        for key in adv:
-            if key not in allowed:
-                fail(f"adversary.{key}", "unknown field")
+        unknown_keys(adv, {"kind", "r", "b", "path", "paths", "events"}, "adversary.")
 
         if "r" in adv:
             try:
@@ -160,11 +167,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         elif adv_kind in ("scripted", "saturating"):
             fail("adversary.r", f"required for the {adv_kind} adversary")
 
-        raw_b = adv.get("b")
-        if not isinstance(raw_b, int) or isinstance(raw_b, bool) or raw_b < 1:
-            fail("adversary.b", f"must be an integer >= 1, got {raw_b!r}")
-        else:
-            b = raw_b
+        b = positive_int(adv.get("b"), "adversary.b") or b
 
         if adv_kind == "saturating":
             sat_path = read_path(adv.get("path"), "adversary.path")
@@ -192,9 +195,8 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
                     if not isinstance(raw, dict):
                         fail(where, "must be a mapping with 'step' and 'path'")
                         continue
-                    step_no = raw.get("step")
-                    if not isinstance(step_no, int) or isinstance(step_no, bool) or step_no < 1:
-                        fail(f"{where}.step", f"must be an integer >= 1, got {step_no!r}")
+                    step_no = positive_int(raw.get("step"), f"{where}.step")
+                    if step_no is None:
                         continue
                     if step_no < last_step:
                         fail(f"{where}.step", "events must be sorted by step")
@@ -217,9 +219,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if strat_kind not in STRATEGY_KINDS:
             fail("strategy.kind", f"must be one of {', '.join(STRATEGY_KINDS)}")
             strat_kind = "plain"
-        for key in strat:
-            if key not in {"kind", "discipline", "improvement"}:
-                fail(f"strategy.{key}", "unknown field")
+        unknown_keys(strat, {"kind", "discipline", "improvement"}, "strategy.")
         raw_disc = strat.get("discipline")
         if not isinstance(raw_disc, str) or raw_disc.upper() not in DISCIPLINES:
             fail(
@@ -242,14 +242,8 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     if not isinstance(run_data, dict):
         fail("run", "required mapping with 'max_steps'")
     else:
-        for key in run_data:
-            if key not in {"max_steps"}:
-                fail(f"run.{key}", "unknown field")
-        raw_steps = run_data.get("max_steps")
-        if not isinstance(raw_steps, int) or isinstance(raw_steps, bool) or raw_steps < 1:
-            fail("run.max_steps", f"must be an integer >= 1, got {raw_steps!r}")
-        else:
-            max_steps = raw_steps
+        unknown_keys(run_data, {"max_steps"}, "run.")
+        max_steps = positive_int(run_data.get("max_steps"), "run.max_steps") or max_steps
 
     if problems:
         raise ScenarioError(problems)
@@ -271,8 +265,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
 
 
 def make_adversary(scenario: Scenario) -> Adversary:
-    """Fresh adversary instance for one run (adversaries are stateful).
-    Raises AdversaryError for inadmissible scripted events."""
+    """A fresh adversary for one run. Scripted and burst adversaries are both
+    `ScriptedAdversary` replays and keep no state; only the saturating
+    generator keeps any, a deterministic cache of its per-step counts.
+    Raises AdversaryError for an inadmissible script or an overloaded burst."""
     if scenario.adversary_kind == "scripted":
         return scripted_adversary(
             list(scenario.events), scenario.r, scenario.b, scenario.network

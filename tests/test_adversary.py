@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from aqsim.adversary import (
     AdversaryError,
     InjectionEvent,
+    Violation,
     as_rate,
     burst_adversary,
     saturating_adversary,
@@ -14,6 +16,7 @@ from aqsim.adversary import (
     verify_admissible,
 )
 from aqsim.network import line_network, path
+from aqsim.static_routing import random_instance
 
 # ---- reference checker -------------------------------------------------------
 # A second, independently written admissibility check. It walks intervals in
@@ -255,12 +258,19 @@ def test_burst_injects_everything_at_step_one():
 
 
 def test_burst_rejects_overloaded_edge():
-    # all four edges carry 3 paths; the witness is the last tied edge id
+    # all four edges carry 3 paths; the witness is the first of them in
+    # first-appearance order, on the one-step window [1,1]
     net = line_network(4)
     full = path("e1", "e2", "e3", "e4")
     with pytest.raises(AdversaryError) as err:
         burst_adversary(net, [full] * 3, 2)
-    assert "e4" in str(err.value) and "3" in str(err.value)
+    assert str(err.value) == f"inadmissible script: {Violation('e1', 1, 1, 3, 2)}"
+
+
+def test_burst_rejects_invalid_path_as_a_step_one_event():
+    with pytest.raises(AdversaryError) as err:
+        burst_adversary(line_network(2), [path("e2", "e1")], 1)
+    assert str(err.value) == "event at step 1: invalid path ('e2', 'e1')"
 
 
 def test_burst_respects_per_edge_not_total():
@@ -268,6 +278,34 @@ def test_burst_respects_per_edge_not_total():
     # three packets but no edge carries more than two
     adv = burst_adversary(net, [path("e1"), path("e1"), path("e2")], 2)
     assert len(adv.injections_for(1)) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 3), max_size=10), st.integers(1, 4))
+def test_burst_is_a_step_one_script(seed, picks, b):
+    inst = random_instance(random.Random(seed), 4, 4)
+    paths = [inst.paths[k % inst.n] for k in picks]
+    # naive recount: each path once per edge it uses, edges in first-appearance order
+    edges = list(dict.fromkeys(e for p in paths for e in p.edges))
+    load = {e: sum(1 for p in paths if e in p.edges) for e in edges}
+    over = [e for e in edges if load[e] > b]
+
+    events = [InjectionEvent(1, p) for p in paths]
+    for r in (Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)):
+        for horizon in (1, 10):
+            assert verify_admissible(events, r, b, horizon).ok == (not over)
+
+    if over:
+        with pytest.raises(AdversaryError) as err:
+            burst_adversary(inst.network, paths, b)
+        witness = Violation(over[0], 1, 1, load[over[0]], b)
+        assert str(err.value) == f"inadmissible script: {witness}"
+    else:
+        adv = burst_adversary(inst.network, paths, b)
+        assert adv.r is None and adv.b == b
+        assert adv.injections_for(1) == paths
+        assert adv.done_after(1)
+        assert adv.events(10) == events
 
 
 # ---- saturating adversary ----------------------------------------------------------

@@ -114,6 +114,28 @@ def test_parse_rejects_structural_problems(mutate, needle):
     assert any(needle in p for p in err.value.problems)
 
 
+def test_parse_reports_every_unknown_key_and_count_in_order():
+    doc = _valid_doc()
+    doc["colour"] = "red"
+    doc["adversary"] = {
+        "kind": "scripted", "r": 0.5, "b": True, "rate": 2,
+        "events": [{"step": 0, "path": ["e1"]}],
+    }
+    doc["strategy"] = {"kind": "plain", "discipline": "FIFO", "queue": "LIFO"}
+    doc["run"] = {"max_steps": 1.5, "seed": 7}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.problems == [
+        "colour: unknown section",
+        "adversary.rate: unknown field",
+        "adversary.b: must be an integer >= 1, got True",
+        "adversary.events[0].step: must be an integer >= 1, got 0",
+        "strategy.queue: unknown field",
+        "run.seed: unknown field",
+        "run.max_steps: must be an integer >= 1, got 1.5",
+    ]
+
+
 def test_parse_rejects_improvement_on_plain_strategy():
     doc = _valid_doc()
     doc["strategy"] = {"kind": "plain", "discipline": "FIFO", "improvement": True}
@@ -508,6 +530,15 @@ def test_bounds_growth_label_error_exits_2(capsys):
     # the series overflows to inf and then nan, which the growth label rejects
     assert cli.main(["bounds", "nonforward", "--b", "1e308", "--d", "1e308"]) == 2
     assert capsys.readouterr().err.startswith("error: series values must be non-negative")
+
+
+@pytest.mark.parametrize("argv", [["--i-max", "2000"], ["--d", "1e300", "--i-max", "3"]])
+def test_bounds_float_overflow_exits_2(capsys, argv):
+    # d**i leaves the float range: int-to-float conversion, then float pow
+    assert cli.main(["bounds", "tree", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a tree bound overflows a float") and err.count("\n") == 1
 
 
 def test_bounds_bad_imax_exits_2(capsys):

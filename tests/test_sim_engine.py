@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossings import check_schedule, recorded_moves
 from aqsim.adversary import burst_adversary, saturating_adversary, scripted_adversary, InjectionEvent
+from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
 from aqsim.sim_engine import run, write_packets_csv, write_trace_csv
 from aqsim.static_routing import random_instance
@@ -66,6 +67,15 @@ def test_empty_adversary_yields_empty_trace():
     assert trace.packets == []
     assert trace.last_step == 0
     assert not trace.truncated
+
+
+def test_empty_burst_stops_before_step_one_but_the_phased_run_opens_it():
+    net = line_network(1)
+    plain = run(net, "FIFO", burst_adversary(net, [], 1), max_steps=10)
+    assert plain.last_step == 0 and plain.steps == [] and not plain.truncated
+    phased, records = run_interval(net, "FIFO", burst_adversary(net, [], 1), max_steps=10)
+    assert phased.last_step == 1 and not phased.truncated
+    assert [rec.phase_index for rec in records] == [0]
 
 
 def test_truncation_flag_when_cut_early():
