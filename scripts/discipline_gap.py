@@ -16,7 +16,6 @@ from aqsim.static_routing import (
     bruteforce_optimal_makespan,
     enumerate_instances,
     greedy_schedule,
-    lemma1_bound,
     relabel,
 )
 from aqsim.strategies import DISCIPLINES
@@ -47,10 +46,9 @@ def main(argv=None) -> int:
         key = relabel(inst.paths)
         if key not in solved:
             makespans = {name: greedy_schedule(inst, name) for name in names}
-            # the least greedy makespan is feasible and at most n*d, so the
+            # the least greedy makespan is feasible, so with it as the cap the
             # search returns an optimum no larger than it, never None
-            cap = lemma1_bound(inst.n, inst.d)
-            optimal = bruteforce_optimal_makespan(inst, cap, min(makespans.values()))
+            optimal = bruteforce_optimal_makespan(inst, min(makespans.values()))
             solved[key] = optimal, makespans
         optimal, makespans = solved[key]
         count += 1

@@ -244,16 +244,11 @@ class Adversary:
 
 
 class ScriptedAdversary(Adversary):
-    """Replays a fixed event list; refuses construction if the script breaks
-    the declared (r,b) budget."""
+    """Replays a fixed event list on `network`; refuses construction if an
+    event's path is not a path of `network` or the script breaks the declared
+    (r,b) budget."""
 
-    def __init__(
-        self,
-        events: Iterable[InjectionEvent],
-        r,
-        b,
-        network: Optional[Network] = None,
-    ):
+    def __init__(self, events: Iterable[InjectionEvent], r, b, network: Network):
         self.r = as_rate(r)
         self.b = _check_burst(b)
         self._events = list(events)
@@ -263,7 +258,7 @@ class ScriptedAdversary(Adversary):
         for ev in self._events:
             if ev.time < 1:
                 raise AdversaryError(f"event time must be >= 1, got {ev.time}")
-            if network is not None and not validate_path(network, ev.path):
+            if not validate_path(network, ev.path):
                 raise AdversaryError(f"event at step {ev.time}: invalid path {ev.path.edges}")
         self._last = max((ev.time for ev in self._events), default=0)
         if self._events:
@@ -284,7 +279,7 @@ class ScriptedAdversary(Adversary):
         return [ev for ev in self._events if ev.time <= horizon]
 
 
-def scripted_adversary(events, r, b, network: Optional[Network] = None) -> ScriptedAdversary:
+def scripted_adversary(events, r, b, network: Network) -> ScriptedAdversary:
     return ScriptedAdversary(events, r, b, network)
 
 

@@ -16,6 +16,7 @@ BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
 
 _EPSILON = 0.01  # fixed dead zone around ratio 1 for the classifier
+_WINDOW = 5  # terms in the classifier's leading and trailing windows
 
 
 class RecurrenceDomainError(ValueError):
@@ -172,23 +173,23 @@ class GrowthLabel:
     ratio: float  # mean successive ratio over the trailing window
 
 
-def classify_growth(series: Sequence[float], window: int = 5) -> GrowthLabel:
+def classify_growth(series: Sequence[float]) -> GrowthLabel:
     """Label a per-phase series by its trailing trend.
 
-    Mean successive ratio over the last `window` terms: DIVERGENT if the
-    ratio is >= 1.01 and the trailing window's max exceeds the leading
-    window's max; CONVERGENT if <= 0.99; otherwise BOUNDED. An empirical
-    heuristic — it flags trends, it does not decide stability.
+    Mean successive ratio over the last 5 terms: DIVERGENT if the ratio is
+    >= 1.01 and the max of those terms exceeds the max of the first 5;
+    CONVERGENT if <= 0.99; otherwise BOUNDED. The series needs at least 10
+    terms. An empirical heuristic — it flags trends, it does not decide
+    stability.
     """
-    _require(window >= 3, f"window must be >= 3, got {window}")
     _require(
-        len(series) >= 2 * window,
-        f"series of length {len(series)} too short for window {window}",
+        len(series) >= 2 * _WINDOW,
+        f"series of length {len(series)} too short for window {_WINDOW}",
     )
     _require(all(v >= 0 for v in series), "series values must be non-negative")
 
-    tail = list(series[-window:])
-    head = list(series[:window])
+    tail = list(series[-_WINDOW:])
+    head = list(series[:_WINDOW])
     ratios = []
     for prev, cur in zip(tail, tail[1:]):
         if prev > 0:

@@ -11,6 +11,7 @@ import contextlib
 import math
 import os
 import secrets
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -23,6 +24,7 @@ from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
 from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
 from .static_routing import run_sweep, sweep_summary, write_sweep_csv
+from .strategies import get_discipline
 
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
 
@@ -47,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p = sub.add_parser("bounds", help="tabulate an analytical bound as CSV")
     bounds_p.add_argument("formula", choices=FORMULAS)
     bounds_p.add_argument("--r", type=float, default=0.5)
-    bounds_p.add_argument("--b", type=float, default=4)
-    bounds_p.add_argument("--d", type=float, default=4)
+    bounds_p.add_argument("--b", type=float, default=4.0)
+    bounds_p.add_argument("--d", type=float, default=4.0)
     bounds_p.add_argument("--c1", type=float, default=1.0)
     bounds_p.add_argument("--c2", type=float, default=1.0)
     bounds_p.add_argument("--c3", type=float, default=0.0)
@@ -133,6 +135,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except AdversaryError as exc:
         print(f"error: adversary: {exc}", file=sys.stderr)
         return 2
+    if args.strategy is not None:
+        try:
+            get_discipline(discipline)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -148,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             trace = run(scenario.network, discipline, adversary, max_steps)
-    except ValueError as exc:  # unknown discipline override and similar
+    except ValueError as exc:  # a domain error the checks above did not catch
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineInvariantError as exc:
@@ -288,6 +296,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    """The `aqsim` console script. It restores the default SIGPIPE action, so
+    a reader that closes stdout early (`aqsim sweep | head -1`) ends the
+    process quietly, as it ends `cat`, not in a BrokenPipeError traceback.
+    `main` leaves signal handling to in-process callers."""
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

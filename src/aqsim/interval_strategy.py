@@ -16,7 +16,7 @@ one edge per step and stays held (or is delivered).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
@@ -142,9 +142,7 @@ def run_interval(
     return Trace(steps, packets, truncated), records
 
 
-def write_phases_csv(
-    records: list[PhaseRecord], dest: Union[str, IO], header_comment: str = ""
-) -> None:
+def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str = "") -> None:
     """One row per completed phase:
     phase_index,packet_count,n_i,d_i,duration,lemma1_bound."""
     write_csv(

@@ -18,7 +18,7 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
@@ -170,7 +170,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
 # ---- CSV export -----------------------------------------------------------
 
 
-def write_trace_csv(trace: Trace, dest: Union[str, IO], header_comment: str = "") -> None:
+def write_trace_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
     """One row per step: step,total_in_system,injections,deliveries,max_queue_len."""
     write_csv(
         dest,
@@ -183,7 +183,7 @@ def write_trace_csv(trace: Trace, dest: Union[str, IO], header_comment: str = ""
     )
 
 
-def write_packets_csv(trace: Trace, dest: Union[str, IO], header_comment: str = "") -> None:
+def write_packets_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
     """One row per packet: packet_id,injected_at,delivered_at,system_time,path_len.
 
     Undelivered packets leave delivered_at and system_time empty.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from random import Random
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .network import (
     CongestionDilation,
@@ -101,11 +101,10 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
 # ---- brute-force optimal makespan -----------------------------------------
 
 
-def bruteforce_optimal_makespan(
-    instance: StaticInstance, cap: int, upper_bound: Optional[int] = None
-) -> Optional[int]:
-    """Exhaustive branch-and-bound over non-idling schedules; the minimum
-    feasible makespan, or None if every schedule needs more than `cap` steps.
+def bruteforce_optimal_makespan(instance: StaticInstance, cap: int) -> Optional[int]:
+    """Exhaustive branch-and-bound over non-idling schedules; the least
+    makespan of a schedule that finishes within `cap` steps, or None if no
+    schedule does.
 
     At every step, each edge with waiting packets sends one of them. This
     loses no optimum, by an exchange argument: take an optimal schedule in
@@ -120,21 +119,17 @@ def bruteforce_optimal_makespan(
     (b) a state reached again, no earlier than before, cannot improve,
     because the non-idling moves out of a state depend only on the state. No schedule
     beats the root's lower bound max(n, d), so the search stops as soon as it
-    meets it.
+    meets it, and a `cap` below max(n, d) is pruned at the root.
 
-    `upper_bound` may pass a known-feasible makespan (e.g. from
-    greedy_schedule) to tighten the search. A hint below max(n, d) raises
-    ValueError, and so does a hint <= `cap` that the search shows to be
-    infeasible. A hint equal to max(n, d) is trusted: the search does not
-    start, and the hint is returned as the optimum.
+    The answer always comes from the search. A known-feasible makespan, such
+    as a greedy one, passed as `cap` never gives None, and the search prunes
+    every branch that cannot beat it.
     """
-    if cap < instance.d:
-        raise ValueError(f"cap {cap} below dilation {instance.d}")
     paths = [p.edges for p in instance.paths]
     lengths = [len(pe) for pe in paths]
     total = len(paths)
 
-    best = cap + 1 if upper_bound is None else min(cap, upper_bound) + 1
+    best = cap + 1
     memo: dict[tuple[int, ...], int] = {}
 
     # counted inline: calling congestion_dilation on the remaining paths here
@@ -155,11 +150,6 @@ def bruteforce_optimal_makespan(
         return slack
 
     floor = max(instance.n, instance.d)  # the root's lower_bound: no schedule is shorter
-    if upper_bound is not None:
-        if upper_bound < floor:
-            raise ValueError(f"upper_bound {upper_bound} below max(n, d) = {floor}")
-        if upper_bound == floor <= cap:
-            return floor
 
     def dfs(hops: tuple[int, ...], step_no: int) -> None:
         nonlocal best
@@ -187,8 +177,6 @@ def bruteforce_optimal_makespan(
                 return
 
     dfs((0,) * total, 1)
-    if upper_bound is not None and best > upper_bound <= cap:
-        raise ValueError(f"upper_bound {upper_bound} is not a feasible makespan")
     return best if best <= cap else None
 
 
@@ -363,6 +351,10 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Brute-force optimum vs greedy FIFO for every enumerated instance.
 
+    The greedy FIFO makespan is the oracle's `cap`: it is the makespan of a
+    feasible schedule, so the search always returns an optimum, no larger than
+    it. The row's `lemma1_bound` is n*d, the ceiling every greedy run meets.
+
     Each relabelled path pattern (`relabel`) is solved once and its result
     reused for every instance that repeats it under other edge names. The rows
     are the same as solving each instance on its own: a row's values other
@@ -381,9 +373,10 @@ def run_sweep(
         if result is None:
             inst = StaticInstance(network, paths, congestion_dilation(paths))
             greedy = greedy_schedule(inst, "FIFO")
-            cap = lemma1_bound(inst.n, inst.d)
-            optimal = bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
-            result = solved[key] = (inst.n, inst.d, optimal, greedy, cap)
+            optimal = bruteforce_optimal_makespan(inst, greedy)
+            result = solved[key] = (
+                inst.n, inst.d, optimal, greedy, lemma1_bound(inst.n, inst.d)
+            )
         rows.append(SweepRow(idx, len(paths), len(network.edges), *result))
     return rows
 
@@ -400,9 +393,7 @@ def sweep_summary(rows: Sequence[SweepRow]) -> str:
     return f"no instance exceeded n+d ({len(rows)} instances checked)"
 
 
-def write_sweep_csv(
-    rows: Sequence[SweepRow], dest: Union[str, IO], header_comment: str = ""
-) -> None:
+def write_sweep_csv(rows: Sequence[SweepRow], dest: IO, header_comment: str = "") -> None:
     """instance_id,packets,edges,n,d,optimal,greedy_fifo,lemma1_bound"""
     write_csv(
         dest,

@@ -225,23 +225,34 @@ def test_scripted_replay_and_done_after():
 
 
 def test_scripted_empty_script():
-    adv = scripted_adversary([], Fraction(1, 2), 1)
+    adv = scripted_adversary([], Fraction(1, 2), 1, line_network(1))
     assert adv.injections_for(1) == []
     assert adv.done_after(0)
 
 
 def test_scripted_rejects_unsorted_and_early_events():
-    p = path("e1")
+    p, net = path("e1"), line_network(1)
     with pytest.raises(AdversaryError):
-        scripted_adversary([InjectionEvent(4, p), InjectionEvent(1, p)], Fraction(1, 2), 4)
+        scripted_adversary([InjectionEvent(4, p), InjectionEvent(1, p)], Fraction(1, 2), 4, net)
     with pytest.raises(AdversaryError):
-        scripted_adversary([InjectionEvent(0, p)], Fraction(1, 2), 4)
+        scripted_adversary([InjectionEvent(0, p)], Fraction(1, 2), 4, net)
 
 
 def test_scripted_rejects_invalid_path_against_network():
     net = line_network(2)
     with pytest.raises(AdversaryError):
         scripted_adversary([InjectionEvent(1, path("e2", "e1"))], Fraction(1, 2), 4, net)
+
+
+def test_scripted_refuses_an_unknown_edge_when_built():
+    # a script always names its network, so a path over an edge the network
+    # lacks is refused here, not as a KeyError once a run injects it
+    events = [InjectionEvent(1, path("e9"))]
+    with pytest.raises(AdversaryError) as err:
+        scripted_adversary(events, Fraction(1, 2), 1, line_network(2))
+    assert str(err.value) == "event at step 1: invalid path ('e9',)"
+    with pytest.raises(TypeError):
+        scripted_adversary(events, Fraction(1, 2), 1)
 
 
 # ---- burst adversary -------------------------------------------------------------

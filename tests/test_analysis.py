@@ -288,8 +288,6 @@ def test_classifier_requires_enough_data():
     with pytest.raises(ValueError):
         classify_growth([1.0] * 9)  # needs 2 * window = 10
     with pytest.raises(ValueError):
-        classify_growth([1.0] * 12, window=2)
-    with pytest.raises(ValueError):
         classify_growth([1.0, -1.0] * 6)
 
 

@@ -1,3 +1,7 @@
+import os
+import signal
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -410,6 +414,16 @@ def test_run_unknown_strategy_override_exits_2(scenario_dir, tmp_path, capsys):
     assert rc == 2
 
 
+def test_run_unknown_strategy_override_creates_no_out_dir(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "new"
+    rc = cli.main([
+        "run", str(scenario_dir / "burst_fifo.yaml"), "--strategy", "BOGUS", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: unknown discipline 'BOGUS'; expected one of")
+    assert not out.exists()
+
+
 def test_run_inadmissible_script_exits_2(tmp_path, capsys):
     f = tmp_path / "hot.yaml"
     f.write_text(
@@ -486,6 +500,13 @@ def test_bounds_line_defaults_are_constant_eight(capsys):
     assert lines[21] == "20,8.0"
     assert lines[22] == "limit,8.0"
     assert lines[23] == "growth,BOUNDED"
+
+
+def test_bounds_default_header_equals_the_parsed_one(capsys):
+    assert cli.main(["bounds", "line"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["bounds", "line", "--b", "4", "--d", "4"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_bounds_tree_doubling_series(capsys):
@@ -578,3 +599,20 @@ def test_sweep_rejects_an_empty_shape_list(capsys):
 
 def test_sweep_rejects_nonpositive_limits(capsys):
     assert cli.main(["sweep", "--max-packets", "0"]) == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_sweep_ends_quietly_when_its_reader_closes_stdout():
+    # 351,328 lines, far more than a pipe buffer holds, so the sweep is still
+    # writing when the reader goes away
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "aqsim.cli", "sweep", "--max-packets", "2", "--max-edges", "9"]
+    with subprocess.Popen(
+        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"# sweep max_packets=2 max_edges=9 shapes=line,tree\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

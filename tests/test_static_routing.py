@@ -246,17 +246,16 @@ def test_bruteforce_never_beaten_by_greedy(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
-def test_upper_bound_hint_does_not_change_the_optimum(seed):
+def test_greedy_cap_does_not_change_the_optimum(seed):
     inst = random_instance(random.Random(seed), 3, 3)
     cap = lemma1_bound(inst.n, inst.d)
     greedy = greedy_schedule(inst, "FIFO")
-    assert (bruteforce_optimal_makespan(inst, cap)
-            == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy))
+    assert bruteforce_optimal_makespan(inst, cap) == bruteforce_optimal_makespan(inst, greedy)
 
 
 def test_stop_at_root_bound_keeps_the_optimum():
-    # the search stops once it meets max(n, d), and skips itself when greedy
-    # already does; capped one step lower, the full search must find nothing
+    # the search stops once it meets max(n, d), also when greedy already
+    # meets it; capped one step lower, the full search must find nothing
     rng = random.Random(2024)
     greedy_at_floor = optimum_at_floor = 0
     for _ in range(150):
@@ -264,32 +263,21 @@ def test_stop_at_root_bound_keeps_the_optimum():
         floor, cap = max(inst.n, inst.d), lemma1_bound(inst.n, inst.d)
         greedy = greedy_schedule(inst, "FIFO")
         optimal = bruteforce_optimal_makespan(inst, cap)
-        assert optimal == bruteforce_optimal_makespan(inst, cap, upper_bound=greedy)
+        assert optimal == bruteforce_optimal_makespan(inst, greedy)
         assert floor <= optimal <= greedy
-        if optimal > inst.d:
-            assert bruteforce_optimal_makespan(inst, optimal - 1) is None
+        assert bruteforce_optimal_makespan(inst, optimal - 1) is None
         greedy_at_floor += greedy == floor
         optimum_at_floor += optimal == floor < greedy
     assert greedy_at_floor and optimum_at_floor
 
 
-def test_hint_below_the_root_bound_raises():
-    # optimum 4: a search that trusted these hints would answer 2 and 3
-    inst = make_instance(line_network(2), [path("e1", "e2")] * 3)
-    for hint in (1, 2):
-        with pytest.raises(ValueError, match="below max"):
-            bruteforce_optimal_makespan(inst, cap=6, upper_bound=hint)
-    assert bruteforce_optimal_makespan(inst, cap=6, upper_bound=4) == 4
-
-
-def test_infeasible_hint_within_cap_raises():
-    # max(n, d) = 3 but the pipeline needs 3 + 3 - 1 = 5 steps
+def test_no_schedule_within_a_cap_below_the_optimum():
+    # max(n, d) = 3 but the pipeline needs 3 + 3 - 1 = 5 steps; caps 1 and 2
+    # are also below the dilation, and the root's bound prunes them
     inst = make_instance(line_network(3), [path("e1", "e2", "e3")] * 3)
-    with pytest.raises(ValueError, match="not a feasible makespan"):
-        bruteforce_optimal_makespan(inst, cap=9, upper_bound=4)
-    assert bruteforce_optimal_makespan(inst, cap=9, upper_bound=5) == 5
-    # a hint above the cap only caps the search, as before
-    assert bruteforce_optimal_makespan(inst, cap=4, upper_bound=6) is None
+    for cap in range(1, 5):
+        assert bruteforce_optimal_makespan(inst, cap) is None
+    assert bruteforce_optimal_makespan(inst, 5) == 5
 
 
 def _idling_search(instance, cap, upper_bound=None):
@@ -358,11 +346,10 @@ def _assert_same_search(inst):
     greedy = greedy_schedule(inst, "FIFO")
     optimal = bruteforce_optimal_makespan(inst, cap)
     assert optimal == _idling_search(inst, cap)
-    assert bruteforce_optimal_makespan(inst, cap, upper_bound=greedy) == optimal
+    assert bruteforce_optimal_makespan(inst, greedy) == optimal
     assert _idling_search(inst, cap, upper_bound=greedy) == optimal
-    if optimal > inst.d:
-        assert bruteforce_optimal_makespan(inst, optimal - 1) is None
-        assert _idling_search(inst, optimal - 1) is None
+    assert bruteforce_optimal_makespan(inst, optimal - 1) is None
+    assert _idling_search(inst, optimal - 1) is None
     return optimal, greedy
 
 
