@@ -42,13 +42,14 @@ def main(argv=None) -> int:
     count = 0
 
     solved = {}  # pattern -> (optimal, makespan per discipline)
+    memo = {}  # solved oracle states, shared by every pattern of this run
     for inst in enumerate_instances(args.max_packets, args.max_edges, shapes):
         key = relabel(inst.paths)
         if key not in solved:
             makespans = {name: greedy_schedule(inst, name) for name in names}
             # the least greedy makespan is feasible, so with it as the cap the
             # search returns an optimum no larger than it, never None
-            optimal = bruteforce_optimal_makespan(inst, min(makespans.values()))
+            optimal = bruteforce_optimal_makespan(inst, min(makespans.values()), memo=memo)
             solved[key] = optimal, makespans
         optimal, makespans = solved[key]
         count += 1

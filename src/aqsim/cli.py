@@ -23,7 +23,7 @@ from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
 from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
-from .static_routing import run_sweep, sweep_summary, write_sweep_csv
+from .static_routing import SweepSummary, sweep_rows, write_sweep_csv
 from .strategies import get_discipline
 
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
@@ -273,16 +273,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.max_packets < 1 or args.max_edges < 1:
             raise ValueError("--max-packets and --max-edges must be >= 1")
-        rows = run_sweep(args.max_packets, args.max_edges, shapes)
+        rows = sweep_rows(args.max_packets, args.max_edges, shapes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # each row is written as it is solved, so memory stays flat however many
+    # instances the sweep has
+    summary = SweepSummary()
     write_sweep_csv(
-        rows, sys.stdout,
+        summary.tally(rows), sys.stdout,
         f"sweep max_packets={args.max_packets} max_edges={args.max_edges}"
         f" shapes={','.join(shapes)}",
     )
-    print(f"# {sweep_summary(rows)}")
+    print(f"# {summary}")
     return 0
 
 

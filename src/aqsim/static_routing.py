@@ -98,86 +98,109 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
     return now
 
 
-# ---- brute-force optimal makespan -----------------------------------------
+# ---- exact optimal makespan -------------------------------------------------
+
+State = tuple[tuple[int, ...], ...]
 
 
-def bruteforce_optimal_makespan(instance: StaticInstance, cap: int) -> Optional[int]:
-    """Exhaustive branch-and-bound over non-idling schedules; the least
-    makespan of a schedule that finishes within `cap` steps, or None if no
-    schedule does.
+def bruteforce_optimal_makespan(
+    instance: StaticInstance, cap: int, *, memo: Optional[dict[State, int]] = None
+) -> Optional[int]:
+    """The least makespan of a schedule that finishes within `cap` steps, or
+    None if no schedule does.
 
-    At every step, each edge with waiting packets sends one of them. This
-    loses no optimum, by an exchange argument: take an optimal schedule in
-    which edge e idles at step t while packet p waits on it, and p crosses e
-    later, at t' > t. Move that crossing to t. The schedule stays feasible,
-    since e was free at t and p's next crossing is still after t' > t, and
-    its makespan does not grow. The sum of crossing times strictly falls, so
-    repeating the move ends in a non-idling schedule that is still optimal.
+    Only non-idling schedules are searched: at every step, each edge with
+    waiting packets sends one of them. This loses no optimum, by an exchange
+    argument: take an optimal schedule in which edge e idles at step t while
+    packet p waits on it, and p crosses e later, at t' > t. Move that crossing
+    to t. The schedule stays feasible, since e was free at t and p's next
+    crossing is still after t' > t, and its makespan does not grow. The sum
+    of crossing times strictly falls, so repeating the move ends in a
+    non-idling schedule that is still optimal.
 
-    Pruning is admissible only: (a) remaining steps can never beat the larger
-    of the longest remaining path and the heaviest remaining edge load, and
-    (b) a state reached again, no earlier than before, cannot improve,
-    because the non-idling moves out of a state depend only on the state. No schedule
-    beats the root's lower bound max(n, d), so the search stops as soon as it
-    meets it, and a `cap` below max(n, d) is pruned at the root.
+    The search is a memoised recursion, opt(state) = 1 + the least opt(child)
+    over the non-idling moves out of the state, and opt of no packets is 0. A
+    state is the multiset of the undelivered packets' remaining paths in the
+    canonical form of `_canonical`. The value is exact:
+    - the moves out of a state, and so its optimum, depend only on the
+      remaining paths, up to edge names and packet order (the exchange
+      argument above applies to every state);
+    - packets with identical remaining paths waiting on the same edge can be
+      swapped, so only one of them is branched on;
+    - the pruning is admissible. A state's search stops once it meets the
+      state's lower bound, the larger of its longest remaining path and its
+      heaviest edge load. A child is cut when 1 + its lower bound cannot beat
+      the best so far. A `cap` below the root's bound max(n, d) gives None.
+    A state enters `memo` only when its search ended below the limit it was
+    given, so `memo` holds exact optima only. Since an optimum depends on the
+    state alone, one `memo` may serve every call of a sweep (`run_sweep`
+    passes one); by default each call gets a fresh one.
 
     The answer always comes from the search. A known-feasible makespan, such
     as a greedy one, passed as `cap` never gives None, and the search prunes
     every branch that cannot beat it.
     """
-    paths = [p.edges for p in instance.paths]
-    lengths = [len(pe) for pe in paths]
-    total = len(paths)
+    if memo is None:
+        memo = {}
+    if cap < max(instance.n, instance.d):
+        return None
+    best = _least_makespan(_canonical([p.edges for p in instance.paths]), cap + 1, memo)
+    return best if best <= cap else None
 
-    best = cap + 1
-    memo: dict[tuple[int, ...], int] = {}
 
+def _canonical(paths: Iterable[Sequence[EdgeId]]) -> State:
+    """The paths sorted, their edges relabelled by first appearance (`relabel`)
+    and sorted again: one key for a state, every packet permutation of it and
+    every renaming of its edges that keeps their sort order. Another renaming
+    may give the same state a second key, which costs a second memo entry,
+    never exactness."""
+    return tuple(sorted(relabel(sorted(paths))))
+
+
+def _least_makespan(state: State, limit: int, memo: dict[State, int]) -> int:
+    """opt(state) if it is below `limit`; otherwise a lower bound on it that is
+    at least `limit`. See `bruteforce_optimal_makespan`."""
+    known = memo.get(state)
+    if known is not None:
+        return known
     # counted inline: calling congestion_dilation on the remaining paths here
     # made run_sweep(4, 4) 17-27% slower
-    def lower_bound(hops: tuple[int, ...]) -> int:
-        slack = 0
-        load: dict[EdgeId, int] = {}
-        for i in range(total):
-            rem = lengths[i] - hops[i]
-            if rem > slack:
-                slack = rem
-            for e in paths[i][hops[i] :]:
-                load[e] = load.get(e, 0) + 1
-        if load:
-            heaviest = max(load.values())
-            if heaviest > slack:
-                slack = heaviest
-        return slack
-
-    floor = max(instance.n, instance.d)  # the root's lower_bound: no schedule is shorter
-
-    def dfs(hops: tuple[int, ...], step_no: int) -> None:
-        nonlocal best
-        if all(hops[i] == lengths[i] for i in range(total)):
-            if step_no - 1 < best:
-                best = step_no - 1
-            return
-        if step_no - 1 + lower_bound(hops) >= best:
-            return
-        seen = memo.get(hops)
-        if seen is not None and seen <= step_no:
-            return
-        memo[hops] = step_no
-
-        waiting: dict[EdgeId, list[int]] = {}
-        for i in range(total):
-            if hops[i] < lengths[i]:
-                waiting.setdefault(paths[i][hops[i]], []).append(i)
-        for combo in product(*waiting.values()):
-            child = list(hops)
-            for c in combo:
-                child[c] += 1
-            dfs(tuple(child), step_no + 1)
+    load: dict[int, int] = {}
+    floor = 0
+    for p in state:
+        if len(p) > floor:
+            floor = len(p)
+        for e in p:
+            load[e] = load.get(e, 0) + 1
+    heaviest = max(load.values())
+    if heaviest > floor:
+        floor = heaviest
+    if floor >= limit:
+        return floor
+    # one branch per distinct remaining path on each edge; the state is
+    # sorted, so identical paths are adjacent
+    waiting: dict[int, list[int]] = {}
+    previous = None
+    for i, p in enumerate(state):
+        if p != previous:
+            waiting.setdefault(p[0], []).append(i)
+            previous = p
+    best = limit
+    for combo in product(*waiting.values()):
+        rest = list(state)
+        for i in combo:
+            rest[i] = rest[i][1:]
+        child = [p for p in rest if p]
+        # a child's optimum must be below best - 1 to help; the call returns
+        # at once when the child's lower bound rules that out
+        value = _least_makespan(_canonical(child), best - 1, memo) if child else 0
+        if value + 1 < best:
+            best = value + 1
             if best == floor:
-                return
-
-    dfs((0,) * total, 1)
-    return best if best <= cap else None
+                break
+    if best < limit:
+        memo[state] = best
+    return best
 
 
 # ---- instance generation ---------------------------------------------------
@@ -252,7 +275,8 @@ def _enumerate_paths(
     max_packets: int, max_edges: int, shapes: Sequence[str]
 ) -> Iterator[tuple[Network, tuple[PacketPath, ...]]]:
     """The (network, paths) pairs behind `enumerate_instances`, in its order.
-    Each pool's candidate paths are validated once, so every combination of
+    The arguments are checked at the call, before the first pair is built, and
+    each pool's candidate paths are validated once, so every combination of
     them is a valid instance."""
     if not shapes:
         raise ValueError("no shapes given; expected 'line', 'tree' or both")
@@ -270,9 +294,12 @@ def _enumerate_paths(
             pools.append((in_tree_network(parents), tree_paths(parents)))
     for network, candidates in pools:
         _check_paths(network, candidates)
-        for size in range(1, max_packets + 1):
-            for combo in combinations_with_replacement(candidates, size):
-                yield network, combo
+    return (
+        (network, combo)
+        for network, candidates in pools
+        for size in range(1, max_packets + 1)
+        for combo in combinations_with_replacement(candidates, size)
+    )
 
 
 def enumerate_instances(
@@ -346,10 +373,11 @@ class SweepRow:
         return self.optimal > self.n + self.d
 
 
-def run_sweep(
+def sweep_rows(
     max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
-) -> list[SweepRow]:
-    """Brute-force optimum vs greedy FIFO for every enumerated instance.
+) -> Iterator[SweepRow]:
+    """Brute-force optimum vs greedy FIFO for every enumerated instance, one
+    row at a time. The arguments are checked at the call.
 
     The greedy FIFO makespan is the oracle's `cap`: it is the makespan of a
     feasible schedule, so the search always returns an optimum, no larger than
@@ -362,38 +390,78 @@ def run_sweep(
     because the engine picks by (discipline key, packet id) whatever the edge
     names, and the branch and bound is exact, so its optimum does not depend
     on the edge names either.
+
+    Every oracle call of one sweep shares one memo of solved states, so a
+    pattern's sub-states that an earlier pattern reached are not searched
+    again. The memo lives as long as this sweep's generator and no longer:
+    each sweep starts from nothing.
     """
-    rows: list[SweepRow] = []
-    solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, int, int, int]] = {}
-    for idx, (network, paths) in enumerate(
-        _enumerate_paths(max_packets, max_edges, shapes), start=1
-    ):
-        key = relabel(paths)
-        result = solved.get(key)
-        if result is None:
-            inst = StaticInstance(network, paths, congestion_dilation(paths))
-            greedy = greedy_schedule(inst, "FIFO")
-            optimal = bruteforce_optimal_makespan(inst, greedy)
-            result = solved[key] = (
-                inst.n, inst.d, optimal, greedy, lemma1_bound(inst.n, inst.d)
+    instances = _enumerate_paths(max_packets, max_edges, shapes)
+
+    def rows() -> Iterator[SweepRow]:
+        solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, int, int, int]] = {}
+        memo: dict[State, int] = {}
+        for idx, (network, paths) in enumerate(instances, start=1):
+            key = relabel(paths)
+            result = solved.get(key)
+            if result is None:
+                inst = StaticInstance(network, paths, congestion_dilation(paths))
+                greedy = greedy_schedule(inst, "FIFO")
+                optimal = bruteforce_optimal_makespan(inst, greedy, memo=memo)
+                result = solved[key] = (
+                    inst.n, inst.d, optimal, greedy, lemma1_bound(inst.n, inst.d)
+                )
+            yield SweepRow(idx, len(paths), len(network.edges), *result)
+
+    return rows()
+
+
+def run_sweep(
+    max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
+) -> list[SweepRow]:
+    """Every row of `sweep_rows`, in a list."""
+    return list(sweep_rows(max_packets, max_edges, shapes))
+
+
+class SweepSummary:
+    """The sweep's summary line, counted in one pass as rows stream by."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.exceeding = 0
+        self.worst: Optional[SweepRow] = None  # the first row of the largest excess
+        self.worst_excess = 0
+
+    def tally(self, rows: Iterable[SweepRow]) -> Iterator[SweepRow]:
+        """Yield each row of `rows` after counting it."""
+        for row in rows:
+            self.count += 1
+            if row.exceeds_n_plus_d:
+                self.exceeding += 1
+                excess = row.optimal - (row.n + row.d)
+                if excess > self.worst_excess:
+                    self.worst, self.worst_excess = row, excess
+            yield row
+
+    def __str__(self) -> str:
+        worst = self.worst
+        if worst is not None:
+            return (
+                f"{self.exceeding} of {self.count} instances exceed n+d "
+                f"(worst: instance {worst.instance_id}, optimal {worst.optimal} "
+                f"vs n+d = {worst.n + worst.d})"
             )
-        rows.append(SweepRow(idx, len(paths), len(network.edges), *result))
-    return rows
+        return f"no instance exceeded n+d ({self.count} instances checked)"
 
 
-def sweep_summary(rows: Sequence[SweepRow]) -> str:
-    bad = [row for row in rows if row.exceeds_n_plus_d]
-    if bad:
-        worst = max(bad, key=lambda row: row.optimal - (row.n + row.d))
-        return (
-            f"{len(bad)} of {len(rows)} instances exceed n+d "
-            f"(worst: instance {worst.instance_id}, optimal {worst.optimal} "
-            f"vs n+d = {worst.n + worst.d})"
-        )
-    return f"no instance exceeded n+d ({len(rows)} instances checked)"
+def sweep_summary(rows: Iterable[SweepRow]) -> str:
+    summary = SweepSummary()
+    for _ in summary.tally(rows):
+        pass
+    return str(summary)
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], dest: IO, header_comment: str = "") -> None:
+def write_sweep_csv(rows: Iterable[SweepRow], dest: IO, header_comment: str = "") -> None:
     """instance_id,packets,edges,n,d,optimal,greedy_fifo,lemma1_bound"""
     write_csv(
         dest,

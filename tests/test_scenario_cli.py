@@ -1,3 +1,4 @@
+import io
 import os
 import signal
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from aqsim import cli, scenario
+from aqsim import cli, scenario, static_routing
 from aqsim.adversary import AdversaryError
 from aqsim.scenario import ScenarioError, load_scenario, make_adversary, parse_scenario
 from aqsim.sim_engine import EngineInvariantError
@@ -584,6 +585,23 @@ def test_sweep_reports_greedy_gap(capsys):
     data = [ln for ln in lines if ln and not ln.startswith("#") and ln[0].isdigit()]
     assert len(data) == 16
     assert any(int(row.split(",")[5]) < int(row.split(",")[6]) for row in data)
+
+
+def test_sweep_writes_each_row_before_the_next_is_solved(monkeypatch):
+    out = io.StringIO()
+    written = []
+
+    def rows(*args):
+        for row in static_routing.sweep_rows(*args):
+            written.append(out.getvalue().count("\n"))
+            yield row
+
+    monkeypatch.setattr(cli, "sweep_rows", rows)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["sweep", "--max-packets", "2", "--max-edges", "2"]) == 0
+    # the '#' line and the header, then one more line per row already yielded
+    assert written == list(range(2, 18))
+    assert out.getvalue().splitlines()[-1] == "# no instance exceeded n+d (16 instances checked)"
 
 
 def test_sweep_rejects_unknown_shape(capsys):

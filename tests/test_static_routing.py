@@ -1,7 +1,8 @@
 import functools
 import io
 import random
-from itertools import product
+from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,14 @@ from aqsim.network import (
     NetworkError,
     PacketPath,
     build_network,
+    congestion_dilation,
     in_tree_network,
     line_network,
     path,
 )
 from aqsim.static_routing import (
+    SweepRow,
+    SweepSummary,
     bruteforce_optimal_makespan,
     enumerate_instances,
     greedy_schedule,
@@ -27,6 +31,7 @@ from aqsim.static_routing import (
     random_instance,
     relabel,
     run_sweep,
+    sweep_rows,
     sweep_summary,
     tree_paths,
     tree_shapes,
@@ -280,14 +285,16 @@ def test_no_schedule_within_a_cap_below_the_optimum():
     assert bruteforce_optimal_makespan(inst, 5) == 5
 
 
-def _idling_search(instance, cap, upper_bound=None):
-    """The former branch and bound, kept as the reference: it also branches on
-    every busy edge idling, and skips only the steps where all edges idle."""
+def _idling_search(instance, cap):
+    """An early branch and bound, kept as the reference: it also branches on
+    every busy edge idling, skips only the steps where all edges idle, and
+    keeps a memo of the earliest step each hop vector was reached. Every
+    answer comes from its own search; it takes no hint."""
     paths = [p.edges for p in instance.paths]
     lengths = [len(pe) for pe in paths]
     total = len(paths)
     edge_ids = instance.network.edge_ids
-    best = cap + 1 if upper_bound is None else min(cap, upper_bound) + 1
+    best = cap + 1
     memo = {}
 
     def lower_bound(hops):
@@ -306,8 +313,6 @@ def _idling_search(instance, cap, upper_bound=None):
         return slack
 
     floor = max(instance.n, instance.d)
-    if upper_bound is not None and upper_bound == floor <= cap:
-        return floor
 
     def dfs(hops, step_no):
         nonlocal best
@@ -347,7 +352,7 @@ def _assert_same_search(inst):
     optimal = bruteforce_optimal_makespan(inst, cap)
     assert optimal == _idling_search(inst, cap)
     assert bruteforce_optimal_makespan(inst, greedy) == optimal
-    assert _idling_search(inst, cap, upper_bound=greedy) == optimal
+    assert _idling_search(inst, greedy) == optimal
     assert bruteforce_optimal_makespan(inst, optimal - 1) is None
     assert _idling_search(inst, optimal - 1) is None
     return optimal, greedy
@@ -372,6 +377,110 @@ def test_non_idling_search_beats_greedy_fifo_by_hand():
     net = line_network(3)
     inst = make_instance(net, [path("e1"), path("e2"), path("e1", "e2", "e3")])
     assert _assert_same_search(inst) == (3, 4)
+
+
+def test_reference_searches_instead_of_trusting_a_bound():
+    # max(n, d) = 3, but the pipeline needs 3 + 3 - 1 = 5 steps
+    inst = make_instance(line_network(3), [path("e1", "e2", "e3")] * 3)
+    assert _idling_search(inst, 9) == 5
+    assert _idling_search(inst, 4) is None
+
+
+# ---- the oracle's memo ------------------------------------------------------------------
+
+
+def _state_instance(state):
+    """A canonical memo state as the duck-typed instance `_idling_search` reads."""
+    paths = [SimpleNamespace(edges=p) for p in state]
+    nd = congestion_dilation([p.edges for p in paths])
+    edge_ids = sorted({e for p in state for e in p})
+    return SimpleNamespace(paths=paths, network=SimpleNamespace(edge_ids=edge_ids), n=nd.n, d=nd.d)
+
+
+@functools.cache
+def _reference_optima(max_packets, max_edges):
+    """The reference's optimum of each pattern of `_distinct_patterns`."""
+    return tuple(
+        _idling_search(inst, greedy_schedule(inst, "FIFO"))
+        for inst in _distinct_patterns(max_packets, max_edges)
+    )
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 1414])
+def test_one_memo_serves_every_small_pattern(shuffle_seed):
+    patterns = list(zip(_distinct_patterns(4, 4), _reference_optima(4, 4)))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(patterns)
+    memo = {}
+    for inst, expected in patterns:
+        greedy = greedy_schedule(inst, "FIFO")
+        # a search that fails first must leave nothing a later call could
+        # take for an optimum
+        assert bruteforce_optimal_makespan(inst, expected - 1, memo=memo) is None
+        shared = bruteforce_optimal_makespan(inst, greedy, memo=memo)
+        assert shared == bruteforce_optimal_makespan(inst, greedy) == expected, inst.paths
+    # the memo holds exact optima only, whatever the limits it was filled under
+    assert 1000 < len(memo) < 2000
+    for state, value in memo.items():
+        assert _idling_search(_state_instance(state), value) == value, state
+        assert _idling_search(_state_instance(state), value - 1) is None, state
+
+
+def test_a_state_its_packet_permutations_and_renamings_make_one_memo_entry():
+    # the same remaining paths shifted along the line, as they are after
+    # packets of a longer instance have moved; a shift keeps the names' order
+    paths = [("e1", "e2", "e3"), ("e2",), ("e2", "e3"), ("e1",)]
+    memo = {}
+    inst = make_instance(line_network(4), map(PacketPath, paths))
+    assert bruteforce_optimal_makespan(inst, 9, memo=memo) == 3
+    entries = dict(memo)
+    for shift in (0, 1):
+        renamed = [tuple(f"e{int(e[1:]) + shift}" for e in p) for p in paths]
+        for order in permutations(renamed):
+            inst = make_instance(line_network(4), map(PacketPath, order))
+            assert bruteforce_optimal_makespan(inst, 9, memo=memo) == 3
+            assert memo == entries
+
+
+def test_swapping_two_edge_names_keeps_one_memo_entry():
+    # edge a feeds c; b is a second edge into the root. Sorted by name, the
+    # paths relabel to (0, 1), (2,), (1,), and with the names of b and c
+    # swapped to (0, 1), (1,), (2,); sorting again gives both one key
+    def instance(feed, other):
+        edges = [("v2", "v1", "a"), ("v1", "v0", feed), ("v3", "v0", other)]
+        network = build_network(["v0", "v1", "v2", "v3"], edges)
+        return make_instance(network, [path("a", feed), path(other), path(feed)])
+
+    memo = {}
+    assert bruteforce_optimal_makespan(instance("c", "b"), 6, memo=memo) == 2
+    entries = dict(memo)
+    assert bruteforce_optimal_makespan(instance("b", "c"), 6, memo=memo) == 2
+    assert memo == entries
+
+
+def test_identical_packets_take_k_plus_l_minus_1_steps():
+    memo = {}
+    for length in range(1, 6):
+        edges = [f"e{i}" for i in range(1, length + 1)]
+        for k in range(1, 6):
+            inst = make_instance(line_network(length), [path(*edges)] * k)
+            cap = lemma1_bound(inst.n, inst.d)
+            assert bruteforce_optimal_makespan(inst, cap) == k + length - 1
+            assert bruteforce_optimal_makespan(inst, cap, memo=memo) == k + length - 1
+            assert bruteforce_optimal_makespan(inst, k + length - 2, memo=memo) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=8))
+def test_fresh_shared_and_reference_optima_agree(seeds):
+    memo = {}
+    for seed in seeds:
+        inst = random_instance(random.Random(seed), 5, 5)
+        cap = lemma1_bound(inst.n, inst.d)
+        expected = _idling_search(inst, greedy_schedule(inst, "FIFO"))
+        assert bruteforce_optimal_makespan(inst, cap) == expected
+        assert bruteforce_optimal_makespan(inst, expected - 1, memo=memo) is None
+        assert bruteforce_optimal_makespan(inst, cap, memo=memo) == expected
 
 
 # ---- enumeration --------------------------------------------------------------------
@@ -509,6 +618,32 @@ def test_sweep_rows_and_summary():
     assert sweep_summary(rows) == "no instance exceeded n+d (16 instances checked)"
     # the order-matters instance shows up with greedy 3 vs optimal 2
     assert any(row.greedy_fifo > row.optimal for row in rows)
+
+
+def test_sweep_rows_checks_its_arguments_at_the_call():
+    with pytest.raises(ValueError, match="unknown shape"):
+        sweep_rows(2, 2, ("circle",))  # not iterated
+    with pytest.raises(ValueError, match=">= 1"):
+        sweep_rows(0, 2)
+    rows = sweep_rows(2, 2)
+    assert iter(rows) is rows
+    assert list(rows) == run_sweep(2, 2)
+
+
+def _row(instance_id, n, d, optimal):
+    return SweepRow(instance_id, 1, 1, n, d, optimal, optimal, n * d)
+
+
+def test_sweep_summary_names_the_first_of_the_worst_rows():
+    rows = [
+        _row(1, 1, 1, 3), _row(2, 2, 2, 3), _row(3, 1, 2, 6), _row(4, 2, 1, 6), _row(5, 3, 3, 9)
+    ]
+    summary = SweepSummary()
+    assert list(summary.tally(rows)) == rows
+    # instances 3, 4 and 5 all exceed n+d by 3; the first of them is reported
+    expected = "4 of 5 instances exceed n+d (worst: instance 3, optimal 6 vs n+d = 3)"
+    assert str(summary) == sweep_summary(iter(rows)) == expected
+    assert sweep_summary(rows[1:2]) == "no instance exceeded n+d (1 instances checked)"
 
 
 @pytest.mark.parametrize(
