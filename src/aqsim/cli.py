@@ -249,6 +249,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         rows: list[tuple] = list(enumerate(series, start=1))
         if limit is not None:
             rows.append(("limit", limit))
+        overflow = next((row for row in rows if not math.isfinite(row[1])), None)
+        if overflow is not None:  # e.g. b*(d-1) for a --d near the float maximum
+            raise OverflowError(f"{overflow[1]} at i={overflow[0]}")
         if len(series) >= 10:
             rows.append(("growth", analysis.classify_growth(series).label))
     except ValueError as exc:  # includes RecurrenceDomainError

@@ -275,9 +275,10 @@ def _enumerate_paths(
     max_packets: int, max_edges: int, shapes: Sequence[str]
 ) -> Iterator[tuple[Network, tuple[PacketPath, ...]]]:
     """The (network, paths) pairs behind `enumerate_instances`, in its order.
-    The arguments are checked at the call, before the first pair is built, and
-    each pool's candidate paths are validated once, so every combination of
-    them is a valid instance."""
+    The arguments are checked at the call. Each shape's pool, its network and
+    candidate paths, is built when the enumeration reaches it, so one pool is
+    held at a time, and its candidates are validated as it is built, so every
+    combination of them is a valid instance."""
     if not shapes:
         raise ValueError("no shapes given; expected 'line', 'tree' or both")
     for shape in shapes:
@@ -285,21 +286,23 @@ def _enumerate_paths(
             raise ValueError(f"unknown shape {shape!r}; expected 'line' or 'tree'")
     if max_packets < 1 or max_edges < 1:
         raise ValueError("max_packets and max_edges must be >= 1")
-    pools: list[tuple[Network, list[PacketPath]]] = []
-    if "line" in shapes:
-        for k in range(1, max_edges + 1):
-            pools.append((line_network(k), line_paths(k)))
-    if "tree" in shapes:
-        for parents in tree_shapes(max_edges):
-            pools.append((in_tree_network(parents), tree_paths(parents)))
-    for network, candidates in pools:
-        _check_paths(network, candidates)
-    return (
-        (network, combo)
-        for network, candidates in pools
-        for size in range(1, max_packets + 1)
-        for combo in combinations_with_replacement(candidates, size)
-    )
+
+    def pools() -> Iterator[tuple[Network, list[PacketPath]]]:
+        if "line" in shapes:
+            for k in range(1, max_edges + 1):
+                yield line_network(k), line_paths(k)
+        if "tree" in shapes:
+            for parents in tree_shapes(max_edges):
+                yield in_tree_network(parents), tree_paths(parents)
+
+    def pairs() -> Iterator[tuple[Network, tuple[PacketPath, ...]]]:
+        for network, candidates in pools():
+            _check_paths(network, candidates)
+            for size in range(1, max_packets + 1):
+                for combo in combinations_with_replacement(candidates, size):
+                    yield network, combo
+
+    return pairs()
 
 
 def enumerate_instances(
@@ -323,35 +326,19 @@ def relabel(paths: Iterable[Sequence[EdgeId]]) -> tuple[tuple[int, ...], ...]:
 
 
 def random_instance(rng: Random, max_packets: int, max_edges: int) -> StaticInstance:
-    """One random line/in-tree instance; deterministic given the Random state."""
+    """One random line/in-tree instance; deterministic given the Random state.
+    The shape is a line of 1..max_edges edges or a random parent vector of as
+    many, and each of the 1..max_packets packets takes a path drawn uniformly
+    from the shape's whole family, `line_paths` or `tree_paths`."""
     if rng.random() < 0.5:
         k = rng.randint(1, max_edges)
-        network = line_network(k)
-        count = rng.randint(1, max_packets)
-        paths = []
-        for _ in range(count):
-            i = rng.randint(1, k)
-            j = rng.randint(i, k)
-            paths.append(PacketPath(tuple(f"e{x}" for x in range(i, j + 1))))
+        network, candidates = line_network(k), line_paths(k)
     else:
         m = rng.randint(1, max_edges)
         parents = [rng.randint(0, i - 1) for i in range(1, m + 1)]
-        network = in_tree_network(parents)
-        depth = [0] * (m + 1)
-        for v in range(1, m + 1):
-            depth[v] = depth[parents[v - 1]] + 1
-        count = rng.randint(1, max_packets)
-        paths = []
-        for _ in range(count):
-            start = rng.randint(1, m)
-            hops = rng.randint(1, depth[start])
-            edges = []
-            v = start
-            for _ in range(hops):
-                edges.append(f"e{v}")
-                v = parents[v - 1]
-            paths.append(PacketPath(tuple(edges)))
-    return make_instance(network, paths)
+        network, candidates = in_tree_network(parents), tree_paths(parents)
+    count = rng.randint(1, max_packets)
+    return make_instance(network, [rng.choice(candidates) for _ in range(count)])
 
 
 # ---- the oracle sweep -------------------------------------------------------

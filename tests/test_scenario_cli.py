@@ -548,10 +548,24 @@ def test_bounds_non_finite_argument_exits_2(capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
 
 
-def test_bounds_growth_label_error_exits_2(capsys):
-    # the series overflows to inf and then nan, which the growth label rejects
-    assert cli.main(["bounds", "nonforward", "--b", "1e308", "--d", "1e308"]) == 2
-    assert capsys.readouterr().err.startswith("error: series values must be non-negative")
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["nonforward", "--d", "1e308", "--i-max", "5"], "inf at i=1"),
+        (["nonforward", "--d", "1e308", "--i-max", "12"], "inf at i=1"),
+        (["nonforward", "--b", "1e308", "--d", "1e308"], "inf at i=1"),
+        (["line", "--d", "1e308"], "inf at i=4"),
+        (["line", "--d", "1e308", "--i-max", "3"], "inf at i=limit"),
+    ],
+    ids=["nonforward-short", "nonforward-growth", "nonforward-b-and-d", "line", "line-limit"],
+)
+def test_bounds_non_finite_value_exits_2(capsys, argv, where):
+    # finite arguments, but a series value or the limit comes out inf (and the
+    # nonforward series then nan); the growth label is never reached
+    assert cli.main(["bounds", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a {argv[0]} bound overflows a float: {where}\n"
 
 
 @pytest.mark.parametrize("argv", [["--i-max", "2000"], ["--d", "1e300", "--i-max", "3"]])

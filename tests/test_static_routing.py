@@ -607,6 +607,30 @@ def test_random_instance_is_seed_deterministic():
     assert a.network.edge_ids == b.network.edge_ids
 
 
+def _path_family(network):
+    """`line_paths` of a line network, or `tree_paths` of an in-tree's parent
+    vector, read back from the network's node names and edge targets."""
+    if network.nodes[0] == "v0":
+        assert network == line_network(len(network.edges))
+        return line_paths(len(network.edges))
+    parents = [int(edge.dst[1:]) for edge in network.edges]
+    assert network == in_tree_network(parents)
+    return tree_paths(parents)
+
+
+def test_random_instance_draws_every_path_from_its_shapes_family():
+    lines = trees = several = 0
+    for seed in range(300):
+        inst = random_instance(random.Random(seed), 4, 5)
+        family = _path_family(inst.network)
+        assert all(p in family for p in inst.paths)
+        lines += inst.network.nodes[0] == "v0"
+        trees += inst.network.nodes[0] == "n0"
+        several += len(inst.paths) >= 2
+    assert lines > 0 and trees > 0 and several > 0
+    assert lines + trees == 300
+
+
 # ---- sweep ----------------------------------------------------------------------------
 
 
@@ -628,6 +652,49 @@ def test_sweep_rows_checks_its_arguments_at_the_call():
     rows = sweep_rows(2, 2)
     assert iter(rows) is rows
     assert list(rows) == run_sweep(2, 2)
+
+
+def _recording_network_calls(monkeypatch):
+    """Record every network the enumeration makes, as (function, argument)."""
+    built = []
+    for name in ("line_network", "in_tree_network"):
+
+        def counted(arg, name=name, build=getattr(static_routing, name)):
+            built.append((name, arg if name == "line_network" else tuple(arg)))
+            return build(arg)
+
+        monkeypatch.setattr(static_routing, name, counted)
+    return built
+
+
+def test_enumeration_builds_each_pool_when_it_is_reached(monkeypatch):
+    built = _recording_network_calls(monkeypatch)
+    pairs = static_routing._enumerate_paths(1, 8, ("line", "tree"))
+    assert built == []
+    network, paths = next(pairs)
+    assert built == [("line_network", 1)]
+    assert network.edge_ids == ("e1",) and paths == (PacketPath(("e1",)),)
+    for _ in pairs:
+        pass
+    shapes = [("line_network", k) for k in range(1, 9)]
+    shapes += [("in_tree_network", parents) for parents in tree_shapes(8)]
+    assert len(shapes) == 485
+    assert built == shapes
+
+
+def test_enumeration_validates_each_pool_when_it_is_reached(monkeypatch):
+    paths_of = static_routing.tree_paths
+    monkeypatch.setattr(
+        static_routing, "tree_paths", lambda parents: [*paths_of(parents), PacketPath(("e1", "e9"))]
+    )
+    pairs = static_routing._enumerate_paths(1, 3, ("line", "tree"))
+    # the line pools of 1, 2 and 3 edges come first and are valid
+    assert len([next(pairs) for _ in range(1 + 3 + 6)]) == 10
+    with pytest.raises(NetworkError, match="invalid path"):
+        next(pairs)
+    pairs = static_routing._enumerate_paths(1, 3, ("tree",))  # the call only checks arguments
+    with pytest.raises(NetworkError, match="invalid path"):
+        next(pairs)
 
 
 def _row(instance_id, n, d, optimal):
