@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 CONVERGENT = "CONVERGENT"
@@ -69,12 +70,16 @@ def tree_phase_time_bound(i: int, r: float, b: float, d: float) -> float:
     return r ** (i - 1) * b * d**i
 
 
-def tree_phase_time_limit(r: float, b: float, d: float) -> float:
-    """0, b*d, or infinity depending on the sign of r*d - 1."""
+def tree_phase_time_limit(r: float | Fraction, b: float, d: float) -> float:
+    """0, b*d, or infinity depending on the sign of r*d - 1, decided exactly:
+    r and d are compared as the rationals they hold, so a `Fraction` rate of
+    1/49 with d = 49 gives b*d, where the float product of 1/49 and 49 falls
+    short of 1."""
     _check_common(r, b, d)
-    if r * d < 1:
+    rd = Fraction(r) * Fraction(d)
+    if rd < 1:
         return 0.0
-    if r * d == 1:
+    if rd == 1:
         return float(b * d)
     return math.inf
 

@@ -13,20 +13,31 @@ import os
 import secrets
 import signal
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import yaml
 
 from . import analysis
-from .adversary import AdversaryError
+from .adversary import AdversaryError, as_rate
 from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
 from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
-from .static_routing import SweepSummary, sweep_rows, write_sweep_csv
+from .static_routing import SweepSummary, count_instances, sweep_rows, write_sweep_csv
 from .strategies import get_discipline
 
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
+SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
+
+
+def rate(text: str) -> float | Fraction:
+    """A `bounds --r` value: a decimal is read as a float; other text, such
+    as 1/49, is read exactly by `as_rate`."""
+    try:
+        return float(text)
+    except ValueError:
+        return as_rate(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_p = sub.add_parser("bounds", help="tabulate an analytical bound as CSV")
     bounds_p.add_argument("formula", choices=FORMULAS)
-    bounds_p.add_argument("--r", type=float, default=0.5)
+    bounds_p.add_argument("--r", type=rate, default=0.5)
     bounds_p.add_argument("--b", type=float, default=4.0)
     bounds_p.add_argument("--d", type=float, default=4.0)
     bounds_p.add_argument("--c1", type=float, default=1.0)
@@ -209,15 +220,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float]]:
-    """Series for i = 1..i_max plus the limit (None when undefined/infinite)."""
-    r, b, d = args.r, args.b, args.d
+    """Series for i = 1..i_max plus the limit (None when undefined/infinite).
+    The series take r as a float; the tree limit takes it exactly, a decimal
+    as its shortest decimal form (`as_rate`), so that r*d = 1 is decided
+    exactly."""
+    r, b, d = float(args.r), args.b, args.d
     c1, c2, c3 = args.c1, args.c2, args.c3
     if args.formula == "line":
         series = [analysis.line_phase_time_bound(i, r, b, d) for i in range(1, args.i_max + 1)]
         return series, analysis.line_phase_time_limit(r, d)
     if args.formula == "tree":
         series = [analysis.tree_phase_time_bound(i, r, b, d) for i in range(1, args.i_max + 1)]
-        limit = analysis.tree_phase_time_limit(r, b, d)
+        limit = analysis.tree_phase_time_limit(as_rate(args.r), b, d)
         return series, (limit if limit != float("inf") else None)
     if args.formula == "nonforward":
         return analysis.nonforward_k_series(args.i_max, r, b, d, args.log_base), None
@@ -279,6 +293,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = sweep_rows(args.max_packets, args.max_edges, shapes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    count = count_instances(args.max_packets, args.max_edges, shapes, SWEEP_LIMIT)
+    if count > SWEEP_LIMIT:
+        print(
+            f"error: the sweep has more than {SWEEP_LIMIT:,} instances (counting stopped"
+            f" at {count:,}); lower --max-packets or --max-edges",
+            file=sys.stderr,
+        )
         return 2
     # each row is written as it is solved, so memory stays flat however many
     # instances the sweep has

@@ -15,13 +15,12 @@ one edge per step and stays held (or is delivered).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
 from .network import Network, congestion_dilation
-from .sim_engine import EngineInvariantError, StepStats, Trace, advance, inject
+from .sim_engine import EngineInvariantError, Routes, StepStats, Trace, advance, inject
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
@@ -31,8 +30,7 @@ class Lemma1ViolationError(EngineInvariantError):
     """A phase outlived its n*d bound; the static routing core is broken."""
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
+class PhaseRecord(NamedTuple):
     phase_index: int
     packet_count: int
     duration_steps: int
@@ -62,10 +60,13 @@ def run_interval(
     `held` is not, every holding queue is swapped with its (empty) active
     queue and the next phase starts the following step. Queue order does not
     matter: each sender picks the packet least in (key, id).
-    `demand[i]` counts the crossings of edge i that the running phase's
-    undelivered packets still have ahead of them: a phase start fills it from
-    the `crossings` of the phase's one `congestion_dilation` call, and each
-    crossing takes one off. It is zero on every edge whenever no phase runs.
+    With pass-through on, `demand[i]` counts the crossings of edge i that the
+    running phase's undelivered packets still have ahead of them: a phase
+    start fills it from the `crossings` of the phase's one
+    `congestion_dilation` call, made on the packets' remaining routes and so
+    keyed by queue index, and each crossing takes one off. It is zero on every
+    edge whenever no phase runs, and always with pass-through off, since then
+    nothing reads it.
     The current (or last) phase started at step `start` with `count` packets,
     congestion `n` and dilation `d`; its index is `len(records)` until it
     closes.
@@ -73,7 +74,7 @@ def run_interval(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(inner_discipline)
-    index = network.edge_index
+    routes = Routes(network)
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
@@ -89,7 +90,7 @@ def run_interval(
         if now > 1 and in_system == 0 and adversary.done_after(now - 1):
             break
         # injections join the holding queue of their first edge
-        injected = inject(adversary, now, packets, index, holding, held)
+        injected = inject(adversary, now, packets, routes, holding, held)
         max_queue = max((len(active[i]) + len(holding[i]) for i in busy | held), default=0)
 
         # pass-through: while a phase runs, every held edge it no longer
@@ -98,12 +99,13 @@ def run_interval(
         delivered_now = 0
         if improvement_on and busy:
             idle = [i for i in sorted(held) if not demand[i]]
-            _, delivered_now = advance(holding, held, idle, _by_arrival, now, index)
+            _, delivered_now = advance(holding, held, idle, _by_arrival, now)
 
         # the active phase advances exactly like the plain engine
-        moved, delivered_active = advance(active, busy, sorted(busy), key, now, index)
-        for i, _ in moved:  # each crossing is one the phase no longer needs
-            demand[i] -= 1
+        moved, delivered_active = advance(active, busy, sorted(busy), key, now)
+        if improvement_on:
+            for i, _ in moved:  # each crossing is one the phase no longer needs
+                demand[i] -= 1
         delivered_now += delivered_active
         in_system += injected - delivered_now
 
@@ -127,11 +129,12 @@ def run_interval(
                 for p in active[i]:
                     p.arrived_in_queue_at = start
                     p.phase = len(records)
-                    remaining.append(p.path[p.hops_done :])
+                    remaining.append(p.route[p.hops_done :])
             busy, held = held, busy
             nd = congestion_dilation(remaining)
-            for e, c in nd.crossings.items():
-                demand[index[e]] = c
+            if improvement_on:
+                for i, c in nd.crossings.items():
+                    demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
 
         steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))

@@ -9,16 +9,17 @@ the system are counted as injected minus delivered; that every injected packet
 is still queued or delivered is checked by the differential tests against a
 full-scan reference engine and by the accounting tests, not at run time.
 
-The step core (`inject`, `advance`) is shared with the phased strategy.
-Callers keep the set of non-empty queues, so a step costs time in proportion
-to the busy queues and the packets waiting in them, not to the number of
-edges.
+The step core (`inject`, `advance`) is shared with the phased strategy and
+the greedy static runner. Callers keep the set of non-empty queues, so a step
+costs time in proportion to the busy queues and the packets waiting in them,
+not to the number of edges. A packet moves by its `route`, its path as queue
+indices, which `Routes` resolves once per distinct path of a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
@@ -30,8 +31,9 @@ class EngineInvariantError(RuntimeError):
     """An internal bound check failed: an engine bug."""
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
+    """One row of a run's trace; its fields are the trace CSV's columns."""
+
     step: int
     total_in_system: int  # packets still queued after the step completed
     injections: int
@@ -66,27 +68,41 @@ class Trace:
 # ---- the step core both strategies use -------------------------------------
 
 
+class Routes(dict):
+    """One run's cache from a path's edge tuple to its route, the tuple of
+    the edges' queue indices in `network`'s declaration order; a route is
+    resolved on its first lookup. The cache is its own dict, not
+    `network.edge_index`, because an edge id may itself be a tuple and so
+    equal some path."""
+
+    def __init__(self, network: Network):
+        super().__init__()
+        self._index = network.edge_index
+
+    def __missing__(self, edges: tuple[EdgeId, ...]) -> tuple[int, ...]:
+        route = self[edges] = tuple(map(self._index.__getitem__, edges))
+        return route
+
+
 def inject(
     adversary: Adversary,
     now: int,
     packets: list[Packet],
-    index: dict[EdgeId, int],
+    routes: Routes,
     queues: list[list[Packet]],
     busy: set[int],
 ) -> int:
     """The adversary's packets for step `now` are appended to `packets` and
     join the queue of their first edge in `queues`, whose non-empty indices
-    `busy` holds; returns how many there were."""
+    `busy` holds; returns how many there were. Each packet shares its
+    `PacketPath`'s edge tuple and takes its route from `routes`."""
     new_paths = adversary.injections_for(now)
     for path in new_paths:
-        pkt = Packet(
-            id=len(packets) + 1,
-            path=tuple(path),
-            injected_at=now,
-            arrived_in_queue_at=now,
-        )
+        edges = path.edges
+        route = routes[edges]
+        pkt = Packet(len(packets) + 1, edges, now, arrived_in_queue_at=now, route=route)
         packets.append(pkt)
-        i = index[pkt.path[0]]
+        i = route[0]
         queues[i].append(pkt)
         busy.add(i)
     return len(new_paths)
@@ -98,13 +114,12 @@ def advance(
     senders: list[int],
     key: DisciplineKey,
     now: int,
-    index: dict[EdgeId, int],
 ) -> tuple[list[tuple[int, Packet]], int]:
     """Each queue in `senders` (non-empty, listed in edge-declaration order)
     sends the packet least in (key, id) across its edge. All crossings are
-    simultaneous: a packet lands in its next queue only after every sender has
-    picked, so no packet moves twice in one step. `busy`, the set of non-empty
-    queues, is kept exact.
+    simultaneous: a packet lands in its next queue, the next index of its
+    `route`, only after every sender has picked, so no packet moves twice in
+    one step. `busy`, the set of non-empty queues, is kept exact.
 
     The key is evaluated once per queued packet of each sender, in queue
     order. A sender holding one packet (nearly all of them on the benchmark
@@ -125,13 +140,15 @@ def advance(
             moved.append((i, q.pop(least(q, key))))
     delivered = 0
     for _, pkt in moved:
-        pkt.hops_done += 1
-        if pkt.hops_done == len(pkt.path):
+        hops = pkt.hops_done + 1
+        pkt.hops_done = hops
+        route = pkt.route
+        if hops == len(route):
             pkt.delivered_at = now
             delivered += 1
         else:
             pkt.arrived_in_queue_at = now + 1
-            j = index[pkt.path[pkt.hops_done]]
+            j = route[hops]
             queues[j].append(pkt)
             busy.add(j)
     return moved, delivered
@@ -147,7 +164,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(strategy)
-    index = network.edge_index
+    routes = Routes(network)
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     packets: list[Packet] = []
@@ -157,9 +174,9 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     while now <= max_steps:
         if in_system == 0 and adversary.done_after(now - 1):
             break
-        injected = inject(adversary, now, packets, index, queues, busy)
+        injected = inject(adversary, now, packets, routes, queues, busy)
         max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
-        _, delivered_now = advance(queues, busy, sorted(busy), key, now, index)
+        _, delivered_now = advance(queues, busy, sorted(busy), key, now)
         in_system += injected - delivered_now
         steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
         now += 1
@@ -172,15 +189,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
 
 def write_trace_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
     """One row per step: step,total_in_system,injections,deliveries,max_queue_len."""
-    write_csv(
-        dest,
-        ["step", "total_in_system", "injections", "deliveries", "max_queue_len"],
-        (
-            (s.step, s.total_in_system, s.injections, s.deliveries, s.max_queue_len)
-            for s in trace.steps
-        ),
-        header_comment,
-    )
+    write_csv(dest, StepStats._fields, trace.steps, header_comment)
 
 
 def write_packets_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:

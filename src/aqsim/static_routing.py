@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from random import Random
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .network import (
     CongestionDilation,
@@ -25,7 +25,7 @@ from .network import (
     validate_path,
 )
 from .csvio import write_csv
-from .sim_engine import EngineInvariantError, advance
+from .sim_engine import EngineInvariantError, Routes, advance
 from .strategies import Packet, get_discipline
 
 
@@ -80,13 +80,13 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
     bound = lemma1_bound(instance.n, instance.d)
     key = get_discipline(discipline)
     network = instance.network
-    index = network.edge_index
+    routes = Routes(network)
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     for k, p in enumerate(instance.paths, start=1):
-        i = index[p.edges[0]]
-        queues[i].append(Packet(id=k, path=p.edges, injected_at=1, arrived_in_queue_at=1))
-        busy.add(i)
+        route = routes[p.edges]
+        queues[route[0]].append(Packet(k, p.edges, 1, arrived_in_queue_at=1, route=route))
+        busy.add(route[0])
     now = 0
     while busy:
         now += 1
@@ -94,7 +94,7 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
             raise EngineInvariantError(
                 f"greedy {discipline} run exceeded the n*d = {bound} bound"
             )
-        advance(queues, busy, sorted(busy), key, now, index)
+        advance(queues, busy, sorted(busy), key, now)
     return now
 
 
@@ -314,6 +314,75 @@ def enumerate_instances(
         yield StaticInstance(network, paths, congestion_dilation(paths))
 
 
+def count_instances(
+    max_packets: int, max_edges: int, shapes: Sequence[str], limit: int
+) -> int:
+    """How many instances `enumerate_instances` yields, found without
+    building one, if that is at most `limit`; otherwise counting stops once
+    the count passes `limit`, and some number above it is returned.
+
+    A shape whose family has P paths gives C(P+k-1, k) instances of k
+    packets. The path shape with m edges has m(m+1)/2 paths, and the tree
+    shapes with m edges are counted by family size (`_tree_family_sizes`).
+    """
+    trees = _tree_family_sizes() if "tree" in shapes else None
+    total = 0
+    for m in range(1, max_edges + 1):
+        line = m * (m + 1) // 2
+        pools: dict[int, int] = {}  # family size -> number of shapes
+        if trees is not None:
+            pools = dict(next(trees))
+            pools[line] -= 1  # the path shape is enumerated as a line
+        if "line" in shapes:
+            pools[line] = pools.get(line, 0) + 1
+        for size, count in pools.items():
+            if not count:  # no tree shape but the path
+                continue
+            term = 1
+            for k in range(1, max_packets + 1):
+                term = term * (size + k - 1) // k  # C(size+k-1, k)
+                total += count * term
+                if total > limit:
+                    return total
+    return total
+
+
+def _tree_family_sizes() -> Iterator[dict[int, int]]:
+    """For m = 1, 2, ... edges, the in-tree shapes with m edges (the path
+    shape included) counted by their number of rootward paths, the size of
+    `tree_paths`: {paths: shapes}.
+
+    A tree has as many rootward paths as its nodes' depths add up to. It is a
+    root over a forest, a multiset of subtrees, so its paths are, summed over
+    the subtrees, each subtree's paths plus its nodes. So the trees of n
+    nodes are the forests of n-1 nodes counted by that weight. The forests
+    follow from the trees of fewer nodes by the Euler transform recurrence
+    s*f_s(y) = sum_{j=1..s} c_j(y)*f_{s-j}(y), with
+    c_j(y) = sum over the divisors d of j of d*S_d(y^(j/d)), where S_d counts
+    the trees of d nodes as subtrees, by weight. A polynomial in y is a dict
+    {exponent: coefficient}.
+    """
+    forests: list[dict[int, int]] = [{0: 1}]  # f_s, by s
+    subtrees: list[dict[int, int]] = [{}]  # S_d, by d
+    terms: list[dict[int, int]] = [{}]  # c_j, by j
+    while True:
+        s = len(forests)
+        subtrees.append({w + s: c for w, c in forests[s - 1].items()})
+        c_s: dict[int, int] = {}
+        for d in range(1, s + 1):
+            if s % d == 0:
+                for w, c in subtrees[d].items():
+                    c_s[w * (s // d)] = c_s.get(w * (s // d), 0) + d * c
+        terms.append(c_s)
+        acc: dict[int, int] = {}
+        for j in range(1, s + 1):
+            for w1, c1 in terms[j].items():
+                for w2, c2 in forests[s - j].items():
+                    acc[w1 + w2] = acc.get(w1 + w2, 0) + c1 * c2
+        forests.append({w: c // s for w, c in acc.items()})
+        yield forests[s]  # the trees of s+1 nodes, s edges
+
+
 def relabel(paths: Iterable[Sequence[EdgeId]]) -> tuple[tuple[int, ...], ...]:
     """The paths with each edge replaced by the index of its first appearance.
     Packets keep their order, since packet ids break the disciplines' ties.
@@ -344,8 +413,9 @@ def random_instance(rng: Random, max_packets: int, max_edges: int) -> StaticInst
 # ---- the oracle sweep -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One instance of a sweep; its fields are the sweep CSV's columns."""
+
     instance_id: int
     packets: int
     edges: int
@@ -450,21 +520,4 @@ def sweep_summary(rows: Iterable[SweepRow]) -> str:
 
 def write_sweep_csv(rows: Iterable[SweepRow], dest: IO, header_comment: str = "") -> None:
     """instance_id,packets,edges,n,d,optimal,greedy_fifo,lemma1_bound"""
-    write_csv(
-        dest,
-        ["instance_id", "packets", "edges", "n", "d", "optimal", "greedy_fifo", "lemma1_bound"],
-        (
-            (
-                row.instance_id,
-                row.packets,
-                row.edges,
-                row.n,
-                row.d,
-                row.optimal,
-                row.greedy_fifo,
-                row.lemma1_bound,
-            )
-            for row in rows
-        ),
-        header_comment,
-    )
+    write_csv(dest, SweepRow._fields, rows, header_comment)

@@ -7,7 +7,7 @@ smallest id and every run is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter, eq
 from typing import Callable, Optional, Sequence
@@ -21,7 +21,9 @@ class Packet:
     (FIFO/LIFO key); `injected_at` never changes (LIS/SIS key). `phase` is
     set by the interval strategy when the packet is adopted into a phase and
     stays None for plain runs and for packets delivered straight from a
-    holding queue.
+    holding queue. `route` is the path as queue indices (edge-declaration
+    order), which the engines' step core moves the packet by; it is left
+    empty on packets that never enter an engine queue.
     """
 
     id: int
@@ -31,6 +33,7 @@ class Packet:
     arrived_in_queue_at: int = 0
     delivered_at: Optional[int] = None
     phase: Optional[int] = None
+    route: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def hops_remaining(self) -> int:

@@ -27,10 +27,10 @@ def recorded_moves():
     moves = []
     advance = sim_engine.advance
 
-    def logged(queues, busy, senders, key, now, index):
-        moved, delivered = advance(queues, busy, senders, key, now, index)
-        edge_of = {i: e for e, i in index.items()}
-        moves.extend((now, edge_of[i], pkt.id) for i, pkt in moved)
+    def logged(queues, busy, senders, key, now):
+        moved, delivered = advance(queues, busy, senders, key, now)
+        # a packet that just crossed has the edge behind it in its path
+        moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for _, pkt in moved)
         return moved, delivered
 
     with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,12 @@ def test_tree_limit_trichotomy():
     assert tree_phase_time_limit(0.2, 7, 4) == 0.0
     assert tree_phase_time_limit(0.25, 7, 4) == 28.0
     assert tree_phase_time_limit(0.3, 7, 4) == math.inf
+
+
+def test_tree_limit_decides_rd_equal_one_exactly():
+    assert tree_phase_time_limit(Fraction(1, 49), 3, 49.0) == 147.0
+    assert tree_phase_time_limit(Fraction(1, 3), 2, 3) == 6.0
+    assert tree_phase_time_limit(Fraction(1, 3), 2, 2.9) == 0.0
 
 
 @settings(max_examples=100)

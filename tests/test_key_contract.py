@@ -54,7 +54,9 @@ def test_key_evaluations_match_the_reference_engine(seed, mode):
 
 
 def _packet(pid, arrived):
-    return Packet(id=pid, path=("e1", "e2"), injected_at=1, arrived_in_queue_at=arrived)
+    return Packet(
+        id=pid, path=("e1", "e2"), injected_at=1, arrived_in_queue_at=arrived, route=(0, 1)
+    )
 
 
 def test_tie_against_queue_order_goes_to_smallest_id():
@@ -66,7 +68,7 @@ def test_tie_against_queue_order_goes_to_smallest_id():
     key = CountingKey("FIFO")
     queues = [[_packet(2, 1), _packet(1, 1)], []]
     busy = {0}
-    moved, delivered = advance(queues, busy, [0], key, 1, {"e1": 0, "e2": 1})
+    moved, delivered = advance(queues, busy, [0], key, 1)
     assert [(i, p.id) for i, p in moved] == [(0, 1)]
     assert delivered == 0 and key.calls == 2
     assert [p.id for p in queues[0]] == [2] and [p.id for p in queues[1]] == [1]
@@ -77,6 +79,6 @@ def test_singleton_queue_still_evaluates_the_key():
     key = CountingKey("FIFO")
     queues = [[_packet(1, 1)], []]
     busy = {0}
-    moved, _ = advance(queues, busy, [0], key, 1, {"e1": 0, "e2": 1})
+    moved, _ = advance(queues, busy, [0], key, 1)
     assert [p.id for _, p in moved] == [1] and key.calls == 1
     assert queues == [[], [moved[0][1]]] and busy == {1}

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -519,6 +520,20 @@ def test_bounds_tree_doubling_series(capsys):
     assert lines[12] == "growth,DIVERGENT"  # no 'limit' row: it is infinite
 
 
+def test_bounds_tree_limit_with_a_fraction_rate(capsys):
+    # in floats, (1/49)*49 falls short of 1 and the limit would read 0.0
+    assert cli.main(["bounds", "tree", "--r", "1/49", "--b", "3", "--d", "49"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# formula=tree r=1/49 b=3.0 d=49.0")
+    assert "limit,147.0" in lines
+
+
+def test_bounds_rejects_an_unreadable_rate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "tree", "--r", "3/2"])
+    assert exc.value.code == 2
+
+
 def test_bounds_theorem_packets_start_at_b(capsys):
     assert cli.main(["bounds", "theorem-packets", "--b", "6", "--i-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -631,6 +646,18 @@ def test_sweep_rejects_an_empty_shape_list(capsys):
 
 def test_sweep_rejects_nonpositive_limits(capsys):
     assert cli.main(["sweep", "--max-packets", "0"]) == 2
+
+
+@pytest.mark.parametrize("packets, edges", [("3", "12"), ("1", "16")])
+def test_sweep_over_the_instance_limit_exits_2_before_any_work(capsys, packets, edges):
+    # listing the tree shapes up to 13 edges alone takes about 3.6 s on a
+    # 2-core host, and each edge more multiplies that; the count lists none
+    started = time.perf_counter()
+    assert cli.main(["sweep", "--max-packets", packets, "--max-edges", edges]) == 2
+    assert time.perf_counter() - started < 10
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: the sweep has more than {cli.SWEEP_LIMIT:,} instances")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

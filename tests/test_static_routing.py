@@ -23,6 +23,7 @@ from aqsim.static_routing import (
     SweepRow,
     SweepSummary,
     bruteforce_optimal_makespan,
+    count_instances,
     enumerate_instances,
     greedy_schedule,
     lemma1_bound,
@@ -547,6 +548,25 @@ def test_enumerate_instances_counts():
     assert sum(1 for _ in enumerate_instances(2, 2, ("line",))) == 11
     assert sum(1 for _ in enumerate_instances(2, 2, ("tree",))) == 5
     assert sum(1 for _ in enumerate_instances(2, 2)) == 16
+
+
+@pytest.mark.parametrize("shapes", [("line", "tree"), ("line",), ("tree",)])
+@pytest.mark.parametrize("max_packets, max_edges", [(1, 1), (1, 7), (2, 5), (3, 4), (4, 3)])
+def test_count_instances_equals_the_enumeration(max_packets, max_edges, shapes):
+    want = sum(1 for _ in enumerate_instances(max_packets, max_edges, shapes))
+    assert count_instances(max_packets, max_edges, shapes, want) == want
+    assert count_instances(max_packets, max_edges, shapes, want - 1) > want - 1
+
+
+def test_count_instances_of_large_sweeps():
+    both = ("line", "tree")
+    # the instance counts of the sweeps CI runs
+    assert count_instances(2, 9, both, 10**7) == 351_325
+    assert count_instances(2, 10, both, 10**7) == 1_241_121
+    # far past any limit, the count stops soon after passing it
+    assert 2_000_000 < count_instances(10**9, 10**9, both, 2_000_000) < 2_100_000
+    # a one-edge tree is a path: no instance, however many packets
+    assert count_instances(10**9, 1, ("tree",), 2_000_000) == 0
 
 
 def test_enumerate_instances_rejects_unknown_shape():
