@@ -16,6 +16,7 @@ from aqsim.static_routing import (
     bruteforce_optimal_makespan,
     enumerate_instances,
     greedy_schedule,
+    make_instance,
     relabel,
 )
 from aqsim.strategies import DISCIPLINES
@@ -43,9 +44,10 @@ def main(argv=None) -> int:
 
     solved = {}  # pattern -> (optimal, makespan per discipline)
     memo = {}  # solved oracle states, shared by every pattern of this run
-    for inst in enumerate_instances(args.max_packets, args.max_edges, shapes):
-        key = relabel(inst.paths)
+    for network, paths in enumerate_instances(args.max_packets, args.max_edges, shapes):
+        key = relabel(paths)
         if key not in solved:
+            inst = make_instance(network, paths)
             makespans = {name: greedy_schedule(inst, name) for name in names}
             # the least greedy makespan is feasible, so with it as the cap the
             # search returns an optimum no larger than it, never None
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
             if makespan == optimal:
                 hits[name] += 1
             if gap > worst[name][0]:
-                worst[name] = (gap, [p.edges for p in inst.paths], makespan, optimal)
+                worst[name] = (gap, [p.edges for p in paths], makespan, optimal)
 
     print(f"{count} instances (max {args.max_packets} packets, "
           f"{args.max_edges} edges, shapes: {','.join(shapes)})\n")

@@ -63,11 +63,15 @@ def line_delivery_bound(r: float, d: float) -> float:
 # ---- in-trees ---------------------------------------------------------------
 
 
-def tree_phase_time_bound(i: int, r: float, b: float, d: float) -> float:
-    """Steps the i-th phase can need on a tree: r^(i-1)*b*d^i."""
+def tree_phase_time_bound(i: int, r: float | Fraction, b: float, d: float) -> float:
+    """Steps the i-th phase can need on a tree: r^(i-1)*b*d^i, evaluated as
+    (r*d)^(i-1)*b*d with r*d formed exactly from the rationals r and d hold
+    before it is rounded to a float. So a `Fraction` rate of 1/49 with
+    d = 49 gives b*d at every i, and the terms of r*d < 1 fall to 0 rather
+    than overflow in d^i."""
     _check_phase(i)
     _check_common(r, b, d)
-    return r ** (i - 1) * b * d**i
+    return float(Fraction(r) * Fraction(d)) ** (i - 1) * b * d
 
 
 def tree_phase_time_limit(r: float | Fraction, b: float, d: float) -> float:
@@ -87,21 +91,15 @@ def tree_phase_time_limit(r: float | Fraction, b: float, d: float) -> float:
 # ---- non-forward-looking inner schedulers -----------------------------------
 
 
-def nonforward_k(i: int, r: float, b: float, d: float, log_base: float = 2.0) -> float:
-    """The k-sequence for phases run by a non-forward-looking scheduler:
-    k_1 = b*(d-1)/log(b), k_i = k_{i-1} * r*(d-1)/log(k_{i-1}).
+def nonforward_k_series(
+    i_max: int, r: float, b: float, d: float, log_base: float = 2.0
+) -> list[float]:
+    """k_1..k_{i_max}, the k-sequence for phases run by a non-forward-looking
+    scheduler: k_1 = b*(d-1)/log(b), k_i = k_{i-1} * r*(d-1)/log(k_{i-1}).
 
     Raises RecurrenceDomainError once any k_j <= 1 (its logarithm stops being
     positive and the recurrence leaves its domain).
     """
-    series = nonforward_k_series(i, r, b, d, log_base)
-    return series[-1]
-
-
-def nonforward_k_series(
-    i_max: int, r: float, b: float, d: float, log_base: float = 2.0
-) -> list[float]:
-    """k_1..k_{i_max}; see nonforward_k."""
     _check_phase(i_max)
     _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
     _require(b >= 2, f"need b >= 2 (log b must be positive), got b={b}")

@@ -29,6 +29,7 @@ from .strategies import get_discipline
 
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
 SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
+I_MAX_LIMIT = 100_000  # bounds terms; a longer series is refused before any is computed
 
 
 def rate(text: str) -> float | Fraction:
@@ -221,36 +222,38 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float]]:
     """Series for i = 1..i_max plus the limit (None when undefined/infinite).
-    The series take r as a float; the tree limit takes it exactly, a decimal
-    as its shortest decimal form (`as_rate`), so that r*d = 1 is decided
-    exactly."""
+    The other series take r as a float; the tree series and limit take it
+    exactly, a decimal as its shortest decimal form (`as_rate`), so that r*d
+    is formed exactly and r*d = 1 is decided exactly."""
     r, b, d = float(args.r), args.b, args.d
     c1, c2, c3 = args.c1, args.c2, args.c3
+
+    def terms(bound, *params) -> list[float]:
+        return [bound(i, *params) for i in range(1, args.i_max + 1)]
+
     if args.formula == "line":
-        series = [analysis.line_phase_time_bound(i, r, b, d) for i in range(1, args.i_max + 1)]
-        return series, analysis.line_phase_time_limit(r, d)
+        return terms(analysis.line_phase_time_bound, r, b, d), analysis.line_phase_time_limit(r, d)
     if args.formula == "tree":
-        series = [analysis.tree_phase_time_bound(i, r, b, d) for i in range(1, args.i_max + 1)]
-        limit = analysis.tree_phase_time_limit(as_rate(args.r), b, d)
+        # a rate outside (0, 1) is left to the bound's own check, which names it
+        exact = as_rate(args.r) if 0 < r < 1 else r
+        series = terms(analysis.tree_phase_time_bound, exact, b, d)
+        limit = analysis.tree_phase_time_limit(exact, b, d)
         return series, (limit if limit != float("inf") else None)
     if args.formula == "nonforward":
         return analysis.nonforward_k_series(args.i_max, r, b, d, args.log_base), None
     if args.formula == "theorem-time":
-        series = [
-            analysis.theorem_phase_time_bound(i, r, b, d, c1, c2, c3)
-            for i in range(1, args.i_max + 1)
-        ]
+        series = terms(analysis.theorem_phase_time_bound, r, b, d, c1, c2, c3)
         return series, analysis.theorem_phase_time_limit(r, d, c1, c2, c3)
-    series = [
-        analysis.theorem_phase_packet_bound(i, r, b, d, c1, c2, c3)
-        for i in range(1, args.i_max + 1)
-    ]
+    series = terms(analysis.theorem_phase_packet_bound, r, b, d, c1, c2, c3)
     return series, analysis.theorem_phase_packet_limit(r, d, c1, c2, c3)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.i_max < 1:
         print(f"error: --i-max must be >= 1, got {args.i_max}", file=sys.stderr)
+        return 2
+    if args.i_max > I_MAX_LIMIT:
+        print(f"error: --i-max must be at most {I_MAX_LIMIT:,}, got {args.i_max}", file=sys.stderr)
         return 2
     for name in ("r", "b", "d", "c1", "c2", "c3", "log_base"):
         value = getattr(args, name)
@@ -271,7 +274,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # e.g. d**i for a large --d or --i-max
+    except OverflowError as exc:  # e.g. (r*d)**(i-1) for a large --i-max
         print(f"error: a {args.formula} bound overflows a float: {exc}", file=sys.stderr)
         return 2
     write_csv(

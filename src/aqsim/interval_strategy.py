@@ -31,15 +31,15 @@ class Lemma1ViolationError(EngineInvariantError):
 
 
 class PhaseRecord(NamedTuple):
+    """One phase; its fields are the phases CSV's columns, in order, with
+    `duration_steps` written as `duration`."""
+
     phase_index: int
     packet_count: int
-    duration_steps: int
     n_i: int
     d_i: int
-
-    @property
-    def lemma1_bound(self) -> int:
-        return self.n_i * self.d_i
+    duration_steps: int
+    lemma1_bound: int  # n_i*d_i
 
 
 def run_interval(
@@ -82,7 +82,7 @@ def run_interval(
     demand = [0] * len(network.edges)
     packets: list[Packet] = []
     steps: list[StepStats] = []
-    records = [PhaseRecord(0, 0, 0, 0, 0)]  # the empty startup phase closes at step 1
+    records = [PhaseRecord(0, 0, 0, 0, 0, 0)]  # the empty startup phase closes at step 1
     start, count, n, d = 1, 0, 0, 0
     in_system = 0
     now = 1
@@ -118,7 +118,7 @@ def run_interval(
             )
         # the step that empties the active queues closes the phase
         if moved and not busy:
-            records.append(PhaseRecord(len(records), count, running, n, d))
+            records.append(PhaseRecord(len(records), count, n, d, running, n * d))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
         if not busy and held:
@@ -151,16 +151,6 @@ def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str =
     write_csv(
         dest,
         ["phase_index", "packet_count", "n_i", "d_i", "duration", "lemma1_bound"],
-        (
-            (
-                rec.phase_index,
-                rec.packet_count,
-                rec.n_i,
-                rec.d_i,
-                rec.duration_steps,
-                rec.lemma1_bound,
-            )
-            for rec in records
-        ),
+        records,
         header_comment,
     )

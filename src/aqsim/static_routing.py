@@ -130,7 +130,8 @@ def bruteforce_optimal_makespan(
     - the pruning is admissible. A state's search stops once it meets the
       state's lower bound, the larger of its longest remaining path and its
       heaviest edge load. A child is cut when 1 + its lower bound cannot beat
-      the best so far. A `cap` below the root's bound max(n, d) gives None.
+      the best so far. A `cap` below the root's bound max(n, d) gives None:
+      the root search returns that bound at once and stores nothing.
     A state enters `memo` only when its search ended below the limit it was
     given, so `memo` holds exact optima only. Since an optimum depends on the
     state alone, one `memo` may serve every call of a sweep (`run_sweep`
@@ -142,8 +143,6 @@ def bruteforce_optimal_makespan(
     """
     if memo is None:
         memo = {}
-    if cap < max(instance.n, instance.d):
-        return None
     best = _least_makespan(_canonical([p.edges for p in instance.paths]), cap + 1, memo)
     return best if best <= cap else None
 
@@ -271,14 +270,16 @@ def tree_shapes(max_edges: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _enumerate_paths(
-    max_packets: int, max_edges: int, shapes: Sequence[str]
+def enumerate_instances(
+    max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
 ) -> Iterator[tuple[Network, tuple[PacketPath, ...]]]:
-    """The (network, paths) pairs behind `enumerate_instances`, in its order.
-    The arguments are checked at the call. Each shape's pool, its network and
-    candidate paths, is built when the enumeration reaches it, so one pool is
-    held at a time, and its candidates are validated as it is built, so every
-    combination of them is a valid instance."""
+    """All static instances with 1..max_packets packets on line and non-path
+    in-tree networks with 1..max_edges edges, as (network, paths) pairs in
+    deterministic order. The arguments are checked at the call. Each shape's
+    pool, its network and candidate paths, is built when the enumeration
+    reaches it, so one pool is held at a time, and its candidates are
+    validated as it is built, so every combination of them is a valid
+    instance (`make_instance` would accept it)."""
     if not shapes:
         raise ValueError("no shapes given; expected 'line', 'tree' or both")
     for shape in shapes:
@@ -303,15 +304,6 @@ def _enumerate_paths(
                     yield network, combo
 
     return pairs()
-
-
-def enumerate_instances(
-    max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
-) -> Iterator[StaticInstance]:
-    """All static instances with 1..max_packets packets on line and non-path
-    in-tree networks with 1..max_edges edges, in deterministic order."""
-    for network, paths in _enumerate_paths(max_packets, max_edges, shapes):
-        yield StaticInstance(network, paths, congestion_dilation(paths))
 
 
 def count_instances(
@@ -425,10 +417,6 @@ class SweepRow(NamedTuple):
     greedy_fifo: int
     lemma1_bound: int
 
-    @property
-    def exceeds_n_plus_d(self) -> bool:
-        return self.optimal > self.n + self.d
-
 
 def sweep_rows(
     max_packets: int, max_edges: int, shapes: Sequence[str] = ("line", "tree")
@@ -453,7 +441,7 @@ def sweep_rows(
     again. The memo lives as long as this sweep's generator and no longer:
     each sweep starts from nothing.
     """
-    instances = _enumerate_paths(max_packets, max_edges, shapes)
+    instances = enumerate_instances(max_packets, max_edges, shapes)
 
     def rows() -> Iterator[SweepRow]:
         solved: dict[tuple[tuple[int, ...], ...], tuple[int, int, int, int, int]] = {}
@@ -493,9 +481,9 @@ class SweepSummary:
         """Yield each row of `rows` after counting it."""
         for row in rows:
             self.count += 1
-            if row.exceeds_n_plus_d:
+            excess = row.optimal - (row.n + row.d)
+            if excess > 0:
                 self.exceeding += 1
-                excess = row.optimal - (row.n + row.d)
                 if excess > self.worst_excess:
                     self.worst, self.worst_excess = row, excess
             yield row
@@ -509,13 +497,6 @@ class SweepSummary:
                 f"vs n+d = {worst.n + worst.d})"
             )
         return f"no instance exceeded n+d ({self.count} instances checked)"
-
-
-def sweep_summary(rows: Iterable[SweepRow]) -> str:
-    summary = SweepSummary()
-    for _ in summary.tally(rows):
-        pass
-    return str(summary)
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], dest: IO, header_comment: str = "") -> None:

@@ -32,11 +32,11 @@ from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
 from aqsim.scenario import load_scenario, make_adversary
 from aqsim.static_routing import (
+    SweepSummary,
     greedy_schedule,
     lemma1_bound,
     random_instance,
     run_sweep,
-    sweep_summary,
 )
 from aqsim.strategies import DISCIPLINES
 
@@ -99,7 +99,8 @@ def test_c2_greedy_always_within_lemma_bound():
 
 def test_c3_sweep_is_sound_and_complete():
     started = time.perf_counter()
-    rows = run_sweep(4, 4)
+    summary = SweepSummary()
+    rows = list(summary.tally(run_sweep(4, 4)))
     elapsed = time.perf_counter() - started
 
     assert len(rows) == 3967
@@ -107,8 +108,7 @@ def test_c3_sweep_is_sound_and_complete():
         assert row.optimal is not None, f"instance {row.instance_id} blew the cap"
         assert row.optimal <= row.greedy_fifo <= row.lemma1_bound
         assert row.optimal >= max(row.n, row.d)
-    summary = sweep_summary(rows)
-    assert summary == "no instance exceeded n+d (3967 instances checked)"
+    assert str(summary) == "no instance exceeded n+d (3967 instances checked)"
     assert elapsed < 300.0, f"took {elapsed:.1f}s, budget is 5min"
     print(f"\n[C3] PASS - {summary}, {elapsed:.1f}s")
 

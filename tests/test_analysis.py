@@ -15,7 +15,6 @@ from aqsim.analysis import (
     line_delivery_bound,
     line_phase_time_bound,
     line_phase_time_limit,
-    nonforward_k,
     nonforward_k_series,
     theorem_phase_packet_bound,
     theorem_phase_packet_limit,
@@ -143,30 +142,30 @@ def test_tree_series_direction_follows_sign_of_rd_minus_one(r, b, d):
 
 
 def test_nonforward_first_terms():
-    assert nonforward_k(1, 0.5, 4, 5) == pytest.approx(8.0)  # 4*(5-1)/log2(4)
-    assert nonforward_k(2, 0.5, 4, 5) == pytest.approx(16 / 3)  # 8*(0.5*4)/log2(8)
+    assert nonforward_k_series(1, 0.5, 4, 5)[-1] == pytest.approx(8.0)  # 4*(5-1)/log2(4)
+    assert nonforward_k_series(2, 0.5, 4, 5)[-1] == pytest.approx(16 / 3)  # 8*(0.5*4)/log2(8)
 
 
 def test_nonforward_series_prefix_consistency():
     s = nonforward_k_series(10, 0.7, 8, 6)
     for i in range(1, 11):
-        assert nonforward_k(i, 0.7, 8, 6) == s[i - 1]
+        assert nonforward_k_series(i, 0.7, 8, 6)[-1] == s[i - 1]
 
 
 def test_nonforward_domain_requirements():
     with pytest.raises(ValueError):
-        nonforward_k(1, 0.5, 1, 5)  # b must be >= 2 so log b > 0
+        nonforward_k_series(1, 0.5, 1, 5)  # b must be >= 2 so log b > 0
     with pytest.raises(ValueError):
-        nonforward_k(1, 0.5, 4, 1)  # d must be >= 2
+        nonforward_k_series(1, 0.5, 4, 1)  # d must be >= 2
     with pytest.raises(ValueError):
-        nonforward_k(1, 0.5, 4, 5, log_base=1.0)
+        nonforward_k_series(1, 0.5, 4, 5, log_base=1.0)
 
 
 def test_nonforward_exits_domain_when_k_drops_below_one():
     # b=2, d=2: k1 = 2, k2 = 2r < 1, so k3 cannot be formed
     with pytest.raises(RecurrenceDomainError, match="k_2"):
-        nonforward_k(3, 0.3, 2, 2)
-    assert nonforward_k(2, 0.3, 2, 2) == pytest.approx(0.6)
+        nonforward_k_series(3, 0.3, 2, 2)
+    assert nonforward_k_series(2, 0.3, 2, 2)[-1] == pytest.approx(0.6)
 
 
 def test_nonforward_window_divergence_for_large_rd():

@@ -13,6 +13,7 @@ from aqsim.adversary import (
 )
 from aqsim.interval_strategy import (
     Lemma1ViolationError,
+    PhaseRecord,
     run_interval,
     write_phases_csv,
 )
@@ -295,3 +296,21 @@ def test_phases_csv_schema():
     assert lines[1] == "phase_index,packet_count,n_i,d_i,duration,lemma1_bound"
     assert lines[2] == "0,0,0,0,0,0"
     assert lines[3] == "1,4,4,4,7,16"
+
+
+def test_phase_records_are_the_phases_csv_rows():
+    # the fields follow the columns position by position, duration_steps
+    # written as duration, so each record is written as it is
+    net = line_network(4)
+    adv = saturating_adversary(net, path("e1", "e2", "e3", "e4"), Fraction(1, 2), 4)
+    _, records = run_interval(net, "FIFO", adv, max_steps=200, improvement_on=True)
+    assert len(records) > 10
+    buf = io.StringIO()
+    write_phases_csv(records, buf)
+    header, *rows = buf.getvalue().splitlines()
+    columns = header.split(",")
+    assert len(PhaseRecord._fields) == len(columns)
+    for field, column in zip(PhaseRecord._fields, columns):
+        assert field == column or (field, column) == ("duration_steps", "duration")
+    assert rows == [",".join(map(str, rec)) for rec in records]
+    assert all(rec.lemma1_bound == rec.n_i * rec.d_i for rec in records)

@@ -528,6 +528,24 @@ def test_bounds_tree_limit_with_a_fraction_rate(capsys):
     assert "limit,147.0" in lines
 
 
+def test_bounds_tree_series_with_a_fraction_rate(capsys):
+    # r*d = 1 is formed exactly, so every term is b*d; in floats, r^(i-1)*d^i
+    # drifted to 146.99999999999997 from i = 3 on
+    assert cli.main(["bounds", "tree", "--r", "1/49", "--b", "3", "--d", "49"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:22] == [f"{i},147.0" for i in range(1, 21)]
+    assert lines[22] == "limit,147.0"
+
+
+def test_bounds_tree_series_falls_to_zero_without_overflow(capsys):
+    # r*d = 1/5: the terms tend to 0, though d**i alone leaves the float range
+    # at i = 1024
+    assert cli.main(["bounds", "tree", "--r", "0.1", "--d", "2", "--i-max", "1030"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1031] == "1030,0.0"
+    assert "limit,0.0" in lines
+
+
 def test_bounds_rejects_an_unreadable_rate(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bounds", "tree", "--r", "3/2"])
@@ -585,7 +603,7 @@ def test_bounds_non_finite_value_exits_2(capsys, argv, where):
 
 @pytest.mark.parametrize("argv", [["--i-max", "2000"], ["--d", "1e300", "--i-max", "3"]])
 def test_bounds_float_overflow_exits_2(capsys, argv):
-    # d**i leaves the float range: int-to-float conversion, then float pow
+    # (r*d)**(i-1) leaves the float range in float pow
     assert cli.main(["bounds", "tree", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -594,6 +612,12 @@ def test_bounds_float_overflow_exits_2(capsys, argv):
 
 def test_bounds_bad_imax_exits_2(capsys):
     assert cli.main(["bounds", "line", "--i-max", "0"]) == 2
+    capsys.readouterr()
+    # one past the ceiling is refused before any term is computed
+    assert cli.main(["bounds", "line", "--i-max", "100001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --i-max must be at most 100,000, got 100001\n"
 
 
 # ---- the sweep command -----------------------------------------------------------------

@@ -33,7 +33,6 @@ from aqsim.static_routing import (
     relabel,
     run_sweep,
     sweep_rows,
-    sweep_summary,
     tree_paths,
     tree_shapes,
     write_sweep_csv,
@@ -149,6 +148,17 @@ def test_bruteforce_respects_cap():
     inst = make_instance(net, [path("e1")] * 3)
     assert bruteforce_optimal_makespan(inst, cap=2) is None
     assert bruteforce_optimal_makespan(inst, cap=3) == 3
+    # a cap below max(n, d) = 3 gives None and leaves a shared memo as it was,
+    # whether or not the memo holds the instance's own optimum
+    memo = {}
+    other = make_instance(line_network(2), [path("e1", "e2"), path("e2")])
+    assert bruteforce_optimal_makespan(other, cap=9, memo=memo) == 2
+    for solved in (False, True):
+        before = dict(memo)
+        for cap in (-1, 0, 1, 2):
+            assert bruteforce_optimal_makespan(inst, cap=cap, memo=memo) is None
+        assert memo == before and memo
+        assert bruteforce_optimal_makespan(inst, cap=3, memo=memo) == 3
 
 
 def test_identical_full_line_pipeline_formula():
@@ -177,7 +187,7 @@ def _distinct_patterns(max_packets, max_edges):
     """One instance per relabelled path pattern of enumerate_instances, in
     enumeration order."""
     patterns = {}
-    for network, paths in static_routing._enumerate_paths(max_packets, max_edges, ("line", "tree")):
+    for network, paths in enumerate_instances(max_packets, max_edges):
         patterns.setdefault(relabel(paths), (network, paths))
     return tuple(make_instance(network, paths) for network, paths in patterns.values())
 
@@ -654,12 +664,20 @@ def test_random_instance_draws_every_path_from_its_shapes_family():
 # ---- sweep ----------------------------------------------------------------------------
 
 
+def _summary(rows):
+    """The summary line `aqsim sweep` prints after `rows`."""
+    summary = SweepSummary()
+    for _ in summary.tally(rows):
+        pass
+    return str(summary)
+
+
 def test_sweep_rows_and_summary():
     rows = run_sweep(2, 2)
     assert len(rows) == 16
     assert all(row.optimal is not None for row in rows)
     assert all(row.optimal <= row.greedy_fifo <= row.lemma1_bound for row in rows)
-    assert sweep_summary(rows) == "no instance exceeded n+d (16 instances checked)"
+    assert _summary(rows) == "no instance exceeded n+d (16 instances checked)"
     # the order-matters instance shows up with greedy 3 vs optimal 2
     assert any(row.greedy_fifo > row.optimal for row in rows)
 
@@ -689,7 +707,7 @@ def _recording_network_calls(monkeypatch):
 
 def test_enumeration_builds_each_pool_when_it_is_reached(monkeypatch):
     built = _recording_network_calls(monkeypatch)
-    pairs = static_routing._enumerate_paths(1, 8, ("line", "tree"))
+    pairs = enumerate_instances(1, 8, ("line", "tree"))
     assert built == []
     network, paths = next(pairs)
     assert built == [("line_network", 1)]
@@ -707,12 +725,12 @@ def test_enumeration_validates_each_pool_when_it_is_reached(monkeypatch):
     monkeypatch.setattr(
         static_routing, "tree_paths", lambda parents: [*paths_of(parents), PacketPath(("e1", "e9"))]
     )
-    pairs = static_routing._enumerate_paths(1, 3, ("line", "tree"))
+    pairs = enumerate_instances(1, 3, ("line", "tree"))
     # the line pools of 1, 2 and 3 edges come first and are valid
     assert len([next(pairs) for _ in range(1 + 3 + 6)]) == 10
     with pytest.raises(NetworkError, match="invalid path"):
         next(pairs)
-    pairs = static_routing._enumerate_paths(1, 3, ("tree",))  # the call only checks arguments
+    pairs = enumerate_instances(1, 3, ("tree",))  # the call only checks arguments
     with pytest.raises(NetworkError, match="invalid path"):
         next(pairs)
 
@@ -729,8 +747,8 @@ def test_sweep_summary_names_the_first_of_the_worst_rows():
     assert list(summary.tally(rows)) == rows
     # instances 3, 4 and 5 all exceed n+d by 3; the first of them is reported
     expected = "4 of 5 instances exceed n+d (worst: instance 3, optimal 6 vs n+d = 3)"
-    assert str(summary) == sweep_summary(iter(rows)) == expected
-    assert sweep_summary(rows[1:2]) == "no instance exceeded n+d (1 instances checked)"
+    assert str(summary) == _summary(iter(rows)) == expected
+    assert _summary(rows[1:2]) == "no instance exceeded n+d (1 instances checked)"
 
 
 @pytest.mark.parametrize(
@@ -739,7 +757,8 @@ def test_sweep_summary_names_the_first_of_the_worst_rows():
 )
 def test_sweep_rows_equal_solving_every_instance(max_packets, max_edges, shapes):
     expected = []
-    for idx, inst in enumerate(enumerate_instances(max_packets, max_edges, shapes), start=1):
+    for idx, pair in enumerate(enumerate_instances(max_packets, max_edges, shapes), start=1):
+        inst = make_instance(*pair)
         greedy = greedy_schedule(inst, "FIFO")
         cap = lemma1_bound(inst.n, inst.d)
         optimal = bruteforce_optimal_makespan(inst, cap)
