@@ -229,7 +229,13 @@ def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float
     c1, c2, c3 = args.c1, args.c2, args.c3
 
     def terms(bound, *params) -> list[float]:
-        return [bound(i, *params) for i in range(1, args.i_max + 1)]
+        series = []
+        for i in range(1, args.i_max + 1):
+            try:
+                series.append(bound(i, *params))
+            except OverflowError:  # float ** raises where * gives inf: e.g. (r*d)**(i-1)
+                series.append(math.inf)
+        return series
 
     if args.formula == "line":
         return terms(analysis.line_phase_time_bound, r, b, d), analysis.line_phase_time_limit(r, d)
@@ -274,7 +280,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # e.g. (r*d)**(i-1) for a large --i-max
+    except OverflowError as exc:  # the first term or limit that is not finite
         print(f"error: a {args.formula} bound overflows a float: {exc}", file=sys.stderr)
         return 2
     write_csv(

@@ -70,6 +70,21 @@ def run_interval(
     The current (or last) phase started at step `start` with `count` packets,
     congestion `n` and dilation `d`; its index is `len(records)` until it
     closes.
+
+    A step's `max_queue_len` is the largest `len(active[i]) + len(holding[i])`
+    after injection. It is read from three values, each taken before any
+    packet moves this step, and no queue is scanned for it a second time:
+    - the active advance's longest sender. Every edge in `busy` sends, and an
+      edge in `busy` but not in `held` has only its active queue. (Pass-through
+      moves only holding packets, so it leaves the active queues as they were.)
+    - the pass-through advance's longest sender. It sends only from held edges
+      with `demand[i] == 0`; no phase packet still needs such an edge, so its
+      active queue is empty and its holding queue is its whole queue.
+    - the sum of both queues over the held edges that do not send in
+      pass-through. An edge in both `busy` and `held` is among them, since a
+      phase packet waits in its active queue and so `demand[i] > 0`. With
+      pass-through off, or with no phase running, they are all the held edges.
+    An edge in neither set has two empty queues.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -91,18 +106,25 @@ def run_interval(
             break
         # injections join the holding queue of their first edge
         injected = inject(adversary, now, packets, routes, holding, held)
-        max_queue = max((len(active[i]) + len(holding[i]) for i in busy | held), default=0)
 
         # pass-through: while a phase runs, every held edge it no longer
         # demands sends its earliest-arrived holding packet one hop (demand is
-        # fixed before any movement this step)
+        # fixed before any movement this step); the peak queue over the held
+        # edges that stay put is read before anything moves (see the docstring)
         delivered_now = 0
         if improvement_on and busy:
             idle = [i for i in sorted(held) if not demand[i]]
-            _, delivered_now = advance(holding, held, idle, _by_arrival, now)
+            waiting = [i for i in held if demand[i]]
+        else:
+            idle, waiting = [], held
+        max_queue = max((len(active[i]) + len(holding[i]) for i in waiting), default=0)
+        if idle:
+            _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
+            max_queue = max(max_queue, longest)
 
         # the active phase advances exactly like the plain engine
-        moved, delivered_active = advance(active, busy, sorted(busy), key, now)
+        moved, delivered_active, longest = advance(active, busy, sorted(busy), key, now)
+        max_queue = max(max_queue, longest)
         if improvement_on:
             for i, _ in moved:  # each crossing is one the phase no longer needs
                 demand[i] -= 1

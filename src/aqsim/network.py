@@ -146,20 +146,27 @@ class CongestionDilation:
     crossings: dict[EdgeId, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-def congestion_dilation(packet_paths: Sequence[Sequence[EdgeId]]) -> CongestionDilation:
-    """Congestion n and dilation d of a packet set, given as edge sequences
-    (`PacketPath`s or plain tuples).
+def congestion_dilation(
+    packet_paths: Sequence[PacketPath | tuple[EdgeId, ...]],
+) -> CongestionDilation:
+    """Congestion n and dilation d of a packet set, given as hashable edge
+    sequences (`PacketPath`s or plain tuples).
 
     n counts edge crossings, so an edge repeated within one walk counts each
     occurrence; identical to counting paths when all paths are simple.
-    `crossings` keeps the count for every edge crossed.
+    `crossings` keeps the count for every edge crossed. Each distinct path is
+    walked once and weighted by its copies, so a phase of many packets on
+    one route costs one walk of that route.
     """
     if not packet_paths:
         raise NetworkError("congestion/dilation undefined for an empty packet set")
+    copies: dict[PacketPath | tuple[EdgeId, ...], int] = {}
+    for p in packet_paths:
+        copies[p] = copies.get(p, 0) + 1
     crossings: dict[EdgeId, int] = {}
     d = 0
-    for p in packet_paths:
+    for p, c in copies.items():
         d = max(d, len(p))
         for e in p:
-            crossings[e] = crossings.get(e, 0) + 1
+            crossings[e] = crossings.get(e, 0) + c
     return CongestionDilation(max(crossings.values()), d, crossings)

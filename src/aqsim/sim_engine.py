@@ -12,8 +12,10 @@ full-scan reference engine and by the accounting tests, not at run time.
 The step core (`inject`, `advance`) is shared with the phased strategy and
 the greedy static runner. Callers keep the set of non-empty queues, so a step
 costs time in proportion to the busy queues and the packets waiting in them,
-not to the number of edges. A packet moves by its `route`, its path as queue
-indices, which `Routes` resolves once per distinct path of a run.
+not to the number of edges. The step's peak queue length comes from the same
+pass: `advance` reports its longest sender queue, so no queue is scanned a
+second time. A packet moves by its `route`, its path as queue indices, which
+`Routes` resolves once per distinct path of a run.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def advance(
     senders: list[int],
     key: DisciplineKey,
     now: int,
-) -> tuple[list[tuple[int, Packet]], int]:
+) -> tuple[list[tuple[int, Packet]], int, int]:
     """Each queue in `senders` (non-empty, listed in edge-declaration order)
     sends the packet least in (key, id) across its edge. All crossings are
     simultaneous: a packet lands in its next queue, the next index of its
@@ -126,10 +128,12 @@ def advance(
     workloads) still evaluates it once and then sends that packet; longer
     queues pick through `strategies.least`.
 
-    Returns the (edge index, packet) crossings in edge order and the number of
-    packets that finished their path.
+    Returns the (edge index, packet) crossings in edge order, the number of
+    packets that finished their path, and the longest sender queue before
+    sending: 0 with no senders, 1 when every sender holds one packet.
     """
     moved = []
+    longest = 1 if senders else 0
     for i in senders:
         q = queues[i]
         if len(q) == 1:
@@ -137,6 +141,8 @@ def advance(
             moved.append((i, q.pop()))
             busy.discard(i)
         else:
+            if len(q) > longest:
+                longest = len(q)
             moved.append((i, q.pop(least(q, key))))
     delivered = 0
     for _, pkt in moved:
@@ -151,7 +157,7 @@ def advance(
             j = route[hops]
             queues[j].append(pkt)
             busy.add(j)
-    return moved, delivered
+    return moved, delivered, longest
 
 
 def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Trace:
@@ -159,7 +165,8 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     has nothing left to inject.
 
     One queue per edge, indexed in edge-declaration order; `busy` is the set
-    of indices whose queue is non-empty.
+    of indices whose queue is non-empty. Every non-empty queue sends, so the
+    step's peak queue is the longest sender queue that `advance` reports.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -175,8 +182,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
         if in_system == 0 and adversary.done_after(now - 1):
             break
         injected = inject(adversary, now, packets, routes, queues, busy)
-        max_queue = max(map(len, map(queues.__getitem__, busy)), default=0)
-        _, delivered_now = advance(queues, busy, sorted(busy), key, now)
+        _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, now)
         in_system += injected - delivered_now
         steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
         now += 1

@@ -28,10 +28,10 @@ def recorded_moves():
     advance = sim_engine.advance
 
     def logged(queues, busy, senders, key, now):
-        moved, delivered = advance(queues, busy, senders, key, now)
+        moved, delivered, longest = advance(queues, busy, senders, key, now)
         # a packet that just crossed has the edge behind it in its path
         moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for _, pkt in moved)
-        return moved, delivered
+        return moved, delivered, longest
 
     with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(
         interval_strategy, "advance", logged

@@ -314,3 +314,77 @@ def test_phase_records_are_the_phases_csv_rows():
         assert field == column or (field, column) == ("duration_steps", "duration")
     assert rows == [",".join(map(str, rec)) for rec in records]
     assert all(rec.lemma1_bound == rec.n_i * rec.d_i for rec in records)
+
+
+# ---- the peak queue, read from the step's own pass ------------------------------
+
+
+def _peaks_against_reference(events, r, b, steps, improvement_on):
+    """Per-step max_queue_len of a phased FIFO run on a 3-edge line, which the
+    full-scan reference engine must give too."""
+    import reference_engine as ref
+
+    net = line_network(3)
+    got, _ = run_interval(net, "FIFO", scripted_adversary(events, r, b, net), steps, improvement_on)
+    want, _ = ref.run_interval(net, "FIFO", scripted_adversary(events, r, b, net), steps, improvement_on)
+    peaks = [s.max_queue_len for s in got.steps]
+    assert peaks == [s.max_queue_len for s in want.steps]
+    return peaks
+
+
+def test_peak_without_passthrough_sums_active_and_held_packets_of_one_edge():
+    # phase 1 (3 packets on e1) runs from step 2; at step 2 two more wait in
+    # e1's holding queue, so e1 holds 5 while neither of its queues holds more than 3
+    events = [InjectionEvent(1, path("e1"))] * 3 + [InjectionEvent(2, path("e1"))] * 2
+    peaks = _peaks_against_reference(events, Fraction(1, 2), 4, 20, improvement_on=False)
+    assert peaks[:3] == [3, 5, 4]
+    assert max(peaks) == 5
+
+
+def test_peak_with_passthrough_on_an_idle_held_edge():
+    # phase 1 (2 packets on e1) runs at steps 2-3; the 4 packets held on e3
+    # are not demanded by it and send one by one in pass-through
+    events = [InjectionEvent(1, path("e1"))] * 2 + [InjectionEvent(2, path("e3"))] * 4
+    peaks = _peaks_against_reference(events, Fraction(1, 2), 4, 20, improvement_on=True)
+    assert peaks[:4] == [2, 4, 3, 2]
+    assert max(peaks) == 4
+
+
+def test_peak_with_passthrough_on_a_demanded_held_edge_with_active_packets():
+    # phase 1 (3 packets on e1) still needs e1, so the 2 packets held there
+    # stay put and e1 holds 5; the one held packet on e3 passes through
+    events = (
+        [InjectionEvent(1, path("e1"))] * 3
+        + [InjectionEvent(2, path("e1"))] * 2
+        + [InjectionEvent(2, path("e3"))]
+    )
+    peaks = _peaks_against_reference(events, Fraction(1, 2), 4, 20, improvement_on=True)
+    assert peaks[:3] == [3, 5, 4]
+    assert max(peaks) == 5
+
+
+# ---- one congestion/dilation count per phase start ------------------------------
+
+
+@pytest.mark.parametrize("improvement_on", [False, True])
+@pytest.mark.parametrize("max_steps", [25, 200])
+def test_congestion_dilation_called_once_per_phase_start(monkeypatch, improvement_on, max_steps):
+    # traced benchmark runs find phase starts by this call through the
+    # interval_strategy module name, so it must stay one call per start
+    calls = []
+    count = aqsim.interval_strategy.congestion_dilation
+
+    def counted(paths):
+        calls.append(len(paths))
+        return count(paths)
+
+    monkeypatch.setattr(aqsim.interval_strategy, "congestion_dilation", counted)
+    net = line_network(4)
+    adv = saturating_adversary(net, path("e1", "e2", "e3", "e4"), Fraction(1, 2), 4)
+    trace, records = run_interval(net, "FIFO", adv, max_steps, improvement_on)
+    started = sorted({p.phase for p in trace.packets if p.phase is not None})
+    assert len(started) >= 3
+    assert started == list(range(1, len(started) + 1))
+    assert len(calls) == len(started)
+    # each call counts exactly the packets its phase adopted
+    assert calls == [sum(p.phase == i for p in trace.packets) for i in started]

@@ -68,7 +68,7 @@ def test_tie_against_queue_order_goes_to_smallest_id():
     key = CountingKey("FIFO")
     queues = [[_packet(2, 1), _packet(1, 1)], []]
     busy = {0}
-    moved, delivered = advance(queues, busy, [0], key, 1)
+    moved, delivered, _ = advance(queues, busy, [0], key, 1)
     assert [(i, p.id) for i, p in moved] == [(0, 1)]
     assert delivered == 0 and key.calls == 2
     assert [p.id for p in queues[0]] == [2] and [p.id for p in queues[1]] == [1]
@@ -79,6 +79,6 @@ def test_singleton_queue_still_evaluates_the_key():
     key = CountingKey("FIFO")
     queues = [[_packet(1, 1)], []]
     busy = {0}
-    moved, _ = advance(queues, busy, [0], key, 1)
+    moved, _, _ = advance(queues, busy, [0], key, 1)
     assert [p.id for _, p in moved] == [1] and key.calls == 1
     assert queues == [[], [moved[0][1]]] and busy == {1}

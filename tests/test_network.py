@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from aqsim.network import (
     NetworkError,
+    PacketPath,
     build_network,
     congestion_dilation,
     in_tree_network,
@@ -174,3 +175,28 @@ def test_congestion_dilation_monotone_under_packet_removal(pairs):
     sub = congestion_dilation(paths[:-1])
     assert sub.n <= full.n
     assert sub.d <= full.d
+
+
+def _recount(paths):
+    """n, d and per-edge crossings by a plain count over every path copy."""
+    edges = {e for p in paths for e in tuple(p)}
+    crossings = {e: sum(list(p).count(e) for p in paths) for e in edges}
+    return max(crossings.values()), max(len(tuple(p)) for p in paths), crossings
+
+
+# walks over four edges that may repeat an edge, each drawn from a small pool
+# so identical paths recur, and each given as a PacketPath or a plain tuple
+walks = st.lists(st.sampled_from(["e1", "e2", "e3", "e4"]), min_size=1, max_size=6).map(tuple)
+
+
+@given(
+    st.lists(walks, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=12
+        )
+    )
+)
+def test_congestion_dilation_matches_a_plain_recount(picks):
+    paths = [PacketPath(w) if wrap else w for w, wrap in picks]
+    cd = congestion_dilation(paths)
+    assert (cd.n, cd.d, cd.crossings) == _recount(paths)

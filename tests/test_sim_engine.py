@@ -9,9 +9,9 @@ from crossings import check_schedule, recorded_moves
 from aqsim.adversary import burst_adversary, saturating_adversary, scripted_adversary, InjectionEvent
 from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
-from aqsim.sim_engine import run, write_packets_csv, write_trace_csv
+from aqsim.sim_engine import advance, run, write_packets_csv, write_trace_csv
 from aqsim.static_routing import random_instance
-from aqsim.strategies import DISCIPLINES
+from aqsim.strategies import DISCIPLINES, Packet, get_discipline
 
 # ---- basic progress ----------------------------------------------------------
 
@@ -209,3 +209,47 @@ def test_packets_csv_schema_and_undelivered_blanks():
     buf = io.StringIO()
     write_packets_csv(full, buf)
     assert buf.getvalue().splitlines()[1] == "1,1,3,3,3"
+
+
+# ---- advance's longest sender queue ---------------------------------------------
+
+
+def _queued(lengths):
+    """Queues of one-hop packets with the given lengths, ids in queue order."""
+    queues, pid = [], 0
+    for i, n in enumerate(lengths):
+        queue = []
+        for _ in range(n):
+            pid += 1
+            queue.append(Packet(pid, (f"e{i + 1}",), 1, arrived_in_queue_at=1, route=(i,)))
+        queues.append(queue)
+    return queues, {i for i, n in enumerate(lengths) if n}
+
+
+def test_advance_longest_is_zero_without_senders():
+    queues, busy = _queued([0, 2, 0])
+    assert advance(queues, busy, [], get_discipline("FIFO"), 1) == ([], 0, 0)
+    assert [len(q) for q in queues] == [0, 2, 0] and busy == {1}
+
+
+def test_advance_longest_is_one_when_every_sender_holds_one_packet():
+    queues, busy = _queued([1, 0, 1, 1])
+    moved, delivered, longest = advance(queues, busy, sorted(busy), get_discipline("FIFO"), 1)
+    assert (len(moved), delivered, longest) == (3, 3, 1)
+    assert busy == set()
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 2], [1, 4, 0, 4], [2, 2], [1, 1, 5]])
+def test_advance_longest_is_the_longest_sender_queue_before_sending(lengths):
+    queues, busy = _queued(lengths)
+    senders = sorted(busy)
+    _, delivered, longest = advance(queues, busy, senders, get_discipline("FIFO"), 1)
+    assert longest == max(lengths)
+    assert delivered == len(senders)
+
+
+def test_advance_longest_ignores_queues_that_do_not_send():
+    # only the senders' queues count, as in a pass-through step
+    queues, busy = _queued([5, 2, 1])
+    _, _, longest = advance(queues, busy, [1, 2], get_discipline("FIFO"), 1)
+    assert longest == 2 and len(queues[0]) == 5
