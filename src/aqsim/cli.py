@@ -13,6 +13,7 @@ import os
 import secrets
 import signal
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,13 +33,22 @@ SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
 I_MAX_LIMIT = 100_000  # bounds terms; a longer series is refused before any is computed
 
 
-def rate(text: str) -> float | Fraction:
+def rate(text: str) -> float | Fraction | str:
     """A `bounds --r` value: a decimal is read as a float; other text, such
-    as 1/49, is read exactly by `as_rate`."""
+    as 1/49, is read exactly by `as_rate`. A decimal inside (0, 1) that
+    rounds to 0.0 or 1.0 as a float, such as 1e-400, is kept as typed: the
+    tree bound reads it exactly, and the float bounds refuse it by name."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return as_rate(text)
+    if value in (0.0, 1.0):
+        try:
+            if 0 < Decimal(text) < 1:
+                return text
+        except InvalidOperation:  # an exponent beyond even Decimal's range
+            pass
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +234,14 @@ def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float
     """Series for i = 1..i_max plus the limit (None when undefined/infinite).
     The other series take r as a float; the tree series and limit take it
     exactly, a decimal as its shortest decimal form (`as_rate`), so that r*d
-    is formed exactly and r*d = 1 is decided exactly."""
+    is formed exactly and r*d = 1 is decided exactly. A decimal that `rate`
+    kept as typed is read exactly too, as typed; the float series refuse it,
+    since it rounds to 0.0 or 1.0."""
     r, b, d = float(args.r), args.b, args.d
     c1, c2, c3 = args.c1, args.c2, args.c3
+    typed = isinstance(args.r, str)
+    if typed and args.formula != "tree":
+        raise ValueError(f"need 0 < r < 1, got r={args.r}, which rounds to {r} in double precision")
 
     def terms(bound, *params) -> list[float]:
         series = []
@@ -241,7 +256,7 @@ def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float
         return terms(analysis.line_phase_time_bound, r, b, d), analysis.line_phase_time_limit(r, d)
     if args.formula == "tree":
         # a rate outside (0, 1) is left to the bound's own check, which names it
-        exact = as_rate(args.r) if 0 < r < 1 else r
+        exact = as_rate(args.r) if typed or 0 < r < 1 else r
         series = terms(analysis.tree_phase_time_bound, exact, b, d)
         limit = analysis.tree_phase_time_limit(exact, b, d)
         return series, (limit if limit != float("inf") else None)
@@ -263,7 +278,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return 2
     for name in ("r", "b", "d", "c1", "c2", "c3", "log_base"):
         value = getattr(args, name)
-        if not math.isfinite(value):
+        if not isinstance(value, str) and not math.isfinite(value):  # a kept --r is in (0, 1)
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} must be finite, got {value}", file=sys.stderr)
             return 2

@@ -64,7 +64,8 @@ def run_interval(
     running phase's undelivered packets still have ahead of them: a phase
     start fills it from the `crossings` of the phase's one
     `congestion_dilation` call, made on the packets' remaining routes and so
-    keyed by queue index, and each crossing takes one off. It is zero on every
+    keyed by queue index, and each step takes one off the edge of each sender
+    of the active advance, which sends exactly one packet. It is zero on every
     edge whenever no phase runs, and always with pass-through off, since then
     nothing reads it.
     The current (or last) phase started at step `start` with `count` packets,
@@ -123,10 +124,11 @@ def run_interval(
             max_queue = max(max_queue, longest)
 
         # the active phase advances exactly like the plain engine
-        moved, delivered_active, longest = advance(active, busy, sorted(busy), key, now)
+        senders = sorted(busy)
+        moved, delivered_active, longest = advance(active, busy, senders, key, now)
         max_queue = max(max_queue, longest)
         if improvement_on:
-            for i, _ in moved:  # each crossing is one the phase no longer needs
+            for i in senders:  # each sender's crossing is one the phase no longer needs
                 demand[i] -= 1
         delivered_now += delivered_active
         in_system += injected - delivered_now

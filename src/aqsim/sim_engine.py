@@ -14,8 +14,9 @@ the greedy static runner. Callers keep the set of non-empty queues, so a step
 costs time in proportion to the busy queues and the packets waiting in them,
 not to the number of edges. The step's peak queue length comes from the same
 pass: `advance` reports its longest sender queue, so no queue is scanned a
-second time. A packet moves by its `route`, its path as queue indices, which
-`Routes` resolves once per distinct path of a run.
+second time. The senders leave the set of non-empty queues in one update per
+step, not one removal per hop. A packet moves by its `route`, its path as
+queue indices, which `Routes` resolves once per distinct path of a run.
 """
 
 from __future__ import annotations
@@ -116,36 +117,45 @@ def advance(
     senders: list[int],
     key: DisciplineKey,
     now: int,
-) -> tuple[list[tuple[int, Packet]], int, int]:
-    """Each queue in `senders` (non-empty, listed in edge-declaration order)
-    sends the packet least in (key, id) across its edge. All crossings are
-    simultaneous: a packet lands in its next queue, the next index of its
-    `route`, only after every sender has picked, so no packet moves twice in
-    one step. `busy`, the set of non-empty queues, is kept exact.
+) -> tuple[list[Packet], int, int]:
+    """Each queue in `senders` (non-empty, listed in edge-declaration order,
+    all in `busy`) sends the packet least in (key, id) across its edge. All
+    crossings are simultaneous: a packet lands in its next queue, the next
+    index of its `route`, only after every sender has picked, so no packet
+    moves twice in one step.
+
+    `busy`, the set of non-empty queues, is kept exact with one set update
+    per step rather than one per hop: every sender leaves it at once, a
+    sender whose queue still holds packets after its send goes back, and each
+    queue a packet lands in joins it (a sender's own queue included, when a
+    packet lands in it the step it emptied). Queues in `busy` that do not
+    send stay in it.
 
     The key is evaluated once per queued packet of each sender, in queue
     order. A sender holding one packet (nearly all of them on the benchmark
     workloads) still evaluates it once and then sends that packet; longer
     queues pick through `strategies.least`.
 
-    Returns the (edge index, packet) crossings in edge order, the number of
-    packets that finished their path, and the longest sender queue before
-    sending: 0 with no senders, 1 when every sender holds one packet.
+    Returns the packets that crossed, `moved[k]` being the one that left
+    `senders[k]`; the number of packets that finished their path; and the
+    longest sender queue before sending: 0 with no senders, 1 when every
+    sender holds one packet.
     """
     moved = []
     longest = 1 if senders else 0
+    busy.difference_update(senders)
     for i in senders:
         q = queues[i]
         if len(q) == 1:
             key(q[0])  # a custom key may count its calls; see the docstring
-            moved.append((i, q.pop()))
-            busy.discard(i)
+            moved.append(q.pop())
         else:
             if len(q) > longest:
                 longest = len(q)
-            moved.append((i, q.pop(least(q, key))))
+            moved.append(q.pop(least(q, key)))
+            busy.add(i)
     delivered = 0
-    for _, pkt in moved:
+    for pkt in moved:
         hops = pkt.hops_done + 1
         pkt.hops_done = hops
         route = pkt.route
@@ -165,8 +175,11 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     has nothing left to inject.
 
     One queue per edge, indexed in edge-declaration order; `busy` is the set
-    of indices whose queue is non-empty. Every non-empty queue sends, so the
-    step's peak queue is the longest sender queue that `advance` reports.
+    of indices whose queue is non-empty. Every non-empty queue sends, so
+    `advance`'s one set update takes every index out of `busy` and puts back
+    the queues that still hold, or newly receive, a packet; the step's peak
+    queue is the longest sender queue that `advance` reports. The packets it
+    returns (`moved[k]` left `senders[k]`) are not needed here.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")

@@ -71,7 +71,9 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
 
     Packet k (in `instance.paths` order, so ids break ties as in an engine
     run) starts in the queue of its first edge, and `sim_engine.advance`, the
-    step core of both engines, is called until every queue is empty. No
+    step core of both engines, is called until every queue is empty, which
+    its exact `busy` shows; the packets it returns (`moved[k]` left
+    `senders[k]`) are not needed. No
     adversary, trace or per-step record is built; the makespan equals
     `run(network, discipline, burst_adversary(network, paths, b=n), n*d)
     .last_step`. The run must drain within n*d steps — anything else is a
@@ -450,7 +452,9 @@ def sweep_rows(
             key = relabel(paths)
             result = solved.get(key)
             if result is None:
-                inst = StaticInstance(network, paths, congestion_dilation(paths))
+                # the edge tuples, which hash faster than their `PacketPath`s
+                nd = congestion_dilation([p.edges for p in paths])
+                inst = StaticInstance(network, paths, nd)
                 greedy = greedy_schedule(inst, "FIFO")
                 optimal = bruteforce_optimal_makespan(inst, greedy, memo=memo)
                 result = solved[key] = (

@@ -30,7 +30,7 @@ def recorded_moves():
     def logged(queues, busy, senders, key, now):
         moved, delivered, longest = advance(queues, busy, senders, key, now)
         # a packet that just crossed has the edge behind it in its path
-        moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for _, pkt in moved)
+        moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for pkt in moved)
         return moved, delivered, longest
 
     with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(

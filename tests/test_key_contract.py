@@ -69,7 +69,7 @@ def test_tie_against_queue_order_goes_to_smallest_id():
     queues = [[_packet(2, 1), _packet(1, 1)], []]
     busy = {0}
     moved, delivered, _ = advance(queues, busy, [0], key, 1)
-    assert [(i, p.id) for i, p in moved] == [(0, 1)]
+    assert [p.id for p in moved] == [1]
     assert delivered == 0 and key.calls == 2
     assert [p.id for p in queues[0]] == [2] and [p.id for p in queues[1]] == [1]
     assert busy == {0, 1}
@@ -80,5 +80,5 @@ def test_singleton_queue_still_evaluates_the_key():
     queues = [[_packet(1, 1)], []]
     busy = {0}
     moved, _, _ = advance(queues, busy, [0], key, 1)
-    assert [p.id for _, p in moved] == [1] and key.calls == 1
-    assert queues == [[], [moved[0][1]]] and busy == {1}
+    assert [p.id for p in moved] == [1] and key.calls == 1
+    assert queues == [[], [moved[0]]] and busy == {1}

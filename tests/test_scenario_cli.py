@@ -552,6 +552,52 @@ def test_bounds_rejects_an_unreadable_rate(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "typed, rows",
+    [
+        # r*d = 4e-400 is 0.0 as a float: the first term is b*d, the rest 0
+        ("1e-400", ["1,16.0", "2,0.0", "3,0.0", "limit,0.0"]),
+        # r*d is a hair under 4, which rounds to 4.0; r*d > 1, so no limit
+        ("0.99999999999999999999", ["1,16.0", "2,64.0", "3,256.0"]),
+    ],
+)
+def test_bounds_tree_reads_a_rate_that_rounds_out_of_the_unit_interval(capsys, typed, rows):
+    assert cli.main(["bounds", "tree", "--r", typed, "--i-max", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        f"# formula=tree r={typed} b=4.0 d=4.0 c1=1.0 c2=1.0 c3=0.0 log_base=2.0"
+    )
+    assert lines[2:] == rows
+
+
+@pytest.mark.parametrize(
+    "formula, typed, rounded",
+    [
+        ("line", "1e-400", "0.0"),
+        ("theorem-time", "1e-400", "0.0"),
+        ("nonforward", "0.99999999999999999999", "1.0"),
+        ("theorem-packets", "0.99999999999999999999", "1.0"),
+    ],
+)
+def test_bounds_float_formula_names_a_rate_that_rounds_out(capsys, formula, typed, rounded):
+    assert cli.main(["bounds", formula, "--r", typed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: need 0 < r < 1, got r={typed}, which rounds to {rounded} in double precision\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "typed", ["0", "1", "-1e-400", "1.00000000000000000001", "1e-99999999999999999999"]
+)
+def test_bounds_rate_not_kept_as_typed_is_refused_as_before(capsys, typed):
+    # only a decimal strictly inside (0, 1) is kept as typed, and only one
+    # whose exponent `Decimal` can hold
+    assert cli.main(["bounds", "tree", f"--r={typed}"]) == 2
+    assert capsys.readouterr().err.startswith("error: need 0 < r < 1, got r=")
+
+
 def test_bounds_theorem_packets_start_at_b(capsys):
     assert cli.main(["bounds", "theorem-packets", "--b", "6", "--i-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

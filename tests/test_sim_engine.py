@@ -214,16 +214,23 @@ def test_packets_csv_schema_and_undelivered_blanks():
 # ---- advance's longest sender queue ---------------------------------------------
 
 
+def _routed(routes_by_queue):
+    """Queues whose packets follow the given routes (queue indices), ids in
+    queue order; every packet arrived at step 1."""
+    queues, pid = [], 0
+    for routes in routes_by_queue:
+        queue = []
+        for route in routes:
+            pid += 1
+            edges = tuple(f"e{j + 1}" for j in route)
+            queue.append(Packet(pid, edges, 1, arrived_in_queue_at=1, route=route))
+        queues.append(queue)
+    return queues, {i for i, q in enumerate(queues) if q}
+
+
 def _queued(lengths):
     """Queues of one-hop packets with the given lengths, ids in queue order."""
-    queues, pid = [], 0
-    for i, n in enumerate(lengths):
-        queue = []
-        for _ in range(n):
-            pid += 1
-            queue.append(Packet(pid, (f"e{i + 1}",), 1, arrived_in_queue_at=1, route=(i,)))
-        queues.append(queue)
-    return queues, {i for i, n in enumerate(lengths) if n}
+    return _routed([[(i,)] * n for i, n in enumerate(lengths)])
 
 
 def test_advance_longest_is_zero_without_senders():
@@ -253,3 +260,74 @@ def test_advance_longest_ignores_queues_that_do_not_send():
     queues, busy = _queued([5, 2, 1])
     _, _, longest = advance(queues, busy, [1, 2], get_discipline("FIFO"), 1)
     assert longest == 2 and len(queues[0]) == 5
+
+
+# ---- advance's busy set and the packets it returns --------------------------------
+
+
+def test_advance_keeps_queues_that_do_not_send_in_busy():
+    # a strict subset of busy sends, as in a pass-through step
+    queues, busy = _queued([1, 1, 1, 2])
+    advance(queues, busy, [1, 2], get_discipline("FIFO"), 1)
+    assert busy == {0, 3}
+    assert [len(q) for q in queues] == [1, 0, 0, 2]
+
+
+def test_advance_keeps_a_multi_packet_sender_in_busy():
+    # one-hop packets: nothing lands, so only the sender's own leftovers keep it busy
+    queues, busy = _queued([3, 1, 2])
+    moved, delivered, _ = advance(queues, busy, [0, 1, 2], get_discipline("FIFO"), 1)
+    assert busy == {0, 2}
+    assert [len(q) for q in queues] == [2, 0, 1]
+    assert delivered == len(moved) == 3
+
+
+@pytest.mark.parametrize(
+    "routes_by_queue",
+    [
+        [[(0, 1)], [(1,)]],  # the earlier sender lands in the later one's queue
+        [[(0,)], [(1, 0)]],  # the later sender lands in the earlier one's queue
+    ],
+    ids=["forward", "backward"],
+)
+def test_advance_lands_in_a_queue_emptied_the_same_step(routes_by_queue):
+    queues, busy = _routed(routes_by_queue)
+    moved, delivered, _ = advance(queues, busy, [0, 1], get_discipline("FIFO"), 1)
+    lander = next(p for p in moved if p.delivered_at is None)
+    target = lander.route[1]
+    assert delivered == 1
+    assert queues[target] == [lander] and queues[1 - target] == []
+    assert busy == {target}
+
+
+def test_advance_moved_k_left_senders_k():
+    # LIFO sends the latest arrival; arrivals are spread so each queue's pick differs
+    # from its head, and queue 1 does not send
+    queues, busy = _routed([[(0, 3)] * 3, [(1,)] * 2, [(2, 3)], [(3,)] * 2])
+    for q in queues:
+        for t, p in enumerate(q):
+            p.arrived_in_queue_at = t + 1
+    key = get_discipline("LIFO")
+    senders = [0, 2, 3]
+    expected = [queues[i][-1] for i in senders]
+    moved, _, _ = advance(queues, busy, senders, key, 1)
+    assert moved == expected
+    assert [p.route[p.hops_done - 1] for p in moved] == senders
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_advance_keeps_busy_exact_and_moved_in_sender_order(data):
+    # random routes over 4 queues, each starting at its packet's queue, and any
+    # subset of the busy queues sending
+    rests = st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=3)
+    drawn = data.draw(st.lists(rests, min_size=4, max_size=4))
+    queues, busy = _routed([[(i, *rest) for rest in r] for i, r in enumerate(drawn)])
+    senders = sorted(data.draw(st.sets(st.sampled_from(sorted(busy))))) if busy else []
+    key = get_discipline(data.draw(st.sampled_from(sorted(DISCIPLINES))))
+    picks = [min(queues[i], key=lambda p: (key(p), p.id)) for i in senders]
+    moved, delivered, _ = advance(queues, busy, senders, key, 1)
+    assert moved == picks
+    assert [p.route[p.hops_done - 1] for p in moved] == senders
+    assert delivered == sum(p.delivered_at is not None for p in moved)
+    assert busy == {i for i, q in enumerate(queues) if q}
