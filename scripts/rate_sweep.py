@@ -10,9 +10,8 @@ analytical per-phase cap d/(1-r), the worst packet system time next to
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
-from aqsim.adversary import saturating_adversary
+from aqsim.adversary import as_rate, saturating_adversary
 from aqsim.analysis import classify_growth, line_delivery_bound, line_phase_time_limit
 from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
     print(f"{'r':>6} {'worst dur':>10} {'cap d/(1-r)':>12} "
           f"{'worst sys':>10} {'cap 2d/(1-r)':>13}  growth")
     for token in args.rates.split(","):
-        r = Fraction(token.strip())
+        r = as_rate(token)
         adv = saturating_adversary(net, full, r, args.b)
         trace, records = run_interval(
             net, args.discipline, adv,

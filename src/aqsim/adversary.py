@@ -65,7 +65,7 @@ def as_rate(r) -> Fraction:
     if abs(rate.numerator) >= _TOO_MANY_DIGITS or rate.denominator >= _TOO_MANY_DIGITS:
         raise AdversaryError(f"injection rate has more than {_MAX_DIGITS} digits")
     if not 0 < rate < 1:
-        raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {rate}")
+        raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {reprlib.repr(r)}")
     return rate
 
 
@@ -190,8 +190,9 @@ def verify_admissible(
         latest = max(ev.time for ev in events)
         if horizon < latest:
             raise AdversaryError(f"horizon {horizon} precedes last event at step {latest}")
-        if min(ev.time for ev in events) < 1:
-            raise AdversaryError("event times must be >= 1")
+        earliest = min(ev.time for ev in events)
+        if earliest < 1:
+            raise AdversaryError(f"event times must be >= 1, got {earliest}")
     if horizon < 1:
         raise AdversaryError("horizon must be >= 1")
 
@@ -245,7 +246,8 @@ class Adversary:
 
 class ScriptedAdversary(Adversary):
     """Replays a fixed event list on `network`; refuses construction if an
-    event's path is not a path of `network` or the script breaks the declared
+    event's path is not a path of `network`, or if `verify_admissible`
+    refuses the script: an event before step 1 or a break of the declared
     (r,b) budget."""
 
     def __init__(self, events: Iterable[InjectionEvent], r, b, network: Network):
@@ -256,8 +258,6 @@ class ScriptedAdversary(Adversary):
             if nxt.time < prev.time:
                 raise AdversaryError("events must be sorted by time")
         for ev in self._events:
-            if ev.time < 1:
-                raise AdversaryError(f"event time must be >= 1, got {ev.time}")
             if not validate_path(network, ev.path):
                 raise AdversaryError(f"event at step {ev.time}: invalid path {ev.path.edges}")
         self._last = max((ev.time for ev in self._events), default=0)

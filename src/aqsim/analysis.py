@@ -1,8 +1,10 @@
 """Closed-form worst-case bounds for the phased protocol, their limits, and
 an empirical growth-trend classifier for phase series.
 
-Everything here is double-precision arithmetic on the analytical formulas;
-the simulator never feeds back into these functions.
+The line, scheduler-family and non-forward-looking bounds are evaluated in
+double precision. The in-tree bound and limit form r*d exactly, reading the
+rate as `as_rate` reads it, so r*d = 1 is decided exactly. The simulator
+never feeds back into these functions.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .adversary import as_rate
 
 CONVERGENT = "CONVERGENT"
 BOUNDED = "BOUNDED"
@@ -65,22 +69,24 @@ def line_delivery_bound(r: float, d: float) -> float:
 
 def tree_phase_time_bound(i: int, r: float | Fraction, b: float, d: float) -> float:
     """Steps the i-th phase can need on a tree: r^(i-1)*b*d^i, evaluated as
-    (r*d)^(i-1)*b*d with r*d formed exactly from the rationals r and d hold
-    before it is rounded to a float. So a `Fraction` rate of 1/49 with
-    d = 49 gives b*d at every i, and the terms of r*d < 1 fall to 0 rather
-    than overflow in d^i."""
+    (r*d)^(i-1)*b*d with r*d formed exactly before it is rounded to a float.
+    The rate is read by `as_rate`, a float as its shortest decimal form, so
+    0.1 means 1/10; d is read as the rational it holds. So a `Fraction` rate
+    of 1/49 with d = 49 gives b*d at every i, and the terms of r*d < 1 fall
+    to 0 rather than overflow in d^i."""
     _check_phase(i)
     _check_common(r, b, d)
-    return float(Fraction(r) * Fraction(d)) ** (i - 1) * b * d
+    return float(as_rate(r) * Fraction(d)) ** (i - 1) * b * d
 
 
 def tree_phase_time_limit(r: float | Fraction, b: float, d: float) -> float:
     """0, b*d, or infinity depending on the sign of r*d - 1, decided exactly:
-    r and d are compared as the rationals they hold, so a `Fraction` rate of
-    1/49 with d = 49 gives b*d, where the float product of 1/49 and 49 falls
-    short of 1."""
+    the rate is read by `as_rate` (a float as its shortest decimal form) and
+    d as the rational it holds. So a `Fraction` rate of 1/49 with d = 49
+    gives b*d, where the float product of 1/49 and 49 falls short of 1, and
+    a float rate of 0.1 with d = 10 gives b*d too."""
     _check_common(r, b, d)
-    rd = Fraction(r) * Fraction(d)
+    rd = as_rate(r) * Fraction(d)
     if rd < 1:
         return 0.0
     if rd == 1:

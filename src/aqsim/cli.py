@@ -13,7 +13,6 @@ import os
 import secrets
 import signal
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,24 +30,6 @@ from .strategies import get_discipline
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
 SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
 I_MAX_LIMIT = 100_000  # bounds terms; a longer series is refused before any is computed
-
-
-def rate(text: str) -> float | Fraction | str:
-    """A `bounds --r` value: a decimal is read as a float; other text, such
-    as 1/49, is read exactly by `as_rate`. A decimal inside (0, 1) that
-    rounds to 0.0 or 1.0 as a float, such as 1e-400, is kept as typed: the
-    tree bound reads it exactly, and the float bounds refuse it by name."""
-    try:
-        value = float(text)
-    except ValueError:
-        return as_rate(text)
-    if value in (0.0, 1.0):
-        try:
-            if 0 < Decimal(text) < 1:
-                return text
-        except InvalidOperation:  # an exponent beyond even Decimal's range
-            pass
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_p = sub.add_parser("bounds", help="tabulate an analytical bound as CSV")
     bounds_p.add_argument("formula", choices=FORMULAS)
-    bounds_p.add_argument("--r", type=rate, default=0.5)
+    bounds_p.add_argument("--r", default="0.5")
     bounds_p.add_argument("--b", type=float, default=4.0)
     bounds_p.add_argument("--d", type=float, default=4.0)
     bounds_p.add_argument("--c1", type=float, default=1.0)
@@ -230,18 +211,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---- bounds ----------------------------------------------------------------
 
 
-def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float]]:
+def _bound_series(args: argparse.Namespace, rate: Fraction) -> tuple[list[float], Optional[float]]:
     """Series for i = 1..i_max plus the limit (None when undefined/infinite).
-    The other series take r as a float; the tree series and limit take it
-    exactly, a decimal as its shortest decimal form (`as_rate`), so that r*d
-    is formed exactly and r*d = 1 is decided exactly. A decimal that `rate`
-    kept as typed is read exactly too, as typed; the float series refuse it,
-    since it rounds to 0.0 or 1.0."""
-    r, b, d = float(args.r), args.b, args.d
+    The tree series and limit take the exact `rate`, so that r*d is formed
+    exactly and r*d = 1 is decided exactly. The other series take it as a
+    float, and refuse a rate that rounds to 0.0 or 1.0 there."""
+    b, d = args.b, args.d
     c1, c2, c3 = args.c1, args.c2, args.c3
-    typed = isinstance(args.r, str)
-    if typed and args.formula != "tree":
-        raise ValueError(f"need 0 < r < 1, got r={args.r}, which rounds to {r} in double precision")
 
     def terms(bound, *params) -> list[float]:
         series = []
@@ -252,14 +228,15 @@ def _bound_series(args: argparse.Namespace) -> tuple[list[float], Optional[float
                 series.append(math.inf)
         return series
 
+    if args.formula == "tree":
+        series = terms(analysis.tree_phase_time_bound, rate, b, d)
+        limit = analysis.tree_phase_time_limit(rate, b, d)
+        return series, (limit if limit != math.inf else None)
+    r = float(rate)
+    if r in (0.0, 1.0):
+        raise ValueError(f"need 0 < r < 1, got r={args.r}, which rounds to {r} in double precision")
     if args.formula == "line":
         return terms(analysis.line_phase_time_bound, r, b, d), analysis.line_phase_time_limit(r, d)
-    if args.formula == "tree":
-        # a rate outside (0, 1) is left to the bound's own check, which names it
-        exact = as_rate(args.r) if typed or 0 < r < 1 else r
-        series = terms(analysis.tree_phase_time_bound, exact, b, d)
-        limit = analysis.tree_phase_time_limit(exact, b, d)
-        return series, (limit if limit != float("inf") else None)
     if args.formula == "nonforward":
         return analysis.nonforward_k_series(args.i_max, r, b, d, args.log_base), None
     if args.formula == "theorem-time":
@@ -276,14 +253,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.i_max > I_MAX_LIMIT:
         print(f"error: --i-max must be at most {I_MAX_LIMIT:,}, got {args.i_max}", file=sys.stderr)
         return 2
-    for name in ("r", "b", "d", "c1", "c2", "c3", "log_base"):
+    try:
+        rate = as_rate(args.r)
+    except AdversaryError as exc:
+        print(f"error: --r: {exc}", file=sys.stderr)
+        return 2
+    for name in ("b", "d", "c1", "c2", "c3", "log_base"):
         value = getattr(args, name)
-        if not isinstance(value, str) and not math.isfinite(value):  # a kept --r is in (0, 1)
+        if not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} must be finite, got {value}", file=sys.stderr)
             return 2
     try:
-        series, limit = _bound_series(args)
+        series, limit = _bound_series(args, rate)
         rows: list[tuple] = list(enumerate(series, start=1))
         if limit is not None:
             rows.append(("limit", limit))

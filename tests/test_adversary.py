@@ -234,8 +234,9 @@ def test_scripted_rejects_unsorted_and_early_events():
     p, net = path("e1"), line_network(1)
     with pytest.raises(AdversaryError):
         scripted_adversary([InjectionEvent(4, p), InjectionEvent(1, p)], Fraction(1, 2), 4, net)
-    with pytest.raises(AdversaryError):
+    with pytest.raises(AdversaryError) as err:
         scripted_adversary([InjectionEvent(0, p)], Fraction(1, 2), 4, net)
+    assert str(err.value) == "event times must be >= 1, got 0"  # from `verify_admissible`
 
 
 def test_scripted_rejects_invalid_path_against_network():

@@ -122,6 +122,13 @@ def test_tree_limit_decides_rd_equal_one_exactly():
     assert tree_phase_time_limit(Fraction(1, 3), 2, 2.9) == 0.0
 
 
+def test_tree_bound_reads_a_float_rate_as_its_shortest_decimal():
+    # the float 0.1 is read as 1/10, as `as_rate` reads it, so r*d = 1 at
+    # d = 10; its binary value lies a hair above 1/10 and would give inf
+    assert tree_phase_time_limit(0.1, 4, 10) == 40.0
+    assert [tree_phase_time_bound(i, 0.1, 4, 10) for i in range(1, 21)] == [40.0] * 20
+
+
 @settings(max_examples=100)
 @given(
     st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]),

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import signal
@@ -9,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from aqsim import cli, scenario, static_routing
-from aqsim.adversary import AdversaryError
+from aqsim.adversary import AdversaryError, as_rate
+from aqsim.analysis import (
+    line_phase_time_bound,
+    line_phase_time_limit,
+    tree_phase_time_bound,
+    tree_phase_time_limit,
+)
 from aqsim.scenario import ScenarioError, load_scenario, make_adversary, parse_scenario
 from aqsim.sim_engine import EngineInvariantError
 
@@ -212,7 +220,7 @@ def test_parser_run_defaults():
 
 def test_parser_bounds_defaults():
     args = cli.build_parser().parse_args(["bounds", "line"])
-    assert (args.r, args.b, args.d) == (0.5, 4, 4)
+    assert (args.r, args.b, args.d) == ("0.5", 4.0, 4.0)  # --r is read by `as_rate` later
     assert (args.c1, args.c2, args.c3) == (1.0, 1.0, 0.0)
     assert args.i_max == 20
     assert args.log_base == 2.0
@@ -547,9 +555,86 @@ def test_bounds_tree_series_falls_to_zero_without_overflow(capsys):
 
 
 def test_bounds_rejects_an_unreadable_rate(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bounds", "tree", "--r", "3/2"])
-    assert exc.value.code == 2
+    assert cli.main(["bounds", "tree", "--r", "3/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --r: injection rate must satisfy 0 < r < 1, got '3/2'\n"
+
+
+def test_bounds_tree_reads_a_decimal_rate_exactly(capsys):
+    # r*d = 1.00000000000000000004 > 1, so the limit is infinite and has no
+    # row; the float 0.25 would have given r*d = 1 and a limit of b*d = 16
+    typed = "0.25000000000000000001"
+    assert cli.main(["bounds", "tree", "--r", typed, "--b", "4", "--d", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# formula=tree r={typed} b=4.0 d=4.0 c1=1.0 c2=1.0 c3=0.0 log_base=2.0"
+    assert not any(line.startswith("limit,") for line in lines)
+
+
+def test_a_refused_rate_is_named_as_given(tmp_path, capsys):
+    # not as its exact value, a fraction with a 400-digit denominator
+    assert cli.main(["bounds", "tree", "--r=-1e-400"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --r: injection rate must satisfy 0 < r < 1, got '-1e-400'\n"
+    )
+    assert cli.main(["run", _rate_scenario(tmp_path, '"-1e-400"')]) == 2
+    assert capsys.readouterr().err == (
+        "error: adversary.r: injection rate must satisfy 0 < r < 1, got '-1e-400'\n"
+    )
+
+
+@st.composite
+def _rates(draw) -> tuple[str, float]:
+    """A rate in (0, 1) as `--r` text, p/q or a decimal of up to 25
+    significant digits, with the float nearest to it."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 10**6))
+        p = draw(st.integers(1, q - 1))
+        return f"{p}/{q}", p / q
+    digits = str(draw(st.integers(1, 10**25 - 1)))
+    places = len(digits) + draw(st.integers(0, 40))  # the value is digits * 10**-places
+    text = draw(st.sampled_from([f"0.{digits.zfill(places)}", f"{digits}e-{places}"]))
+    return text, float(text)
+
+
+def _bounds_rows(argv) -> tuple[int, dict, str]:
+    """`aqsim bounds` status, rows by their `i` column, and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(["bounds", *argv])
+    rows = dict(line.split(",") for line in out.getvalue().splitlines()[2:])
+    return status, rows, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rates(), st.integers(1, 8), st.integers(1, 60))
+@example(("0.1", 0.1), 4, 10)
+@example(("1/49", 1 / 49), 3, 49)
+@example(("0.25000000000000000001", 0.25), 4, 4)
+@example(("0.9999999999999999999999999", 1.0), 2, 3)
+def test_bounds_rate_is_read_as_the_api_reads_it(rate, b, d):
+    # the tree rows read the rate exactly, by `as_rate`; the line rows take
+    # the float nearest to it
+    text, r = rate
+    argv = ["--r", text, "--b", str(b), "--d", str(d), "--i-max", "12"]
+    status, rows, _ = _bounds_rows(["tree", *argv])
+    assert status == 0
+    exact = as_rate(text)
+    limit = tree_phase_time_limit(exact, b, d)
+    assert float(rows.get("limit", "inf")) == limit
+    assert [float(rows[str(i)]) for i in range(1, 13)] == [
+        tree_phase_time_bound(i, exact, b, d) for i in range(1, 13)
+    ]
+    status, rows, err = _bounds_rows(["line", *argv])
+    if r == 1.0:  # a hair under 1: the float formulas refuse it by name
+        assert (status, rows) == (2, {})
+        assert err == f"error: need 0 < r < 1, got r={text}, which rounds to 1.0 in double precision\n"
+        return
+    assert status == 0
+    assert [float(rows[str(i)]) for i in range(1, 13)] == [
+        line_phase_time_bound(i, r, b, d) for i in range(1, 13)
+    ]
+    assert float(rows["limit"]) == line_phase_time_limit(r, d)
 
 
 @pytest.mark.parametrize(
@@ -589,13 +674,23 @@ def test_bounds_float_formula_names_a_rate_that_rounds_out(capsys, formula, type
 
 
 @pytest.mark.parametrize(
-    "typed", ["0", "1", "-1e-400", "1.00000000000000000001", "1e-99999999999999999999"]
+    "typed, refusal",
+    [
+        ("0", "must satisfy 0 < r < 1, got '0'"),
+        ("1", "must satisfy 0 < r < 1, got '1'"),
+        ("-1e-400", "must satisfy 0 < r < 1, got '-1e-400'"),
+        ("1.00000000000000000001", "must satisfy 0 < r < 1, got '1.00000000000000000001'"),
+        # inside (0, 1), but its exponent is beyond what a rate may carry
+        ("1e-99999999999999999999", "exponent exceeds 4300 in '1e-99999999999999999999'"),
+    ],
+    ids=["0", "1", "-1e-400", "1.00000000000000000001", "1e-99999999999999999999"],
 )
-def test_bounds_rate_not_kept_as_typed_is_refused_as_before(capsys, typed):
-    # only a decimal strictly inside (0, 1) is kept as typed, and only one
-    # whose exponent `Decimal` can hold
+def test_bounds_rate_not_kept_as_typed_is_refused_as_before(capsys, typed, refusal):
+    # `as_rate` refuses a rate outside (0, 1) by name, as a scenario's rate
     assert cli.main(["bounds", "tree", f"--r={typed}"]) == 2
-    assert capsys.readouterr().err.startswith("error: need 0 < r < 1, got r=")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --r: injection rate {refusal}\n"
 
 
 def test_bounds_theorem_packets_start_at_b(capsys):
@@ -610,21 +705,21 @@ def test_bounds_nonforward_domain_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, err",
     [
-        ["nonforward", "--b", "inf"],
-        ["line", "--r", "nan"],
-        ["tree", "--d=-inf"],
-        ["theorem-time", "--c1", "nan"],
-        ["theorem-time", "--c2", "inf"],
-        ["theorem-packets", "--c3", "inf"],
-        ["nonforward", "--log-base", "inf"],
+        (["nonforward", "--b", "inf"], "--b must be finite, got inf"),
+        (["line", "--r", "nan"], "--r: cannot read injection rate from 'nan'"),
+        (["tree", "--d=-inf"], "--d must be finite, got -inf"),
+        (["theorem-time", "--c1", "nan"], "--c1 must be finite, got nan"),
+        (["theorem-time", "--c2", "inf"], "--c2 must be finite, got inf"),
+        (["theorem-packets", "--c3", "inf"], "--c3 must be finite, got inf"),
+        (["nonforward", "--log-base", "inf"], "--log-base must be finite, got inf"),
     ],
+    ids=[f"argv{k}" for k in range(7)],
 )
-def test_bounds_non_finite_argument_exits_2(capsys, argv):
+def test_bounds_non_finite_argument_exits_2(capsys, argv, err):
     assert cli.main(["bounds", *argv]) == 2
-    flag = argv[1].split("=")[0]
-    assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize(
