@@ -226,8 +226,10 @@ class Adversary:
     """Injection source for the engine.
 
     `injections_for(step)` yields the paths injected at that step; the engine
-    calls it once per step in increasing order. `done_after(step)` is true when
-    no injection can occur strictly after `step` (drives run termination).
+    calls it once per step in increasing order. The returned list is
+    read-only: it may be the source's own, and engines only iterate it.
+    `done_after(step)` is true when no injection can occur strictly after
+    `step` (drives run termination).
     """
 
     r: Optional[Fraction] = None
@@ -303,37 +305,51 @@ def burst_adversary(network: Network, paths, b) -> ScriptedAdversary:
 class SaturatingAdversary(Adversary):
     """Greedy maximal injector of one fixed path: burst of b at step 1, then
     one more packet whenever every window constraint still holds, as decided
-    exactly by a `WindowBudget`."""
+    exactly by a `WindowBudget`.
+
+    Steps are decided ahead in doubling blocks, each step through the budget's
+    `headroom` in increasing order, and stored as the step's list of paths:
+    after step 1, every step shares one empty list or one `[path]`, so serving
+    a step builds nothing."""
 
     def __init__(self, network: Network, path: PacketPath, r, b):
         if not validate_path(network, path):
             raise AdversaryError(f"invalid path {path.edges}")
         self.r = as_rate(r)
         self.b = _check_burst(b)
-        self._path = path
-        self._counts: list[int] = [0]  # injections per step, index 0 unused
+        self._none: list[PacketPath] = []
+        self._one = [path]
         self._budget = WindowBudget(self.r, self.b)
+        burst = min(self._budget.headroom(1), self.b)
+        self._budget.total = burst
+        self._lists = [self._none, [path] * burst]  # paths per step, index 0 unused
 
     def _extend(self, step: int) -> None:
-        while len(self._counts) <= step:
-            t = len(self._counts)
-            m = min(self._budget.headroom(t), self.b if t == 1 else 1)
-            self._counts.append(m)
-            self._budget.total += m
+        """Decide every step up to `step`, which is not decided yet, and at
+        least as many steps again as are decided already."""
+        lists, budget = self._lists, self._budget
+        for t in range(len(lists), max(step, 2 * len(lists)) + 1):
+            if budget.headroom(t) > 0:
+                lists.append(self._one)
+                budget.total += 1
+            else:
+                lists.append(self._none)
 
     def injections_for(self, step: int) -> list[PacketPath]:
-        self._extend(step)
-        return [self._path] * self._counts[step]
+        if step < 1:
+            return []
+        if step >= len(self._lists):
+            self._extend(step)
+        return self._lists[step]
 
     def done_after(self, step: int) -> bool:
         return False  # keeps injecting forever
 
     def events(self, horizon: int) -> list[InjectionEvent]:
-        self._extend(horizon)
+        if horizon >= len(self._lists):
+            self._extend(horizon)
         return [
-            InjectionEvent(t, self._path)
-            for t in range(1, horizon + 1)
-            for _ in range(self._counts[t])
+            InjectionEvent(t, path) for t in range(1, horizon + 1) for path in self._lists[t]
         ]
 
 

@@ -20,7 +20,7 @@ from typing import IO, NamedTuple, Optional
 from .adversary import Adversary
 from .csvio import write_csv
 from .network import Network, congestion_dilation
-from .sim_engine import EngineInvariantError, Routes, StepStats, Trace, advance, inject
+from .sim_engine import EngineInvariantError, Routes, StepStats, Trace, advance, inject, step_stats
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
@@ -85,6 +85,9 @@ def run_interval(
       pass-through. An edge in both `busy` and `held` is among them, since a
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
+      Their running maximum is taken in the one loop over `held` that also
+      lists the pass-through senders; that list is built only while
+      pass-through is on and a phase runs.
     An edge in neither set has two empty queues.
     """
     if max_steps < 1:
@@ -112,21 +115,31 @@ def run_interval(
         # demands sends its earliest-arrived holding packet one hop (demand is
         # fixed before any movement this step); the peak queue over the held
         # edges that stay put is read before anything moves (see the docstring)
-        delivered_now = 0
+        delivered_now = max_queue = 0
         if improvement_on and busy:
-            idle = [i for i in sorted(held) if not demand[i]]
-            waiting = [i for i in held if demand[i]]
+            idle = []
+            for i in sorted(held):
+                if demand[i]:
+                    size = len(active[i]) + len(holding[i])
+                    if size > max_queue:
+                        max_queue = size
+                else:
+                    idle.append(i)
+            if idle:
+                _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
+                if longest > max_queue:
+                    max_queue = longest
         else:
-            idle, waiting = [], held
-        max_queue = max((len(active[i]) + len(holding[i]) for i in waiting), default=0)
-        if idle:
-            _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
-            max_queue = max(max_queue, longest)
+            for i in held:
+                size = len(active[i]) + len(holding[i])
+                if size > max_queue:
+                    max_queue = size
 
         # the active phase advances exactly like the plain engine
         senders = sorted(busy)
         moved, delivered_active, longest = advance(active, busy, senders, key, now)
-        max_queue = max(max_queue, longest)
+        if longest > max_queue:
+            max_queue = longest
         if improvement_on:
             for i in senders:  # each sender's crossing is one the phase no longer needs
                 demand[i] -= 1
@@ -161,7 +174,7 @@ def run_interval(
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
 
-        steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
+        steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1
         if max_phases is not None and len(records) > max_phases:
             break

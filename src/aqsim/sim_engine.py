@@ -22,6 +22,7 @@ queue indices, which `Routes` resolves once per distinct path of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
@@ -42,6 +43,12 @@ class StepStats(NamedTuple):
     injections: int
     deliveries: int
     max_queue_len: int  # peak queue length after injection, before transmission
+
+
+# Both engines build each step's row from one tuple of its fields, as
+# `StepStats._make` does inside, skipping the named tuple's Python-level
+# `__new__`: a fixed cost of every step.
+step_stats = partial(tuple.__new__, StepStats)
 
 
 @dataclass
@@ -197,7 +204,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
         injected = inject(adversary, now, packets, routes, queues, busy)
         _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, now)
         in_system += injected - delivered_now
-        steps.append(StepStats(now, in_system, injected, delivered_now, max_queue))
+        steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1
     truncated = in_system > 0 or not adversary.done_after(now - 1)
     return Trace(steps, packets, truncated)

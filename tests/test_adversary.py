@@ -392,6 +392,65 @@ def test_saturating_random_access_matches_sequential():
     assert [len(b.injections_for(t)) for t in range(1, 51)] == sequential
 
 
+def test_saturating_injects_nothing_before_step_one():
+    net = line_network(1)
+    adv = saturating_adversary(net, path("e1"), Fraction(1, 2), 3)
+    assert adv.injections_for(0) == []
+    assert len(adv.injections_for(1)) == 3
+    # a negative step is no index into the decided steps
+    assert adv.injections_for(-1) == []
+    assert adv.injections_for(-5) == []
+    assert [len(adv.injections_for(t)) for t in range(1, 6)] == [3, 1, 0, 1, 0]
+
+
+def naive_saturating_counts(r: Fraction, b: int, horizon: int) -> list[int]:
+    """The greedy maximal injector's count per step 1..horizon, decided by
+    recounting windows: step t takes the most packets (b at step 1, one
+    afterwards) for which every window [s,t] holds at most floor(r*(t-s+1))+b.
+    Windows that end before t hold none of step t's packets and were checked
+    at their own end."""
+    counts = [0] * (horizon + 1)
+    for t in range(1, horizon + 1):
+        for m in range(b if t == 1 else 1, 0, -1):
+            counts[t] = m
+            held = 0
+            for s in range(t, 0, -1):
+                held += counts[s]
+                if held > r.numerator * (t - s + 1) // r.denominator + b:
+                    counts[t] = 0
+                    break
+            if counts[t]:
+                break
+    return counts[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 30), max_value=Fraction(29, 30), max_denominator=30),
+    st.integers(1, 8),
+    st.integers(1, 300),
+    st.randoms(use_true_random=False),
+)
+def test_saturating_matches_naive_greedy(r, b, horizon, rnd):
+    net = line_network(2)
+    p = path("e1", "e2")
+    want = naive_saturating_counts(r, b, horizon)
+    sequential = saturating_adversary(net, p, r, b)
+    got = [sequential.injections_for(t) for t in range(1, horizon + 1)]
+    assert [len(paths) for paths in got] == want
+    assert all(q == p for paths in got for q in paths)
+    # random access: steps asked out of order, some twice, decide the same sequence
+    steps = list(range(1, horizon + 1)) + rnd.choices(range(1, horizon + 1), k=horizon // 3)
+    rnd.shuffle(steps)
+    shuffled = saturating_adversary(net, p, r, b)
+    for t in steps:
+        assert len(shuffled.injections_for(t)) == want[t - 1]
+    fresh = saturating_adversary(net, p, r, b)
+    assert [ev.time for ev in fresh.events(horizon)] == [
+        t for t, n in enumerate(want, start=1) for _ in range(n)
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20)),

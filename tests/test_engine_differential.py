@@ -7,13 +7,14 @@ a feasible schedule instead."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crossings import check_schedule, recorded_moves
-from aqsim.adversary import InjectionEvent, scripted_adversary
+from aqsim.adversary import InjectionEvent, saturating_adversary, scripted_adversary
 from aqsim.interval_strategy import run_interval
-from aqsim.network import build_network, path
+from aqsim.network import build_network, line_network, path
 from aqsim.sim_engine import run
 from aqsim.strategies import DISCIPLINES
 
@@ -87,9 +88,14 @@ def phases(records):
 
 
 def check_same(net, events, r, b, key, mode, max_steps, max_phases=None):
-    def adversary():
-        return scripted_adversary(events, r, b, net)
+    check_same_source(
+        net, lambda: scripted_adversary(events, r, b, net), key, mode, max_steps, max_phases
+    )
 
+
+def check_same_source(net, adversary, key, mode, max_steps, max_phases=None):
+    """Both engines against the reference, each run fed a fresh source from
+    the factory `adversary`."""
     if mode == "plain":
         with recorded_moves() as moves:
             got = run(net, key, adversary(), max_steps)
@@ -197,3 +203,17 @@ def test_walks_that_repeat_an_edge_match_reference_engine():
     for key in KEYS:
         for mode in ("plain", "interval", "passthrough"):
             check_same(net, events, r, b, key, mode, 400)
+
+
+@pytest.mark.parametrize(
+    "r, b, d", [(Fraction(1, 2), 4, 4), (Fraction(2, 3), 1, 3), (Fraction(1, 5), 3, 6)]
+)
+def test_saturating_source_matches_reference_engine(r, b, d):
+    # the generator serves its steps from shared lists of paths; every other
+    # case here feeds the engines a script. Pass-through moves held packets
+    # onto the line's tail edges once the running phase has left them.
+    net = line_network(d)
+    route = path(*(f"e{i}" for i in range(1, d + 1)))
+    for key in KEYS:
+        for mode in ("plain", "interval", "passthrough"):
+            check_same_source(net, lambda: saturating_adversary(net, route, r, b), key, mode, 150)
