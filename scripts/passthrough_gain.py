@@ -45,12 +45,12 @@ def main(argv=None) -> int:
         side_path = path(*[f"f{i}" for i in range(1, side + 1)])
         events = [InjectionEvent(1, rail)] * args.burst
         events.append(InjectionEvent(2, side_path))
-        adv_off = scripted_adversary(events, Fraction(1, 2), args.burst, net)
-        adv_on = scripted_adversary(events, Fraction(1, 2), args.burst, net)
+        # a script keeps no run state, so both runs replay the same one
+        adv = scripted_adversary(events, Fraction(1, 2), args.burst, net)
 
         max_steps = (args.burst + args.rail_edges + side) * 4
-        trace_off, _ = run_interval(net, "FIFO", adv_off, max_steps)
-        trace_on, _ = run_interval(net, "FIFO", adv_on, max_steps, improvement_on=True)
+        trace_off, _ = run_interval(net, "FIFO", adv, max_steps)
+        trace_on, _ = run_interval(net, "FIFO", adv, max_steps, improvement_on=True)
         off = next(p for p in trace_off.packets if p.path == side_path.edges).system_time
         on = next(p for p in trace_on.packets if p.path == side_path.edges).system_time
         print(f"{side:>10} {off:>5} {on:>4} {off / on:>7.1f}x")

@@ -8,7 +8,8 @@ step 1. All window arithmetic is exact (rational r).
 `WindowBudget` is the one implementation of that rule. Every finite adversary
 is a `ScriptedAdversary`, checked at construction by `verify_admissible`; a
 burst is the script that injects all its paths at step 1. The saturating
-generator asks a `WindowBudget` how much each step may take.
+generator is the closed form b + floor(r*t) of the greedy (r,b) adversary,
+whose docstring proves it admissible.
 """
 
 from __future__ import annotations
@@ -303,54 +304,41 @@ def burst_adversary(network: Network, paths, b) -> ScriptedAdversary:
 
 
 class SaturatingAdversary(Adversary):
-    """Greedy maximal injector of one fixed path: burst of b at step 1, then
-    one more packet whenever every window constraint still holds, as decided
-    exactly by a `WindowBudget`.
+    """Greedy maximal injector of one fixed path, in closed form: by step t it
+    has injected exactly b + floor(r*t) packets. With r = p/q, step 1 injects
+    b copies of the path, a step t >= 2 injects one copy iff
+    floor(r*t) > floor(r*(t-1)), that is iff (p*t) % q < p, and a step below
+    1 injects nothing.
 
-    Steps are decided ahead in doubling blocks, each step through the budget's
-    `headroom` in increasing order, and stored as the step's list of paths:
-    after step 1, every step shares one empty list or one `[path]`, so serving
-    a step builds nothing."""
+    Why no (r,b) source injects more by any step, and this one is admissible:
+    - the window [1,t] allows floor(r*t) + b, exactly what this source holds;
+    - a window [s,t] with s >= 2 holds floor(r*t) - floor(r*(s-1)) <=
+      floor(r*(t-s+1)) + 1, as floor(x+y) <= floor(x) + floor(y) + 1, which
+      is within its cap floor(r*(t-s+1)) + b because b >= 1.
+
+    Every step is served one of three shared read-only lists (empty, `[path]`
+    and the burst), so a call costs O(1) time and memory."""
 
     def __init__(self, network: Network, path: PacketPath, r, b):
         if not validate_path(network, path):
             raise AdversaryError(f"invalid path {path.edges}")
         self.r = as_rate(r)
         self.b = _check_burst(b)
+        self._p, self._q = self.r.numerator, self.r.denominator
         self._none: list[PacketPath] = []
         self._one = [path]
-        self._budget = WindowBudget(self.r, self.b)
-        burst = min(self._budget.headroom(1), self.b)
-        self._budget.total = burst
-        self._lists = [self._none, [path] * burst]  # paths per step, index 0 unused
-
-    def _extend(self, step: int) -> None:
-        """Decide every step up to `step`, which is not decided yet, and at
-        least as many steps again as are decided already."""
-        lists, budget = self._lists, self._budget
-        for t in range(len(lists), max(step, 2 * len(lists)) + 1):
-            if budget.headroom(t) > 0:
-                lists.append(self._one)
-                budget.total += 1
-            else:
-                lists.append(self._none)
+        self._burst = [path] * self.b
 
     def injections_for(self, step: int) -> list[PacketPath]:
-        if step < 1:
-            return []
-        if step >= len(self._lists):
-            self._extend(step)
-        return self._lists[step]
+        if step > 1:
+            return self._one if self._p * step % self._q < self._p else self._none
+        return self._burst if step == 1 else self._none
 
     def done_after(self, step: int) -> bool:
         return False  # keeps injecting forever
 
     def events(self, horizon: int) -> list[InjectionEvent]:
-        if horizon >= len(self._lists):
-            self._extend(horizon)
-        return [
-            InjectionEvent(t, path) for t in range(1, horizon + 1) for path in self._lists[t]
-        ]
+        return [InjectionEvent(t, p) for t in range(1, horizon + 1) for p in self.injections_for(t)]
 
 
 def saturating_adversary(network: Network, path: PacketPath, r, b) -> SaturatingAdversary:

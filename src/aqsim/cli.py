@@ -246,6 +246,25 @@ def _bound_series(args: argparse.Namespace, rate: Fraction) -> tuple[list[float]
     return series, analysis.theorem_phase_packet_limit(r, d, c1, c2, c3)
 
 
+def _growth(args: argparse.Namespace, series: list[float], limit: Optional[float]) -> str:
+    """The series' trend. Every closed form tends to its limit, so its label
+    is decided exactly from the parameters: DIVERGENT when the limit is
+    infinite, CONVERGENT when it is 0 and BOUNDED otherwise. The tree limit
+    is exactly 0.0 for r*d < 1, b*d >= 1 for r*d = 1 and None (infinite) for
+    r*d > 1; the scheduler-family limits are finite and 0 exactly when
+    c2*d + c3 is, and the line's is d/(1-r) > 0. The `nonforward` recurrence
+    has no closed form, so `classify_growth` labels its terms."""
+    if args.formula == "nonforward":
+        return analysis.classify_growth(series).label
+    if args.formula == "tree":
+        if limit is None:
+            return analysis.DIVERGENT
+        return analysis.CONVERGENT if limit == 0 else analysis.BOUNDED
+    if args.formula != "line" and args.c2 * args.d + args.c3 == 0:
+        return analysis.CONVERGENT
+    return analysis.BOUNDED
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.i_max < 1:
         print(f"error: --i-max must be >= 1, got {args.i_max}", file=sys.stderr)
@@ -273,7 +292,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if overflow is not None:  # e.g. b*(d-1) for a --d near the float maximum
             raise OverflowError(f"{overflow[1]} at i={overflow[0]}")
         if len(series) >= 10:
-            rows.append(("growth", analysis.classify_growth(series).label))
+            rows.append(("growth", _growth(args, series, limit)))
     except ValueError as exc:  # includes RecurrenceDomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,9 +265,9 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
 
 
 def make_adversary(scenario: Scenario) -> Adversary:
-    """A fresh adversary for one run. Scripted and burst adversaries are both
-    `ScriptedAdversary` replays and keep no state; only the saturating
-    generator keeps any, a deterministic cache of its per-step counts.
+    """A fresh adversary for one run. No source keeps state: scripted and
+    burst adversaries are both `ScriptedAdversary` replays, and the
+    saturating generator is a closed form of the step.
     Raises AdversaryError for an inadmissible script or an overloaded burst."""
     if scenario.adversary_kind == "scripted":
         return scripted_adversary(

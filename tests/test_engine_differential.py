@@ -57,7 +57,7 @@ def random_network(rng: random.Random):
 def admissible_events(rng: random.Random, routes, horizon: int, r: Fraction, b: int):
     """Random routes, each kept only if every window through each of its edges
     stays within floor(r*|I|)+b: per edge, the running minimum of
-    q*P(u) - p*u bounds what step t may add (as in SaturatingAdversary)."""
+    q*P(u) - p*u bounds what step t may add (as in WindowBudget)."""
     p, q = r.numerator, r.denominator
     edges = {e for route in routes for e in route}
     total = dict.fromkeys(edges, 0)

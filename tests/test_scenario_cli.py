@@ -554,6 +554,34 @@ def test_bounds_tree_series_falls_to_zero_without_overflow(capsys):
     assert "limit,0.0" in lines
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        # a finite, positive limit that the terms approach by less than 1% a
+        # phase: no trailing ratio tells this from divergence
+        (["line", "--r", "0.9"], "BOUNDED"),
+        (["theorem-time", "--r", "0.9", "--d", "2"], "BOUNDED"),
+        (["theorem-packets", "--r", "0.9", "--d", "1"], "BOUNDED"),
+        # r*d = 1.0004 > 1: the terms grow by 0.04% a phase, but without bound
+        (["tree", "--r", "0.2501", "--d", "4"], "DIVERGENT"),
+        # r*d < 1: the terms underflow to 0.0, so the trailing ratios are 0/0
+        (["tree", "--r", "0.01", "--d", "1", "--b", "1", "--i-max", "400"], "CONVERGENT"),
+        # c2*d + c3 = 0: the limit is 0, reached at once with c1 = 0 or by a
+        # factor of r*c1 = 0.999 a phase
+        (["theorem-time", "--r", "0.01", "--c1", "0", "--c2", "0", "--c3", "0"], "CONVERGENT"),
+        (["theorem-packets", "--r", "0.01", "--c1", "0", "--c2", "0", "--c3", "0"], "CONVERGENT"),
+        (["theorem-time", "--r", "0.999", "--c2", "0", "--c3", "0"], "CONVERGENT"),
+        # r*d = 1 exactly: the limit is b*d; r*d = 1/2: the limit is 0
+        (["tree", "--r", "1/49", "--b", "3", "--d", "49"], "BOUNDED"),
+        (["tree", "--r", "0.5", "--d", "1"], "CONVERGENT"),
+    ],
+)
+def test_bounds_growth_follows_the_exact_limit(capsys, argv, label):
+    # infinite limit: DIVERGENT; a limit of exactly 0: CONVERGENT; else BOUNDED
+    assert cli.main(["bounds", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"growth,{label}"
+
+
 def test_bounds_rejects_an_unreadable_rate(capsys):
     assert cli.main(["bounds", "tree", "--r", "3/2"]) == 2
     out, err = capsys.readouterr()
