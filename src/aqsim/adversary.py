@@ -231,10 +231,15 @@ class Adversary:
     read-only: it may be the source's own, and engines only iterate it.
     `done_after(step)` is true when no injection can occur strictly after
     `step` (drives run termination).
+
+    `period` is None, or a q >= 1 such that `injections_for(t)` for every
+    t >= 2 depends only on `t % q`, through no state kept between calls; an
+    engine may then skip calls (see `interval_strategy.run_interval`).
     """
 
     r: Optional[Fraction] = None
     b: int = 1
+    period: Optional[int] = None
 
     def injections_for(self, step: int) -> list[PacketPath]:
         raise NotImplementedError
@@ -317,7 +322,8 @@ class SaturatingAdversary(Adversary):
       is within its cap floor(r*(t-s+1)) + b because b >= 1.
 
     Every step is served one of three shared read-only lists (empty, `[path]`
-    and the burst), so a call costs O(1) time and memory."""
+    and the burst), so a call costs O(1) time and memory. For t >= 2 the
+    list depends only on t % q, so the source's `period` is q."""
 
     def __init__(self, network: Network, path: PacketPath, r, b):
         if not validate_path(network, path):
@@ -325,6 +331,7 @@ class SaturatingAdversary(Adversary):
         self.r = as_rate(r)
         self.b = _check_burst(b)
         self._p, self._q = self.r.numerator, self.r.denominator
+        self.period = self._q
         self._none: list[PacketPath] = []
         self._one = [path]
         self._burst = [path] * self.b

@@ -28,8 +28,24 @@ from .static_routing import SweepSummary, count_instances, sweep_rows, write_swe
 from .strategies import get_discipline
 
 FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
+# the flags of `aqsim bounds` that only some formulas read
+READ_BY = {
+    "--c1": ("theorem-time", "theorem-packets"),
+    "--c2": ("theorem-time", "theorem-packets"),
+    "--c3": ("theorem-time", "theorem-packets"),
+    "--log-base": ("nonforward",),
+}
 SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
 I_MAX_LIMIT = 100_000  # bounds terms; a longer series is refused before any is computed
+
+
+class _Given(argparse.Action):
+    """Stores the value and adds the flag to `given`, so that a formula that
+    does not read it can refuse it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--r", default="0.5")
     bounds_p.add_argument("--b", type=float, default=4.0)
     bounds_p.add_argument("--d", type=float, default=4.0)
-    bounds_p.add_argument("--c1", type=float, default=1.0)
-    bounds_p.add_argument("--c2", type=float, default=1.0)
-    bounds_p.add_argument("--c3", type=float, default=0.0)
+    bounds_p.add_argument("--c1", type=float, default=1.0, action=_Given)
+    bounds_p.add_argument("--c2", type=float, default=1.0, action=_Given)
+    bounds_p.add_argument("--c3", type=float, default=0.0, action=_Given)
     bounds_p.add_argument("--i-max", type=int, default=20, dest="i_max")
-    bounds_p.add_argument("--log-base", type=float, default=2.0, dest="log_base")
+    bounds_p.add_argument("--log-base", type=float, default=2.0, dest="log_base", action=_Given)
+    bounds_p.set_defaults(given=())
 
     sweep_p = sub.add_parser(
         "sweep", help="brute-force optimum vs greedy FIFO over small instances"
@@ -203,6 +220,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"phase duration growth: {label.label} (mean ratio {label.ratio:.3f})")
         else:
             print("phase duration growth: n/a (needs at least 10 completed phases)")
+        if trace.recurrence is not None:
+            s0, period, phases = trace.recurrence
+            print(f"phase starts recur: step {s0}, period {period} steps ({phases} phases)")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -266,6 +286,11 @@ def _growth(args: argparse.Namespace, series: list[float], limit: Optional[float
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    unread = [flag for flag in dict.fromkeys(args.given) if args.formula not in READ_BY[flag]]
+    if unread:
+        names = ", ".join(unread)
+        print(f"error: the {args.formula} formula does not read {names}", file=sys.stderr)
+        return 2
     if args.i_max < 1:
         print(f"error: --i-max must be >= 1, got {args.i_max}", file=sys.stderr)
         return 2

@@ -15,15 +15,27 @@ one edge per step and stays held (or is delivered).
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
 from .network import Network, congestion_dilation
-from .sim_engine import EngineInvariantError, Routes, StepStats, Trace, advance, inject, step_stats
+from .sim_engine import (
+    EngineInvariantError,
+    Recurrence,
+    Routes,
+    StepStats,
+    Trace,
+    advance,
+    inject,
+    step_stats,
+)
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
+_packet_id = attrgetter("id")
 
 
 class Lemma1ViolationError(EngineInvariantError):
@@ -89,10 +101,42 @@ def run_interval(
       lists the pass-through senders; that list is built only while
       pass-through is on and a phase runs.
     An edge in neither set has two empty queues.
+
+    Period skipping. With a built-in key and a source that declares a
+    `period` q, the run remembers each phase-start state, after adoption:
+    `start % q` and, in id order, each alive packet's route, hops done and
+    injection step minus `start`. On the first repeat, at `start = s0 + P`
+    with M packets and R phase records since the visit at `s0`, the next
+    stepped periods are copies of the last one, and `_skip_periods` appends
+    as many whole periods as `max_steps` and `max_phases` allow; the run
+    then steps on. `trace.recurrence` is `(s0, P, R)`. Why the copies are
+    exact:
+    - At a phase start the holding queues are empty, so every packet in the
+      system is alive in an active queue. Its queue is `route[hops_done]`,
+      it arrived there at `start` and its phase is `len(records)`, so the
+      state fixes the queues, `busy`, `demand`, `count`, `n`, `d` and
+      `in_system`, all up to the shift of times by P and phases by R.
+    - Each built-in key is an arrival or injection step, negated or not, or
+      a hop count, and a sender compares keys of packets in one queue at one
+      step. Shifting every time by P keeps each comparison; ties go to the
+      least id, and matching the alive packets by position in id order keeps
+      their order, while later packets take ids above all of them on both
+      visits, M apart.
+    - The source's injections from step `start >= 2` on depend only on
+      `start % q`, which the two visits share, so P is a multiple of q.
+    So every later step repeats the step P earlier, shifted, and the run's
+    rows, phase records and packets follow. A custom key is not assumed
+    shift-invariant, and plain `run` keeps no phase starts to compare, so
+    neither skips.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(inner_discipline)
+    period = getattr(adversary, "period", None)  # a duck-typed source declares none
+    # phase-start state -> (start, len(packets), len(records), alive packets),
+    # kept only while a built-in key and a periodic source may give a repeat
+    seen: Optional[dict] = {} if period is not None and key in DISCIPLINES.values() else None
+    recurrence = None
     routes = Routes(network)
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
@@ -156,6 +200,7 @@ def run_interval(
         # the step that empties the active queues closes the phase
         if moved and not busy:
             records.append(PhaseRecord(len(records), count, n, d, running, n * d))
+        steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
         if not busy and held:
@@ -173,13 +218,98 @@ def run_interval(
                 for i, c in nd.crossings.items():
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
+            if seen is not None:
+                alive = sorted(chain.from_iterable(active[i] for i in busy), key=_packet_id)
+                state = (
+                    start % period,
+                    tuple((p.route, p.hops_done, p.injected_at - start) for p in alive),
+                )
+                first = seen.setdefault(state, (start, len(packets), len(records), alive))
+                if first[0] != start:
+                    seen = None  # a later repeat would leave no more whole periods
+                    recurrence = Recurrence(first[0], start - first[0], len(records) - first[2])
+                    start = _skip_periods(
+                        first, alive, recurrence, packets, steps, records, active,
+                        max_steps, max_phases,
+                    )
+                    now = start - 1
 
-        steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1
         if max_phases is not None and len(records) > max_phases:
             break
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-    return Trace(steps, packets, truncated), records
+    return Trace(steps, packets, truncated, recurrence=recurrence), records
+
+
+def _skip_periods(
+    first: tuple,
+    alive: list[Packet],
+    recurrence: Recurrence,
+    packets: list[Packet],
+    steps: list[StepStats],
+    records: list[PhaseRecord],
+    active: list[list[Packet]],
+    max_steps: int,
+    max_phases: Optional[int],
+) -> int:
+    """Append the whole periods that follow a repeated phase-start state and
+    return the step the run goes on from: the start of the last period copied.
+
+    `first` is what was remembered at the state's first visit and `alive` the
+    packets of the phase starting now, in id order; `alive[i]` is the twin of
+    the first visit's i-th packet, one period later. Each copied period adds
+    `recurrence.period` steps, the period's packets with ids shifted by the
+    packets injected per period, and `recurrence.phases` phase records; times
+    shift by the period and phase indices by its phases. The phase starting
+    now delivers every packet alive now, with its twin's final fields one
+    period on; only in the last copied period are their copies alive, as the
+    packets are now, and they refill the active queues.
+
+    No copied step may pass `max_steps`, and no copied phase may close past
+    `max_phases`, where the stepped run would have stopped.
+    """
+    first_start, first_count, first_records, first_alive = first
+    start = first_start + recurrence.period
+    period, phases = recurrence.period, recurrence.phases
+    per_period = len(packets) - first_count
+    j = (max_steps - start + 1) // period
+    if max_phases is not None:
+        j = min(j, (max_phases - len(records)) // phases)
+    if j < 1:
+        return start
+
+    # the period's rows by column, less the step column, which counts up by one
+    columns = list(zip(*steps[first_start - 1 : start - 1]))[1:]
+    period_records = records[first_records:]
+    for p, twin in zip(alive, first_alive):
+        active[p.route[p.hops_done]].clear()
+        packets[p.id - 1] = _shifted(twin, p.id - twin.id, period, phases)
+    done = packets[first_count:]  # the period's packets, each as it ends
+    for k in range(1, j + 1):
+        shift = k * period
+        steps.extend(map(step_stats, zip(range(first_start + shift, start + shift), *columns)))
+        records.extend([PhaseRecord(rec[0] + k * phases, *rec[1:]) for rec in period_records])
+        packets.extend([_shifted(p, k * per_period, shift, k * phases) for p in done])
+    for p in alive:
+        copy = packets[p.id - 1 + j * per_period] = _shifted(
+            p, j * per_period, j * period, j * phases
+        )
+        active[p.route[p.hops_done]].append(copy)
+    return start + j * period
+
+
+def _shifted(p: Packet, ids: int, steps: int, phases: int) -> Packet:
+    """A copy of `p` with its id, step fields and phase moved on."""
+    return Packet(
+        p.id + ids,
+        p.path,
+        p.injected_at + steps,
+        p.hops_done,
+        p.arrived_in_queue_at + steps,
+        None if p.delivered_at is None else p.delivered_at + steps,
+        None if p.phase is None else p.phase + phases,
+        p.route,
+    )
 
 
 def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str = "") -> None:

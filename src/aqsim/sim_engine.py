@@ -21,7 +21,7 @@ queue indices, which `Routes` resolves once per distinct path of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, NamedTuple, Optional
 
@@ -51,11 +51,22 @@ class StepStats(NamedTuple):
 step_stats = partial(tuple.__new__, StepStats)
 
 
+class Recurrence(NamedTuple):
+    """A phased run's first repeated phase-start state: the phase starting at
+    step `start` recurs, shifted, `period` steps and `phases` phases later."""
+
+    start: int
+    period: int
+    phases: int
+
+
 @dataclass
 class Trace:
     steps: list[StepStats]
     packets: list[Packet]  # every injected packet, in id order
     truncated: bool  # cut at max_steps with work (or injections) remaining
+    # the first repeated phase-start state of a run_interval run that looks for one
+    recurrence: Optional[Recurrence] = field(default=None, kw_only=True)
 
     @property
     def last_step(self) -> int:

@@ -18,7 +18,8 @@ from aqsim.interval_strategy import (
     write_phases_csv,
 )
 from aqsim.network import CongestionDilation, build_network, line_network, path
-from aqsim.sim_engine import EngineInvariantError
+from aqsim.sim_engine import EngineInvariantError, Recurrence
+from aqsim.strategies import DISCIPLINES
 from aqsim.static_routing import greedy_schedule, random_instance
 
 # ---- startup phase -----------------------------------------------------------
@@ -370,7 +371,45 @@ def test_peak_with_passthrough_on_a_demanded_held_edge_with_active_packets():
 @pytest.mark.parametrize("max_steps", [25, 200])
 def test_congestion_dilation_called_once_per_phase_start(monkeypatch, improvement_on, max_steps):
     # traced benchmark runs find phase starts by this call through the
-    # interval_strategy module name, so it must stay one call per start
+    # interval_strategy module name, so it must stay one call per start.
+    # Those runs pass a counting key, as here, which never skips a period.
+    calls = []
+    count = aqsim.interval_strategy.congestion_dilation
+
+    def counted(paths):
+        calls.append(len(paths))
+        return count(paths)
+
+    def counting_key(p):
+        return DISCIPLINES["FIFO"](p)
+
+    monkeypatch.setattr(aqsim.interval_strategy, "congestion_dilation", counted)
+    net = line_network(4)
+    adv = saturating_adversary(net, path("e1", "e2", "e3", "e4"), Fraction(1, 2), 4)
+    trace, records = run_interval(net, counting_key, adv, max_steps, improvement_on)
+    started = sorted({p.phase for p in trace.packets if p.phase is not None})
+    assert len(started) >= 3
+    assert started == list(range(1, len(started) + 1))
+    assert len(calls) == len(started)
+    # each call counts exactly the packets its phase adopted
+    assert calls == [sum(p.phase == i for p in trace.packets) for i in started]
+
+
+# ---- period skipping --------------------------------------------------------------
+
+
+def test_saturating_source_declares_its_period():
+    net = line_network(4)
+    route = path("e1", "e2", "e3", "e4")
+    assert saturating_adversary(net, route, Fraction(2, 6), 4).period == 3
+    assert burst_adversary(net, [route], 1).period is None
+    assert scripted_adversary([InjectionEvent(1, route)], Fraction(1, 2), 1, net).period is None
+
+
+def test_long_periodic_run_skips_most_phase_starts(monkeypatch):
+    # the bundled line_saturating geometry: phases of 6 steps from step 16 on,
+    # so 30,000 steps hold about 5,000 phases; once a phase-start state
+    # recurs the rest are copied, not computed
     calls = []
     count = aqsim.interval_strategy.congestion_dilation
 
@@ -381,10 +420,30 @@ def test_congestion_dilation_called_once_per_phase_start(monkeypatch, improvemen
     monkeypatch.setattr(aqsim.interval_strategy, "congestion_dilation", counted)
     net = line_network(4)
     adv = saturating_adversary(net, path("e1", "e2", "e3", "e4"), Fraction(1, 2), 4)
-    trace, records = run_interval(net, "FIFO", adv, max_steps, improvement_on)
-    started = sorted({p.phase for p in trace.packets if p.phase is not None})
-    assert len(started) >= 3
-    assert started == list(range(1, len(started) + 1))
-    assert len(calls) == len(started)
-    # each call counts exactly the packets its phase adopted
-    assert calls == [sum(p.phase == i for p in trace.packets) for i in started]
+    trace, records = run_interval(net, "FIFO", adv, 30_000)
+    assert trace.last_step == 30_000
+    assert len(records) > 4_900
+    assert len(calls) < 20
+    assert trace.recurrence == Recurrence(16, 6, 1)
+
+
+def test_recurrence_found_without_whole_periods_to_skip():
+    # the repeat at step 22 leaves 21 - 22 + 1 = 0 steps: no period is copied,
+    # yet the recurrence is reported
+    net = line_network(4)
+    adv = saturating_adversary(net, path("e1", "e2", "e3", "e4"), Fraction(1, 2), 4)
+    trace, records = run_interval(net, "FIFO", adv, 21)
+    assert trace.recurrence == Recurrence(16, 6, 1)
+    assert trace.last_step == 21
+
+
+@pytest.mark.parametrize("discipline", ["FIFO", lambda p: p.arrived_in_queue_at])
+def test_recurrence_needs_a_built_in_key_and_a_periodic_source(discipline):
+    net = line_network(4)
+    route = path("e1", "e2", "e3", "e4")
+    adv = saturating_adversary(net, route, Fraction(1, 2), 4)
+    trace, _ = run_interval(net, discipline, adv, 200)
+    assert (trace.recurrence is not None) == (discipline == "FIFO")
+    events = [InjectionEvent(t, route) for t in range(1, 200, 4)]
+    trace, _ = run_interval(net, "FIFO", scripted_adversary(events, Fraction(1, 2), 1, net), 200)
+    assert trace.recurrence is None

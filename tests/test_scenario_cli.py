@@ -247,11 +247,21 @@ def test_run_writes_all_csvs(tmp_path, scenario_dir, capsys):
     out = capsys.readouterr().out
     assert "phases completed" in out
     assert "phase duration growth: BOUNDED" in out
+    assert "phase starts recur: step 16, period 6 steps (1 phases)\n" in out
     for suffix in ("trace", "packets", "phases"):
         f = tmp_path / f"line_saturating_{suffix}.csv"
         assert f.exists()
         first = f.read_text().splitlines()[0]
         assert first.startswith("# scenario=line_saturating")
+
+
+def test_run_of_a_scripted_source_reports_no_recurrence(tmp_path, scenario_dir, capsys):
+    # a script declares no period, so its phase starts are not compared
+    rc = cli.main(["run", str(scenario_dir / "improvement_tail.yaml"), "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "phases completed" in out
+    assert "phase starts recur" not in out
 
 
 def test_run_plain_scenario_has_no_phase_csv(tmp_path, scenario_dir):
@@ -785,6 +795,31 @@ def test_bounds_float_overflow_exits_2(capsys, argv, where):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: a tree bound overflows a float: {where}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["line", "--c1", "0.5"], "--c1"),
+        (["tree", "--c2", "0", "--c3", "0"], "--c2, --c3"),
+        (["line", "--log-base", "10"], "--log-base"),
+        (["theorem-time", "--c1", "0.5", "--log-base", "10"], "--log-base"),
+        (["theorem-packets", "--log-base=3"], "--log-base"),
+        (["nonforward", "--c3", "1", "--c3", "2"], "--c3"),
+    ],
+    ids=[f"argv{k}" for k in range(6)],
+)
+def test_bounds_refuses_a_flag_its_formula_does_not_read(capsys, argv, unread):
+    # each of these flags used to be printed in the header and then ignored
+    assert cli.main(["bounds", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: the {argv[0]} formula does not read {unread}\n")
+
+
+def test_bounds_flags_its_formula_reads_are_accepted(capsys):
+    assert cli.main(["bounds", "theorem-time", "--c1", "0.5", "--c2", "2", "--c3", "1"]) == 0
+    assert capsys.readouterr().out.startswith("# formula=theorem-time r=0.5 b=4.0 d=4.0 c1=0.5")
+    assert cli.main(["bounds", "nonforward", "--log-base", "10"]) == 0
+    assert "log_base=10.0" in capsys.readouterr().out
 
 
 def test_bounds_bad_imax_exits_2(capsys):
