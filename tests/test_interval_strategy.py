@@ -35,6 +35,15 @@ def test_startup_phase_is_empty_and_instant():
     assert trace.packets == []
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_a_run_of_no_steps_is_refused(max_steps):
+    net = line_network(1)
+    adv = scripted_adversary([], Fraction(1, 2), 1, net)
+    with pytest.raises(ValueError) as err:
+        run_interval(net, "FIFO", adv, max_steps=max_steps)
+    assert str(err.value) == f"max_steps must be >= 1, got {max_steps}"
+
+
 def test_step_one_injections_become_phase_one():
     net = line_network(1)
     adv = scripted_adversary([InjectionEvent(1, path("e1"))], Fraction(1, 2), 1, net)

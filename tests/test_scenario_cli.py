@@ -347,6 +347,91 @@ def test_run_scenario_problems_exit_2_and_name_fields(tmp_path, capsys):
     assert "adversary.r" in capsys.readouterr().err
 
 
+def _scripted(d):
+    d["adversary"] = {"kind": "scripted", "r": 0.5, "b": 1, "events": [{"step": 1, "path": ["e1"]}]}
+    return d["adversary"]
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, err",
+    [
+        (lambda d: d, ["--max-steps", "0"], "error: run.max_steps: must be >= 1, got 0\n"),
+        (lambda d: [d], [], "error: top level: expected a mapping\n"),
+        (lambda d: d.update(name=7), [], "error: name: must be a non-empty string\n"),
+        (
+            lambda d: d.pop("network"), [],
+            "error: network: required mapping with 'nodes' and 'edges'\n",
+        ),
+        (
+            lambda d: d["network"].update(nodes=[]), [],
+            "error: network.nodes: must be a non-empty list\n",
+        ),
+        (
+            lambda d: d["network"].update(edges="e1"), [],
+            "error: network.edges: must be a list of [source, target, id] triples\n",
+        ),
+        (
+            lambda d: d["network"]["edges"].append(["v0", "v1"]), [],
+            "error: network.edges[1]: must be a [source, target, id] triple\n",
+        ),
+        (
+            lambda d: d["network"]["edges"].append(["v9", "v0", "e2"]), [],
+            "error: network: edge 'e2': source node 'v9' not declared\n",
+        ),
+        (
+            lambda d: d["adversary"].update(path=[]), [],
+            "error: adversary.path: must be a non-empty list of edge ids\n",
+        ),
+        (lambda d: d.pop("adversary"), [], "error: adversary: required mapping with a 'kind'\n"),
+        (
+            lambda d: d["adversary"].update(kind="greedy"), [],
+            "error: adversary.kind: must be one of scripted, burst, saturating\n",
+        ),
+        (
+            lambda d: _scripted(d).update(events=[]), [],
+            "error: adversary.events: must be a non-empty list of {step, path}\n",
+        ),
+        (
+            lambda d: _scripted(d).update(events=[7]), [],
+            "error: adversary.events[0]: must be a mapping with 'step' and 'path'\n",
+        ),
+        (
+            lambda d: _scripted(d).update(path=["e1"]), [],
+            "error: adversary: scripted takes 'events', not 'path'/'paths'\n",
+        ),
+        (
+            lambda d: d.pop("strategy"), [],
+            "error: strategy: required mapping with 'kind' and 'discipline'\n",
+        ),
+        (
+            lambda d: d["strategy"].update(kind="batch"), [],
+            "error: strategy.kind: must be one of plain, interval\n",
+        ),
+        (
+            lambda d: d["strategy"].update(improvement="sometimes"), [],
+            "error: strategy.improvement: must be a boolean, got 'sometimes'\n",
+        ),
+        (lambda d: d.pop("run"), [], "error: run: required mapping with 'max_steps'\n"),
+    ],
+    ids=[
+        "max-steps-0", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
+        "edge-not-triple", "undeclared-source", "empty-path", "no-adversary",
+        "unknown-adversary-kind", "empty-events", "event-not-mapping", "scripted-path",
+        "no-strategy", "unknown-strategy-kind", "improvement-not-bool", "no-run",
+    ],
+)
+def test_run_refusal_exits_2_with_exact_stderr(tmp_path, capsys, mutate, argv, err):
+    # each refusal of the run command that no other test pins, message for message
+    doc = _valid_doc()
+    replaced = mutate(doc)  # a mutation that returns a list replaces the whole document
+    f = tmp_path / "refused.yaml"
+    f.write_text(yaml.safe_dump(replaced if isinstance(replaced, list) else doc))
+    assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert not (tmp_path / "out").exists()
+
+
 def _rate_scenario(tmp_path, rate: str) -> str:
     f = tmp_path / "rate.yaml"
     f.write_text(
