@@ -2,7 +2,9 @@
 and sweep the brute-force scheduling oracle.
 
 Exit codes: 0 success, 2 validation/domain error, 3 broken runtime invariant
-(a bound the engine must never exceed)."""
+(a bound the engine must never exceed). Each command raises on a refusal, and
+`main` alone turns it into an exit status and its `error:` or `fatal:` lines
+on stderr."""
 
 from __future__ import annotations
 
@@ -88,6 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _refuse(kind, prefix: str):
+    """Re-raise a `kind` error as a refusal: a ValueError whose message is
+    `prefix` and the error's own message."""
+    try:
+        yield
+    except kind as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
 # ---- run -------------------------------------------------------------------
 
 
@@ -122,66 +134,37 @@ def _write_csv_set(out_dir: str, name: str, outputs, header: str) -> list[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
+    with (
+        _refuse(OSError, "cannot read scenario: "),
+        _refuse(yaml.YAMLError, "scenario is not valid YAML: "),
+    ):
         scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    except yaml.YAMLError as exc:
-        print(f"error: scenario is not valid YAML: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
 
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
     discipline = scenario.discipline if args.strategy is None else args.strategy.upper()
     improvement = scenario.improvement
     if args.improvement is not None:
         if scenario.strategy_kind != "interval":
-            print(
-                "error: strategy.improvement: only valid for the interval strategy",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("strategy.improvement: only valid for the interval strategy")
         improvement = args.improvement == "on"
     if max_steps < 1:
-        print(f"error: run.max_steps: must be >= 1, got {max_steps}", file=sys.stderr)
-        return 2
+        raise ValueError(f"run.max_steps: must be >= 1, got {max_steps}")
 
-    try:
+    with _refuse(AdversaryError, "adversary: "):
         adversary = make_adversary(scenario)
-    except AdversaryError as exc:
-        print(f"error: adversary: {exc}", file=sys.stderr)
-        return 2
     if args.strategy is not None:
-        try:
-            get_discipline(discipline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        get_discipline(discipline)  # an unknown name is refused before --out is created
 
-    try:
+    with _refuse(OSError, "--out: "):  # --out names a file, or a path under one
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:  # --out names a file, or a path under one
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return 2
 
     records: Optional[list[PhaseRecord]] = None
-    try:
-        if scenario.strategy_kind == "interval":
-            trace, records = run_interval(
-                scenario.network, discipline, adversary, max_steps, improvement
-            )
-        else:
-            trace = run(scenario.network, discipline, adversary, max_steps)
-    except ValueError as exc:  # a domain error the checks above did not catch
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineInvariantError as exc:
-        print(f"fatal: runtime invariant broken: {exc}", file=sys.stderr)
-        return 3
+    if scenario.strategy_kind == "interval":
+        trace, records = run_interval(
+            scenario.network, discipline, adversary, max_steps, improvement
+        )
+    else:
+        trace = run(scenario.network, discipline, adversary, max_steps)
 
     mode = (
         f"interval({discipline}) improvement={'on' if improvement else 'off'}"
@@ -196,11 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     outputs = [("trace", write_trace_csv, trace), ("packets", write_packets_csv, trace)]
     if records is not None:
         outputs.append(("phases", write_phases_csv, records))
-    try:
+    with _refuse(OSError, "--out: "):  # a CSV target is a directory, or cannot be written
         written = _write_csv_set(args.out, scenario.name, outputs, header)
-    except OSError as exc:  # a CSV target is a directory, or cannot be written
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return 2
 
     print(f"scenario {scenario.name}: {header[len(f'scenario={scenario.name} '):]}")
     print(
@@ -288,27 +268,19 @@ def _growth(args: argparse.Namespace, series: list[float], limit: Optional[float
 def cmd_bounds(args: argparse.Namespace) -> int:
     unread = [flag for flag in dict.fromkeys(args.given) if args.formula not in READ_BY[flag]]
     if unread:
-        names = ", ".join(unread)
-        print(f"error: the {args.formula} formula does not read {names}", file=sys.stderr)
-        return 2
+        raise ValueError(f"the {args.formula} formula does not read {', '.join(unread)}")
     if args.i_max < 1:
-        print(f"error: --i-max must be >= 1, got {args.i_max}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
     if args.i_max > I_MAX_LIMIT:
-        print(f"error: --i-max must be at most {I_MAX_LIMIT:,}, got {args.i_max}", file=sys.stderr)
-        return 2
-    try:
+        raise ValueError(f"--i-max must be at most {I_MAX_LIMIT:,}, got {args.i_max}")
+    with _refuse(AdversaryError, "--r: "):
         rate = as_rate(args.r)
-    except AdversaryError as exc:
-        print(f"error: --r: {exc}", file=sys.stderr)
-        return 2
     for name in ("b", "d", "c1", "c2", "c3", "log_base"):
         value = getattr(args, name)
         if not math.isfinite(value):
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be finite, got {value}", file=sys.stderr)
-            return 2
-    try:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    # a domain error, RecurrenceDomainError included, is a ValueError and is refused as it is
+    with _refuse(OverflowError, f"a {args.formula} bound overflows a float: "):
         series, limit = _bound_series(args, rate)
         rows: list[tuple] = list(enumerate(series, start=1))
         if limit is not None:
@@ -318,12 +290,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise OverflowError(f"{overflow[1]} at i={overflow[0]}")
         if len(series) >= 10:
             rows.append(("growth", _growth(args, series, limit)))
-    except ValueError as exc:  # includes RecurrenceDomainError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # the first term or limit that is not finite
-        print(f"error: a {args.formula} bound overflows a float: {exc}", file=sys.stderr)
-        return 2
     write_csv(
         sys.stdout, ["i", "value"], rows,
         f"formula={args.formula} r={args.r} b={args.b} d={args.d}"
@@ -337,21 +303,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     shapes = tuple(s.strip() for s in args.shapes.split(",") if s.strip())
-    try:
-        if args.max_packets < 1 or args.max_edges < 1:
-            raise ValueError("--max-packets and --max-edges must be >= 1")
-        rows = sweep_rows(args.max_packets, args.max_edges, shapes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.max_packets < 1 or args.max_edges < 1:
+        raise ValueError("--max-packets and --max-edges must be >= 1")
+    rows = sweep_rows(args.max_packets, args.max_edges, shapes)
     count = count_instances(args.max_packets, args.max_edges, shapes, SWEEP_LIMIT)
     if count > SWEEP_LIMIT:
-        print(
-            f"error: the sweep has more than {SWEEP_LIMIT:,} instances (counting stopped"
-            f" at {count:,}); lower --max-packets or --max-edges",
-            file=sys.stderr,
+        raise ValueError(
+            f"the sweep has more than {SWEEP_LIMIT:,} instances (counting stopped"
+            f" at {count:,}); lower --max-packets or --max-edges"
         )
-        return 2
     # each row is written as it is solved, so memory stays flat however many
     # instances the sweep has
     summary = SweepSummary()
@@ -365,12 +325,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the one place a failure becomes an exit status.
+
+    A refusal, or a ValueError from the package's domain checks, writes an
+    `error: <problem>` line per problem (each of a ScenarioError's, in order)
+    and returns 2. A broken runtime invariant writes a `fatal:` line and
+    returns 3. Any other exception propagates, so a bug stays a traceback."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "bounds":
-        return cmd_bounds(args)
-    return cmd_sweep(args)
+    command = {"run": cmd_run, "bounds": cmd_bounds, "sweep": cmd_sweep}[args.command]
+    try:
+        return command(args)
+    except EngineInvariantError as exc:
+        print(f"fatal: runtime invariant broken: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        for problem in exc.problems if isinstance(exc, ScenarioError) else [exc]:
+            print(f"error: {problem}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:
