@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -12,6 +13,15 @@ EdgeId = Hashable
 
 class NetworkError(ValueError):
     pass
+
+
+def shown(value: object) -> str:
+    """`repr(value)`, or reprlib's shortened form of it where the value nests
+    too deeply for `repr` to reach the bottom within the recursion limit."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return reprlib.repr(value)
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId,
         try:
             hash((src, dst, eid))
         except TypeError:
-            raise NetworkError(f"edge {eid!r}: ids must be hashable") from None
+            raise NetworkError(f"edge {shown(eid)}: ids must be hashable") from None
         if eid in by_id:
             raise NetworkError(f"duplicate edge id {eid!r}")
         if src not in node_set:

@@ -4,6 +4,7 @@ problem found."""
 
 from __future__ import annotations
 
+import io
 import os
 import reprlib
 from dataclasses import dataclass
@@ -21,11 +22,15 @@ from .adversary import (
     saturating_adversary,
     scripted_adversary,
 )
-from .network import Network, NetworkError, PacketPath, build_network, validate_path
+from .network import Network, NetworkError, PacketPath, build_network, shown, validate_path
 from .strategies import DISCIPLINES
 
 ADVERSARY_KINDS = ("scripted", "burst", "saturating")
 STRATEGY_KINDS = ("plain", "interval")
+MAX_DEPTH = 10_000  # nesting levels; a deeper document is refused before it is composed
+# packets; the saturating source builds its step-1 burst as a list of b paths,
+# and a run holds about 256 bytes a packet, so this is about 256 MB
+SATURATING_B_LIMIT = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -59,16 +64,56 @@ _short = reprlib.Repr()
 _short.maxstring = 80
 
 
+def _text(raw: bytes, path: str) -> io.TextIOWrapper:
+    """`raw` read as `open(path, encoding="utf-8")` reads it, name included, so
+    that PyYAML's error marks and the position in a decoding error are those
+    of the file read directly."""
+    buffer = io.BytesIO(raw)
+    buffer.name = path
+    return io.TextIOWrapper(buffer, encoding="utf-8")
+
+
+def _deeper_than(limit: int, raw: bytes, path: str) -> bool:
+    """Whether the document nests collections more than `limit` levels deep.
+
+    Each level opens with a `[`, `{`, `-`, `?` or `:` of its own, so the
+    count of those bytes plus the newlines is never below the depth. Only a
+    document whose count passes `limit` is parsed, and the walk over its
+    events stops one level past `limit`."""
+    if sum(raw.count(mark) for mark in b"[{-?:\n") <= limit:
+        return False
+    depth = 0
+    for event in yaml.parse(_text(raw, path), Loader=_Loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > limit:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario file. OSError and YAML errors propagate;
-    a value PyYAML cannot build and structural problems raise ScenarioError
-    listing every offending field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.load(fh, Loader=_Loader)
-        except ValueError as exc:  # e.g. an integer literal over Python's digit limit
-            problem = f"scenario: cannot read a value: {_short.repr(str(exc))}"
-            raise ScenarioError([problem]) from None
+    a value PyYAML cannot build, a document nested more than MAX_DEPTH
+    levels deep and structural problems raise ScenarioError listing every
+    offending field.
+
+    The depth is checked before PyYAML composes the document: libyaml's
+    composer recurses in C once per level, and a deep enough document
+    overflows the stack."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        deep = _deeper_than(MAX_DEPTH, raw, path)
+        data = None if deep else yaml.load(_text(raw, path), Loader=_Loader)
+    except RecursionError:  # the pure-Python composer recurses once per level
+        raise ScenarioError(["scenario: nested too deeply for the YAML loader"]) from None
+    except ValueError as exc:  # bad UTF-8, or an integer literal over Python's digit limit
+        problem = f"scenario: cannot read a value: {_short.repr(str(exc))}"
+        raise ScenarioError([problem]) from None
+    if deep:
+        raise ScenarioError([f"scenario: nested more than {MAX_DEPTH:,} levels deep"])
     default_name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(data, default_name)
 
@@ -87,7 +132,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     def positive_int(raw: Any, where: str) -> Optional[int]:
         """`raw` if it is an integer >= 1 (not a bool), else None after a problem."""
         if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-            fail(where, f"must be an integer >= 1, got {raw!r}")
+            fail(where, f"must be an integer >= 1, got {shown(raw)}")
             return None
         return raw
 
@@ -138,7 +183,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             return None
         p = PacketPath(tuple(raw))
         if network is not None and not validate_path(network, p):
-            fail(where, f"not a contiguous path of declared edges: {raw}")
+            fail(where, f"not a contiguous path of declared edges: {shown(raw)}")
             return None
         return p
 
@@ -170,6 +215,11 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         b = positive_int(adv.get("b"), "adversary.b") or b
 
         if adv_kind == "saturating":
+            if b > SATURATING_B_LIMIT:
+                fail(
+                    "adversary.b",
+                    f"must be at most {SATURATING_B_LIMIT:,} for the saturating adversary, got {b}",
+                )
             sat_path = read_path(adv.get("path"), "adversary.path")
             if "paths" in adv or "events" in adv:
                 fail("adversary", "saturating takes 'path', not 'paths'/'events'")
@@ -224,13 +274,13 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if not isinstance(raw_disc, str) or raw_disc.upper() not in DISCIPLINES:
             fail(
                 "strategy.discipline",
-                f"must be one of {', '.join(sorted(DISCIPLINES))}, got {raw_disc!r}",
+                f"must be one of {', '.join(sorted(DISCIPLINES))}, got {shown(raw_disc)}",
             )
         else:
             discipline = raw_disc.upper()
         raw_improve = strat.get("improvement", False)
         if not isinstance(raw_improve, bool):
-            fail("strategy.improvement", f"must be a boolean, got {raw_improve!r}")
+            fail("strategy.improvement", f"must be a boolean, got {shown(raw_improve)}")
         elif raw_improve and strat_kind == "plain":
             fail("strategy.improvement", "only valid for the interval strategy")
         else:

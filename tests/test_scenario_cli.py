@@ -128,6 +128,35 @@ def test_parse_rejects_structural_problems(mutate, needle):
     assert any(needle in p for p in err.value.problems)
 
 
+def _nested(levels):
+    value = []
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d, v: d["run"].update(max_steps=v), "run.max_steps"),
+        (lambda d, v: d["adversary"].update(b=v), "adversary.b"),
+        (lambda d, v: d["adversary"].update(path=v), "adversary.path"),
+        (lambda d, v: d["strategy"].update(discipline=v), "strategy.discipline"),
+        (lambda d, v: d["strategy"].update(improvement=v), "strategy.improvement"),
+        (lambda d, v: d["network"]["edges"][0].__setitem__(2, v), "network"),
+    ],
+)
+def test_parse_names_a_value_nested_too_deeply_for_repr(mutate, field):
+    # repr of a list 3,000 levels deep exhausts the recursion limit
+    doc = _valid_doc()
+    mutate(doc, _nested(3_000))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    problems = err.value.problems
+    assert [p.split(": ")[0] for p in problems] == [field]
+    assert "[[[[[[[...]]]]]]]" in problems[0]
+
+
 def test_parse_reports_every_unknown_key_and_count_in_order():
     doc = _valid_doc()
     doc["colour"] = "red"
@@ -474,6 +503,107 @@ def test_run_huge_integer_literal_exits_2(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error: scenario: cannot read a value: ")
     assert "4300 digits" in err and len(err) < 150
+
+
+_TOO_DEEP = f"error: scenario: nested more than {scenario.MAX_DEPTH:,} levels deep\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["network: " + "[" * 30_000 + "]" * 30_000 + "\n", "- " * 30_000 + "x\n"],
+    ids=["flow", "compact"],
+)
+def test_run_of_a_deeply_nested_scenario_exits_2(tmp_path, text):
+    # libyaml composes recursively in C: 30,000 levels overflowed its stack
+    f = tmp_path / "deep.yaml"
+    f.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    cmd = [sys.executable, "-m", "aqsim.cli", "run", str(f), "--out", str(tmp_path)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", _TOO_DEEP)
+    # the walk stops one level past the limit; the interpreter's start is not timed
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError):
+        load_scenario(str(f))
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("depth", [scenario.MAX_DEPTH, scenario.MAX_DEPTH + 1])
+def test_depth_limit_is_exact(tmp_path, depth):
+    f = tmp_path / "deep.yaml"
+    f.write_text("[" * depth + "]" * depth + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    refused = [f"scenario: nested more than {scenario.MAX_DEPTH:,} levels deep"]
+    if depth > scenario.MAX_DEPTH:
+        assert err.value.problems == refused
+    else:  # loaded, then refused for its shape
+        assert err.value.problems == ["top level: expected a mapping"]
+
+
+def test_depth_check_parses_no_scenario_of_ordinary_size(scenario_dir, monkeypatch):
+    # the byte count bounds the depth, so only a file it does not clear is parsed twice
+    def explode(*args, **kwargs):
+        raise AssertionError("parsed for the depth check")
+
+    monkeypatch.setattr(scenario.yaml, "parse", explode)
+    for f in sorted(scenario_dir.glob("*.yaml")):
+        load_scenario(str(f))
+
+
+def test_pure_python_loader_refuses_deep_nesting(tmp_path, monkeypatch):
+    # the pure-Python composer, used where libyaml is missing, recurses in
+    # Python and runs out of frames long before the depth limit
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    f = tmp_path / "deep.yaml"
+    f.write_text("network: " + "[" * 1_200 + "]" * 1_200 + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
+
+
+def test_load_errors_read_as_from_the_file(tmp_path):
+    # bad UTF-8 past the decoder's first chunk, and a YAML error mark naming the file
+    pad = b"# " + b"x" * 20_000 + b"\n"
+    cases = [(b"name: \xff\n", ValueError), (b"name: [unclosed\n", yaml.YAMLError)]
+    for tail, kind in cases:
+        f = tmp_path / "late.yaml"
+        f.write_bytes(pad + tail)
+        with open(f, encoding="utf-8") as fh, pytest.raises(kind) as direct:
+            yaml.load(fh, Loader=scenario._Loader)
+        with pytest.raises(kind) as loaded:
+            load_scenario(str(f))
+        assert str(direct.value) in str(loaded.value)
+
+
+@pytest.mark.parametrize("b", [10**20, scenario.SATURATING_B_LIMIT + 1])
+def test_run_refuses_a_saturating_burst_over_the_limit(tmp_path, monkeypatch, capsys, b):
+    # the step-1 burst is a list of b paths: 10**20 overflowed an index, and
+    # any b in the billions asked for gigabytes before step 1
+    def explode(*args, **kwargs):
+        raise AssertionError("the source was built")
+
+    monkeypatch.setattr(scenario, "saturating_adversary", explode)
+    _rate_scenario(tmp_path, "0.5")  # writes tmp_path / "rate.yaml"
+    f = tmp_path / "rate.yaml"
+    f.write_text(f.read_text().replace("b: 2", f"b: {b}"))
+    assert cli.main(["run", str(f), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: adversary.b: must be at most {scenario.SATURATING_B_LIMIT:,}"
+        f" for the saturating adversary, got {b}\n"
+    )
+
+
+def test_saturating_burst_limit_is_inclusive_and_for_the_saturating_kind_only():
+    doc = _valid_doc()
+    doc["adversary"]["b"] = scenario.SATURATING_B_LIMIT
+    assert parse_scenario(doc).b == scenario.SATURATING_B_LIMIT
+    # a burst or a script only counts injections against b
+    doc["adversary"] = {"kind": "burst", "b": 10**20, "paths": [["e1"]]}
+    doc["strategy"] = {"kind": "plain", "discipline": "FIFO"}
+    assert parse_scenario(doc).b == 10**20
 
 
 @pytest.mark.parametrize(
@@ -967,6 +1097,19 @@ def test_sweep_rejects_an_empty_shape_list(capsys):
 
 def test_sweep_rejects_nonpositive_limits(capsys):
     assert cli.main(["sweep", "--max-packets", "0"]) == 2
+
+
+def test_sweep_invariant_break_exits_3(monkeypatch, capsys):
+    # the greedy runner is the engine: a broken invariant there exits 3 as in `run`
+    def rows(*args, **kwargs):
+        raise EngineInvariantError("synthetic failure for the exit-code contract")
+        yield
+
+    monkeypatch.setattr(cli, "sweep_rows", rows)
+    assert cli.main(["sweep", "--max-packets", "1", "--max-edges", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "fatal: runtime invariant broken: synthetic failure for the exit-code contract\n"
+    )
 
 
 @pytest.mark.parametrize("packets, edges", [("3", "12"), ("1", "16")])
