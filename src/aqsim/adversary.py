@@ -233,8 +233,9 @@ class Adversary:
     `step` (drives run termination).
 
     `period` is None, or a q >= 1 such that `injections_for(t)` for every
-    t >= 2 depends only on `t % q`, through no state kept between calls; an
-    engine may then skip calls (see `interval_strategy.run_interval`).
+    t >= 2 depends only on `t % q`, through no state kept between calls, and
+    `done_after` is always false; either engine may then skip calls (see
+    `sim_engine.run` and `interval_strategy.run_interval`).
     """
 
     r: Optional[Fraction] = None

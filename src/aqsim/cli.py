@@ -203,6 +203,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if trace.recurrence is not None:
             s0, period, phases = trace.recurrence
             print(f"phase starts recur: step {s0}, period {period} steps ({phases} phases)")
+    elif trace.recurrence is not None:
+        s0, period, _ = trace.recurrence
+        print(f"steps recur: step {s0}, period {period} steps")
     for path in written:
         print(f"wrote {path}")
     return 0

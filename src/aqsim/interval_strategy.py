@@ -15,8 +15,6 @@ one edge per step and stays held (or is delivered).
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
@@ -30,12 +28,14 @@ from .sim_engine import (
     Trace,
     advance,
     inject,
+    queued,
+    shifted_state,
+    skip_periods,
     step_stats,
 )
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
-_packet_id = attrgetter("id")
 
 
 class Lemma1ViolationError(EngineInvariantError):
@@ -104,11 +104,15 @@ def run_interval(
 
     Period skipping. With a built-in key and a source that declares a
     `period` q, the run remembers each phase-start state, after adoption:
-    `start % q` and, in id order, each alive packet's route, hops done and
-    injection step minus `start`. On the first repeat, at `start = s0 + P`
-    with M packets and R phase records since the visit at `s0`, the next
-    stepped periods are copies of the last one, and `_skip_periods` appends
-    as many whole periods as `max_steps` and `max_phases` allow; the run
+    `start % q` and `sim_engine.shifted_state` of the alive packets, in id
+    order (each one's route, hops done, and arrival and injection steps minus
+    `start`). A phase start comes once per phase, not once per step, so a
+    dict of every state seen stays small, and the first repeat is found; a
+    plain `run` saves one state at a time instead. On the first repeat, at
+    `start = s0 + P` with M packets and R phase records since the visit at
+    `s0`, the next stepped periods are copies of the last one, and the
+    shared copier `sim_engine.skip_periods` appends as many whole periods as
+    `max_steps` and `max_phases` allow, with R phase records each; the run
     then steps on. `trace.recurrence` is `(s0, P, R)`. Why the copies are
     exact:
     - At a phase start the holding queues are empty, so every packet in the
@@ -125,9 +129,10 @@ def run_interval(
     - The source's injections from step `start >= 2` on depend only on
       `start % q`, which the two visits share, so P is a multiple of q.
     So every later step repeats the step P earlier, shifted, and the run's
-    rows, phase records and packets follow. A custom key is not assumed
-    shift-invariant, and plain `run` keeps no phase starts to compare, so
-    neither skips.
+    rows, phase records and packets follow. The phase starting at `s0`
+    delivers every packet alive then before the next phase start, so each
+    twin the copier reads is delivered within the period. A custom key is
+    not assumed shift-invariant, so it never skips.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -219,16 +224,13 @@ def run_interval(
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
             if seen is not None:
-                alive = sorted(chain.from_iterable(active[i] for i in busy), key=_packet_id)
-                state = (
-                    start % period,
-                    tuple((p.route, p.hops_done, p.injected_at - start) for p in alive),
-                )
+                alive = queued(active, busy)
+                state = (start % period, shifted_state(alive, start))
                 first = seen.setdefault(state, (start, len(packets), len(records), alive))
                 if first[0] != start:
                     seen = None  # a later repeat would leave no more whole periods
                     recurrence = Recurrence(first[0], start - first[0], len(records) - first[2])
-                    start = _skip_periods(
+                    start = _skip_phases(
                         first, alive, recurrence, packets, steps, records, active,
                         max_steps, max_phases,
                     )
@@ -241,7 +243,7 @@ def run_interval(
     return Trace(steps, packets, truncated, recurrence=recurrence), records
 
 
-def _skip_periods(
+def _skip_phases(
     first: tuple,
     alive: list[Packet],
     recurrence: Recurrence,
@@ -252,64 +254,27 @@ def _skip_periods(
     max_steps: int,
     max_phases: Optional[int],
 ) -> int:
-    """Append the whole periods that follow a repeated phase-start state and
-    return the step the run goes on from: the start of the last period copied.
-
-    `first` is what was remembered at the state's first visit and `alive` the
-    packets of the phase starting now, in id order; `alive[i]` is the twin of
-    the first visit's i-th packet, one period later. Each copied period adds
-    `recurrence.period` steps, the period's packets with ids shifted by the
-    packets injected per period, and `recurrence.phases` phase records; times
-    shift by the period and phase indices by its phases. The phase starting
-    now delivers every packet alive now, with its twin's final fields one
-    period on; only in the last copied period are their copies alive, as the
-    packets are now, and they refill the active queues.
+    """Append the whole periods that follow a repeated phase-start state,
+    through `skip_periods`, with `recurrence.phases` phase records each, and
+    return the step the run goes on from: the start of the last period
+    copied. `first` is what was remembered at the state's first visit and
+    `alive` the packets of the phase starting now, in id order.
 
     No copied step may pass `max_steps`, and no copied phase may close past
     `max_phases`, where the stepped run would have stopped.
     """
-    first_start, first_count, first_records, first_alive = first
+    first_start, first_count, first_records, twins = first
     start = first_start + recurrence.period
-    period, phases = recurrence.period, recurrence.phases
-    per_period = len(packets) - first_count
-    j = (max_steps - start + 1) // period
+    periods = (max_steps - start + 1) // recurrence.period
     if max_phases is not None:
-        j = min(j, (max_phases - len(records)) // phases)
-    if j < 1:
+        periods = min(periods, (max_phases - len(records)) // recurrence.phases)
+    if periods < 1:
         return start
-
-    # the period's rows by column, less the step column, which counts up by one
-    columns = list(zip(*steps[first_start - 1 : start - 1]))[1:]
     period_records = records[first_records:]
-    for p, twin in zip(alive, first_alive):
-        active[p.route[p.hops_done]].clear()
-        packets[p.id - 1] = _shifted(twin, p.id - twin.id, period, phases)
-    done = packets[first_count:]  # the period's packets, each as it ends
-    for k in range(1, j + 1):
-        shift = k * period
-        steps.extend(map(step_stats, zip(range(first_start + shift, start + shift), *columns)))
-        records.extend([PhaseRecord(rec[0] + k * phases, *rec[1:]) for rec in period_records])
-        packets.extend([_shifted(p, k * per_period, shift, k * phases) for p in done])
-    for p in alive:
-        copy = packets[p.id - 1 + j * per_period] = _shifted(
-            p, j * per_period, j * period, j * phases
-        )
-        active[p.route[p.hops_done]].append(copy)
-    return start + j * period
-
-
-def _shifted(p: Packet, ids: int, steps: int, phases: int) -> Packet:
-    """A copy of `p` with its id, step fields and phase moved on."""
-    return Packet(
-        p.id + ids,
-        p.path,
-        p.injected_at + steps,
-        p.hops_done,
-        p.arrived_in_queue_at + steps,
-        None if p.delivered_at is None else p.delivered_at + steps,
-        None if p.phase is None else p.phase + phases,
-        p.route,
-    )
+    skip_periods(recurrence, periods, first_count, twins, alive, packets, steps, active)
+    for k in range(1, periods + 1):
+        records.extend([PhaseRecord(rec[0] + k * recurrence.phases, *rec[1:]) for rec in period_records])
+    return start + periods * recurrence.period
 
 
 def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str = "") -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -60,30 +61,44 @@ class Scenario:
 # libyaml's parser when PyYAML was built with it; both accept the same documents
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+_TOO_DEEP_FOR_LOADER = "scenario: nested too deeply for the YAML loader"
 _short = reprlib.Repr()
 _short.maxstring = 80
 
 
-def _text(raw: bytes, path: str) -> io.TextIOWrapper:
-    """`raw` read as `open(path, encoding="utf-8")` reads it, name included, so
-    that PyYAML's error marks and the position in a decoding error are those
-    of the file read directly."""
-    buffer = io.BytesIO(raw)
-    buffer.name = path
-    return io.TextIOWrapper(buffer, encoding="utf-8")
+def _text(text: str, path: str) -> io.StringIO:
+    """`text` as `open(path, encoding="utf-8")` reads it, newlines and name
+    included, so that PyYAML's error marks name the file."""
+    stream = io.StringIO(text, newline=None)
+    stream.name = path
+    return stream
 
 
-def _deeper_than(limit: int, raw: bytes, path: str) -> bool:
+def _walk_limit() -> int:
+    """How many levels deep the depth check walks before it refuses.
+
+    libyaml is walked to MAX_DEPTH. PyYAML's pure-Python composer takes two
+    frames a level (`compose_node` and the collection's own), so it raises
+    RecursionError on any document deeper than half the recursion limit. Its
+    walk stops there: its scanner keeps one possible simple key per open
+    flow level, up to 1,024 characters back, and checks them all at each
+    token, so a walk to MAX_DEPTH would take about 25 s."""
+    if _Loader is getattr(yaml, "CSafeLoader", None):
+        return MAX_DEPTH
+    return min(MAX_DEPTH, sys.getrecursionlimit() // 2)
+
+
+def _deeper_than(limit: int, text: str, path: str) -> bool:
     """Whether the document nests collections more than `limit` levels deep.
 
     Each level opens with a `[`, `{`, `-`, `?` or `:` of its own, so the
-    count of those bytes plus the newlines is never below the depth. Only a
-    document whose count passes `limit` is parsed, and the walk over its
-    events stops one level past `limit`."""
-    if sum(raw.count(mark) for mark in b"[{-?:\n") <= limit:
+    count of those characters plus the newlines is never below the depth.
+    Only a document whose count passes `limit` is parsed, and the walk over
+    its events stops one level past `limit`."""
+    if sum(text.count(mark) for mark in "[{-?:\n") <= limit:
         return False
     depth = 0
-    for event in yaml.parse(_text(raw, path), Loader=_Loader):
+    for event in yaml.parse(_text(text, path), Loader=_Loader):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > limit:
@@ -96,23 +111,28 @@ def _deeper_than(limit: int, raw: bytes, path: str) -> bool:
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario file. OSError and YAML errors propagate;
     a value PyYAML cannot build, a document nested more than MAX_DEPTH
-    levels deep and structural problems raise ScenarioError listing every
-    offending field.
+    levels deep (or too deep for the pure-Python loader) and structural
+    problems raise ScenarioError listing every offending field.
 
     The depth is checked before PyYAML composes the document: libyaml's
     composer recurses in C once per level, and a deep enough document
-    overflows the stack."""
+    overflows the stack. The file is decoded once, whole, so a bad byte is
+    named by its offset in the file, not in a chunk of it."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    limit = _walk_limit()
     try:
-        deep = _deeper_than(MAX_DEPTH, raw, path)
-        data = None if deep else yaml.load(_text(raw, path), Loader=_Loader)
+        text = raw.decode("utf-8")
+        deep = _deeper_than(limit, text, path)
+        data = None if deep else yaml.load(_text(text, path), Loader=_Loader)
     except RecursionError:  # the pure-Python composer recurses once per level
-        raise ScenarioError(["scenario: nested too deeply for the YAML loader"]) from None
+        raise ScenarioError([_TOO_DEEP_FOR_LOADER]) from None
     except ValueError as exc:  # bad UTF-8, or an integer literal over Python's digit limit
         problem = f"scenario: cannot read a value: {_short.repr(str(exc))}"
         raise ScenarioError([problem]) from None
     if deep:
+        if limit < MAX_DEPTH:  # the pure-Python composer would run out of frames
+            raise ScenarioError([_TOO_DEEP_FOR_LOADER])
         raise ScenarioError([f"scenario: nested more than {MAX_DEPTH:,} levels deep"])
     default_name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(data, default_name)

@@ -17,18 +17,26 @@ pass: `advance` reports its longest sender queue, so no queue is scanned a
 second time. The senders leave the set of non-empty queues in one update per
 step, not one removal per hop. A packet moves by its `route`, its path as
 queue indices, which `Routes` resolves once per distinct path of a run.
+
+Both engines also share the period copier, `skip_periods`: once a run of a
+built-in key and a periodic source repeats a state, it appends whole periods
+as shifted copies instead of stepping them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
 from .csvio import write_csv
 from .network import EdgeId, Network
-from .strategies import DisciplineKey, Packet, get_discipline, least
+from .strategies import DISCIPLINES, DisciplineKey, Packet, get_discipline, least
+
+_packet_id = attrgetter("id")
 
 
 class EngineInvariantError(RuntimeError):
@@ -52,8 +60,13 @@ step_stats = partial(tuple.__new__, StepStats)
 
 
 class Recurrence(NamedTuple):
-    """A phased run's first repeated phase-start state: the phase starting at
-    step `start` recurs, shifted, `period` steps and `phases` phases later."""
+    """The repeat a run found: the state before step `start` recurs,
+    shifted, `period` steps and `phases` phases later.
+
+    In a phased run it is the first repeated phase-start state. In a plain
+    run `phases` is 0 and `start` is the step whose state Brent's detector
+    had saved: the run is periodic with its least period from `start` on,
+    but `start` need not be the first step from which it is periodic."""
 
     start: int
     period: int
@@ -65,7 +78,7 @@ class Trace:
     steps: list[StepStats]
     packets: list[Packet]  # every injected packet, in id order
     truncated: bool  # cut at max_steps with work (or injections) remaining
-    # the first repeated phase-start state of a run_interval run that looks for one
+    # the repeat found by a run that looks for one (see `Recurrence`)
     recurrence: Optional[Recurrence] = field(default=None, kw_only=True)
 
     @property
@@ -198,10 +211,57 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     the queues that still hold, or newly receive, a packet; the step's peak
     queue is the longest sender queue that `advance` reports. The packets it
     returns (`moved[k]` left `senders[k]`) are not needed here.
+
+    Period skipping. With a built-in key and a source that declares a
+    `period` q, the run looks for a repeated state by Brent's method. It
+    saves the state before steps 2, 4, 8 and so on, one at a time, and
+    compares the state before each later step with it whenever the packets
+    in the system agree and the steps differ by a multiple of q: two int
+    comparisons a step. The state before step s is, in id order, each queued
+    packet's route, hops done, and arrival and injection steps minus s. On a
+    repeat of the state saved before `s0`, before step `s1 = s0 + P`,
+    `skip_periods` appends as many whole periods as `max_steps` allows and
+    the run steps on; `trace.recurrence` is `(s0, P, 0)`. Why the copies are
+    exact:
+    - Before a step every packet in the system waits in the queue
+      `route[hops_done]`, so the state fixes the queues, `busy` and
+      `in_system`, all up to the shift of times by P.
+    - Each built-in key is an arrival or injection step, negated or not, or
+      a hop count, and a sender compares keys of packets in one queue at one
+      step. Shifting every time by P keeps each comparison; ties go to the
+      least id, and matching the queued packets by position in id order
+      keeps their order, while later packets take ids above all of them on
+      both visits, M apart, M being the packets injected between the visits.
+    - The source's injections from step 2 on depend only on the step modulo
+      q, and `s0 >= 2`; the two visits share the step modulo q, so P is a
+      multiple of q.
+    So every later step repeats the step P earlier, shifted. The saved state
+    is compared with every state up to the next save, so P is the least
+    period of the run from `s0` on. The first saved step at or past both the
+    step from which the run is periodic and its least period finds the
+    repeat one period later, and only one state is held at a time; a dict of
+    every state seen would grow with the steps times the packets in flight.
+
+    A packet queued at `s1` can outlive many periods (on the d=256 line, 256
+    steps against a period of 2), so its fate lies beyond the one period
+    stepped since `s0`. It is its twin's, one period on: the twin is the
+    packet in the same id-order position at `s0`, which has a smaller id. A
+    twin still queued at `s1` is resolved first, by walking the packets in
+    increasing id order, and each chain of twins ends at a packet delivered
+    before `s1`. `skip_periods` gives the details. A custom key is not
+    assumed shift-invariant, so it never skips.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(strategy)
+    period = getattr(adversary, "period", None)  # a duck-typed source declares none
+    # Brent's detector: the next step whose state is saved (0: none), and
+    # `in_system` at the saved state (-1: none is saved), so a run that
+    # cannot repeat pays two failing int comparisons a step
+    save_at = 2 if period is not None and key in DISCIPLINES.values() else 0
+    saved_in = saved_step = -1
+    saved: tuple = ()  # len(packets), the queued packets and their state at saved_step
+    recurrence = None
     routes = Routes(network)
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
@@ -212,13 +272,124 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     while now <= max_steps:
         if in_system == 0 and adversary.done_after(now - 1):
             break
+        if in_system == saved_in and (now - saved_step) % period == 0:
+            first_count, twins, first_state = saved
+            alive = queued(queues, busy)
+            if shifted_state(alive, now) == first_state:
+                recurrence = Recurrence(saved_step, now - saved_step, 0)
+                save_at, saved_in = 0, -1  # a later repeat would leave no more whole periods
+                periods = (max_steps - now + 1) // recurrence.period
+                if periods:
+                    skip_periods(
+                        recurrence, periods, first_count, twins, alive, packets, steps, queues
+                    )
+                    now += periods * recurrence.period
+                    continue
+        if now == save_at:
+            alive = queued(queues, busy)
+            saved = (len(packets), alive, shifted_state(alive, now))
+            saved_in, saved_step, save_at = in_system, now, 2 * now
         injected = inject(adversary, now, packets, routes, queues, busy)
         _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, now)
         in_system += injected - delivered_now
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-    return Trace(steps, packets, truncated)
+    return Trace(steps, packets, truncated, recurrence=recurrence)
+
+
+# ---- period skipping, shared by both engines ---------------------------------
+
+
+def queued(queues: list[list[Packet]], busy: set[int]) -> list[Packet]:
+    """The packets in the queues that `busy` names, in id order."""
+    return sorted(chain.from_iterable(map(queues.__getitem__, busy)), key=_packet_id)
+
+
+def shifted_state(alive: list[Packet], now: int) -> tuple:
+    """Each packet's route, hops done, and arrival and injection steps minus
+    `now`: two runs of a built-in key in such states, at steps that agree
+    modulo a periodic source's period, go on as shifted copies."""
+    return tuple(
+        (p.route, p.hops_done, p.arrived_in_queue_at - now, p.injected_at - now) for p in alive
+    )
+
+
+def skip_periods(
+    recurrence: Recurrence,
+    periods: int,
+    first_count: int,
+    twins: list[Packet],
+    alive: list[Packet],
+    packets: list[Packet],
+    steps: list[StepStats],
+    queues: list[list[Packet]],
+) -> None:
+    """Append `periods` whole periods to a run whose state before step
+    `s0 = recurrence.start` has recurred, shifted, before step
+    `s1 = s0 + recurrence.period`, the step it has reached. The caller
+    appends any phase records and goes on from step `s1 + periods*period`.
+
+    `first_count` packets had been injected before `s0`, `twins` were queued
+    then and `alive` are queued now, both in id order; `alive[i]` is the twin
+    of `twins[i]`, one period later. Each copied period adds the period's
+    step rows and the packets injected in it, with ids shifted by the packets
+    injected per period, times by the period and phases by
+    `recurrence.phases`. Every copy takes its packet's final fields:
+    - A packet delivered before `s1` has them already.
+    - A packet queued at `s1` ends as its twin does, one period on. The
+      packets queued at `s1` are those queued at `s0` and not yet delivered,
+      followed by newer packets with larger ids. So the id at each position
+      is at least the id at that position at `s0`, and is never the same
+      packet's, since a packet's injection step does not shift. A twin
+      still queued at `s1` thus has a smaller id, and walking `alive` in
+      increasing id order resolves it first. Every chain of twins ends at a packet delivered before `s1`.
+      (In a phased run every twin is delivered within one period, by the
+      phase that adopted it.)
+    After the last copied period, at step `s1 + periods*period`, the run is
+    in the state of `s1`, shifted: the packets not delivered before that
+    step are, in id order, in the places of `alive`. Each takes its
+    counterpart's hops done, arrival step and phase, shifted, and joins its
+    queue in `queues`, which otherwise keep what they held.
+    """
+    s0, period, phases = recurrence
+    s1 = s0 + period
+    per_period = len(packets) - first_count
+    # the period's rows by column, less the step column, which counts up by one
+    columns = list(zip(*steps[s0 - 1 : s1 - 1]))[1:]
+    for p, twin in zip(alive, twins):
+        queues[p.route[p.hops_done]].clear()
+        twin = packets[twin.id - 1]  # delivered, or queued at s1 and resolved above
+        packets[p.id - 1] = _shifted(twin, p.id - twin.id, period, phases)
+    done = packets[first_count:]  # the period's packets, each as it ends
+    for k in range(1, periods + 1):
+        shift = k * period
+        steps.extend(map(step_stats, zip(range(s0 + shift, s1 + shift), *columns)))
+        packets.extend([_shifted(p, k * per_period, shift, k * phases) for p in done])
+    if not alive:
+        return
+    end, shift = s1 + periods * period, periods * period
+    later = [p for p in packets[alive[0].id - 1 :] if p.delivered_at >= end]
+    for p, place in zip(later, alive):
+        p.hops_done = place.hops_done
+        p.arrived_in_queue_at = place.arrived_in_queue_at + shift
+        p.delivered_at = None
+        p.phase = None if place.phase is None else place.phase + periods * phases
+        queues[p.route[p.hops_done]].append(p)
+
+
+def _shifted(p: Packet, ids: int, steps: int, phases: int) -> Packet:
+    """A copy of `p` with its id, step fields and phase moved on."""
+    return Packet(
+        p.id + ids,
+        p.path,
+        p.injected_at + steps,
+        p.hops_done,
+        p.arrived_in_queue_at + steps,
+        None if p.delivered_at is None else p.delivered_at + steps,
+        None if p.phase is None else p.phase + phases,
+        p.route,
+    )
 
 
 # ---- CSV export -----------------------------------------------------------

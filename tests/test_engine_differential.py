@@ -18,7 +18,7 @@ from aqsim.adversary import InjectionEvent, saturating_adversary, scripted_adver
 from aqsim.interval_strategy import run_interval, write_phases_csv
 from aqsim.network import build_network, line_network, path
 from aqsim.sim_engine import run, write_packets_csv, write_trace_csv
-from aqsim.strategies import DISCIPLINES
+from aqsim.strategies import DISCIPLINES, get_discipline
 
 
 def _custom_key(p):  # any callable works as a discipline key
@@ -99,8 +99,12 @@ def check_same_source(net, adversary, key, mode, max_steps, max_phases=None):
     """Both engines against the reference, each run fed a fresh source from
     the factory `adversary`."""
     if mode == "plain":
+        got = run(net, key, adversary(), max_steps)
+        # a built-in key may copy whole periods instead of stepping them, so
+        # the moves come from the same key behind a wrapper, which steps all
+        builtin = get_discipline(key)
         with recorded_moves() as moves:
-            got = run(net, key, adversary(), max_steps)
+            run(net, lambda pkt: builtin(pkt), adversary(), max_steps)
         want = ref.run(net, key, adversary(), max_steps, record_moves=True)
         assert outcome(got) == outcome(want)
         assert moves == want.moves
@@ -232,9 +236,12 @@ def test_saturating_source_matches_reference_engine(r, b, d, max_steps):
             )
 
 
-def _csvs(trace, records):
+def _csvs(trace, records=None):
+    """The trace and packets CSVs, and the phases CSV of a phased run."""
     texts = []
-    writers = ((write_trace_csv, trace), (write_packets_csv, trace), (write_phases_csv, records))
+    writers = [(write_trace_csv, trace), (write_packets_csv, trace)]
+    if records is not None:
+        writers.append((write_phases_csv, records))
     for writer, data in writers:
         buf = io.StringIO()
         writer(data, buf)
@@ -273,5 +280,30 @@ def test_period_skipping_matches_stepping(seed, name, improve, r, b, max_steps, 
     (got, got_rec), (want, want_rec) = runs
     assert want.recurrence is None
     assert _csvs(got, got_rec) == _csvs(want, want_rec)
+    assert _fields(got) == _fields(want)
+    assert got.truncated == want.truncated
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(sorted(DISCIPLINES)),
+    r=st.sampled_from(sorted({Fraction(p, q) for q in range(2, 8) for p in range(1, q)})),
+    b=st.integers(1, 5),
+    max_steps=st.integers(1, 3000),
+)
+def test_plain_period_skipping_matches_stepping(seed, name, r, b, max_steps):
+    # a plain run of a built-in key skips whole periods once a state recurs;
+    # the same key behind a wrapper steps through every period
+    rng = random.Random(seed)
+    net, routes = random_network(rng)
+    route = path(*rng.choice(routes))
+    builtin = DISCIPLINES[name]
+    got, want = (
+        run(net, key, saturating_adversary(net, route, r, b), max_steps)
+        for key in (name, lambda pkt: builtin(pkt))
+    )
+    assert want.recurrence is None
+    assert _csvs(got) == _csvs(want)
     assert _fields(got) == _fields(want)
     assert got.truncated == want.truncated

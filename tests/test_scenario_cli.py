@@ -293,6 +293,17 @@ def test_run_of_a_scripted_source_reports_no_recurrence(tmp_path, scenario_dir, 
     assert "phase starts recur" not in out
 
 
+def test_plain_run_of_a_saturating_source_reports_its_recurrence(tmp_path, scenario_dir, capsys):
+    text = (scenario_dir / "line_saturating.yaml").read_text()
+    f = tmp_path / "plain.yaml"
+    f.write_text(text.replace("kind: interval", "kind: plain"))
+    assert cli.main(["run", str(f), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "strategy=plain(FIFO)" in out
+    assert "steps recur: step 16, period 2 steps\n" in out
+    assert "phase starts recur" not in out
+
+
 def test_run_plain_scenario_has_no_phase_csv(tmp_path, scenario_dir):
     rc = cli.main(["run", str(scenario_dir / "burst_fifo.yaml"), "--out", str(tmp_path)])
     assert rc == 0
@@ -562,18 +573,49 @@ def test_pure_python_loader_refuses_deep_nesting(tmp_path, monkeypatch):
     assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
 
 
+def test_pure_python_loader_refuses_deep_nesting_quickly(tmp_path, monkeypatch):
+    # its scanner checks every open flow level at each token, so a walk to
+    # the 10,000-level limit would take about 25 s; it stops at half the
+    # recursion limit, past which the composer cannot go anyway
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    f = tmp_path / "deep.yaml"
+    f.write_text("network: " + "[" * 30_000 + "]" * 30_000 + "\n")
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    assert time.perf_counter() - started < 2
+    assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
+
+
+def test_pure_python_loader_composes_what_its_walk_lets_through(tmp_path, monkeypatch):
+    # a document walked (its comment lines pass the byte count) but under
+    # the walk's limit is composed, not refused for depth
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    depth = sys.getrecursionlimit() // 4
+    f = tmp_path / "deep.yaml"
+    f.write_text("#\n" * depth * 4 + "[" * depth + "]" * depth + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    assert err.value.problems == ["top level: expected a mapping"]
+
+
 def test_load_errors_read_as_from_the_file(tmp_path):
-    # bad UTF-8 past the decoder's first chunk, and a YAML error mark naming the file
+    # bad UTF-8 past the decoder's first chunk is named by its offset in the
+    # file (a stream decoded in chunks would name 3625, its offset in a
+    # chunk), and a YAML error mark names the file as a direct load does
     pad = b"# " + b"x" * 20_000 + b"\n"
-    cases = [(b"name: \xff\n", ValueError), (b"name: [unclosed\n", yaml.YAMLError)]
-    for tail, kind in cases:
-        f = tmp_path / "late.yaml"
-        f.write_bytes(pad + tail)
-        with open(f, encoding="utf-8") as fh, pytest.raises(kind) as direct:
-            yaml.load(fh, Loader=scenario._Loader)
-        with pytest.raises(kind) as loaded:
-            load_scenario(str(f))
-        assert str(direct.value) in str(loaded.value)
+    f = tmp_path / "late.yaml"
+    f.write_bytes(pad + b"name: \xff\n")
+    with pytest.raises(ValueError) as loaded:
+        load_scenario(str(f))
+    assert "0xff in position 20009: invalid start byte" in str(loaded.value)
+    f.write_bytes(pad + b"name: [unclosed\n")
+    with open(f, encoding="utf-8") as fh, pytest.raises(yaml.YAMLError) as direct:
+        yaml.load(fh, Loader=scenario._Loader)
+    with pytest.raises(yaml.YAMLError) as loaded:
+        load_scenario(str(f))
+    assert str(f) in str(direct.value)
+    assert str(direct.value) == str(loaded.value)
 
 
 @pytest.mark.parametrize("b", [10**20, scenario.SATURATING_B_LIMIT + 1])

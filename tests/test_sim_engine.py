@@ -1,6 +1,8 @@
 import io
 import random
+from dataclasses import fields
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from crossings import check_schedule, recorded_moves
 from aqsim.adversary import burst_adversary, saturating_adversary, scripted_adversary, InjectionEvent
 from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
-from aqsim.sim_engine import advance, run, write_packets_csv, write_trace_csv
+from aqsim.sim_engine import Recurrence, advance, run, write_packets_csv, write_trace_csv
 from aqsim.static_routing import random_instance
 from aqsim.strategies import DISCIPLINES, Packet, get_discipline
 
@@ -331,3 +333,41 @@ def test_advance_keeps_busy_exact_and_moved_in_sender_order(data):
     assert [p.route[p.hops_done - 1] for p in moved] == senders
     assert delivered == sum(p.delivered_at is not None for p in moved)
     assert busy == {i for i, q in enumerate(queues) if q}
+
+
+# ---- period skipping ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_plain_period_skipping_on_the_long_line(name):
+    # the d=256 line at r=1/2 has period 2, and a packet lives at least 256
+    # steps, so packets queued at the repeat outlive about 128 periods and
+    # each one ends as its twin, itself queued then, does one period on
+    net = line_network(256)
+    route = path(*(f"e{i}" for i in range(1, 257)))
+    builtin = DISCIPLINES[name]
+    got, want = (
+        run(net, key, saturating_adversary(net, route, Fraction(1, 2), 4), 1500)
+        for key in (name, lambda pkt: builtin(pkt))
+    )
+    assert got.recurrence == Recurrence(512, 2, 0)
+    assert want.recurrence is None
+    assert got.steps == want.steps
+    every_field = attrgetter(*(f.name for f in fields(Packet)))
+    assert list(map(every_field, got.packets)) == list(map(every_field, want.packets))
+    assert got.truncated and want.truncated
+    assert got.max_system_time >= 128 * got.recurrence.period
+
+
+def test_no_plain_recurrence_without_a_built_in_key_and_a_periodic_source():
+    net = line_network(4)
+    route = path("e1", "e2", "e3", "e4")
+    saturating = saturating_adversary(net, route, Fraction(1, 2), 4)
+    assert run(net, "FIFO", saturating, 200).recurrence == Recurrence(16, 2, 0)
+    custom = run(net, lambda p: p.arrived_in_queue_at, saturating, 200)
+    assert custom.recurrence is None and custom.last_step == 200
+    events = [InjectionEvent(t, route) for t in range(1, 200, 4)]
+    script = scripted_adversary(events, Fraction(1, 2), 1, net)
+    assert run(net, "FIFO", script, 400).recurrence is None
+    burst = burst_adversary(net, [route] * 3, 3)
+    assert run(net, "FIFO", burst, 400).recurrence is None
