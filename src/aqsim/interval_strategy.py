@@ -105,34 +105,20 @@ def run_interval(
     Period skipping. With a built-in key and a source that declares a
     `period` q, the run remembers each phase-start state, after adoption:
     `start % q` and `sim_engine.shifted_state` of the alive packets, in id
-    order (each one's route, hops done, and arrival and injection steps minus
-    `start`). A phase start comes once per phase, not once per step, so a
-    dict of every state seen stays small, and the first repeat is found; a
-    plain `run` saves one state at a time instead. On the first repeat, at
-    `start = s0 + P` with M packets and R phase records since the visit at
-    `s0`, the next stepped periods are copies of the last one, and the
-    shared copier `sim_engine.skip_periods` appends as many whole periods as
-    `max_steps` and `max_phases` allow, with R phase records each; the run
-    then steps on. `trace.recurrence` is `(s0, P, R)`. Why the copies are
-    exact:
-    - At a phase start the holding queues are empty, so every packet in the
-      system is alive in an active queue. Its queue is `route[hops_done]`,
-      it arrived there at `start` and its phase is `len(records)`, so the
-      state fixes the queues, `busy`, `demand`, `count`, `n`, `d` and
-      `in_system`, all up to the shift of times by P and phases by R.
-    - Each built-in key is an arrival or injection step, negated or not, or
-      a hop count, and a sender compares keys of packets in one queue at one
-      step. Shifting every time by P keeps each comparison; ties go to the
-      least id, and matching the alive packets by position in id order keeps
-      their order, while later packets take ids above all of them on both
-      visits, M apart.
-    - The source's injections from step `start >= 2` on depend only on
-      `start % q`, which the two visits share, so P is a multiple of q.
-    So every later step repeats the step P earlier, shifted, and the run's
-    rows, phase records and packets follow. The phase starting at `s0`
-    delivers every packet alive then before the next phase start, so each
-    twin the copier reads is delivered within the period. A custom key is
-    not assumed shift-invariant, so it never skips.
+    order. At a phase start the holding queues are empty, so every packet in
+    the system is alive in an active queue. Its queue is `route[hops_done]`,
+    it arrived there at `start` and its phase is `len(records)`, so the state
+    fixes the queues, `busy`, `demand`, `count`, `n`, `d` and `in_system`,
+    all up to the shift of times and phases. A phase start comes once per
+    phase, not once per step, so a dict of every state seen stays small, and
+    the first repeat is found. On the first repeat, at `start = s0 + P` with
+    R phase records since the visit at `s0`, the shared copier
+    `sim_engine.skip_periods` appends as many whole periods as `max_steps`
+    and `max_phases` allow, with R phase records each, and its docstring
+    says why the copies are exact; the run then steps on, and
+    `trace.recurrence` is `(s0, P, R)`. The phase starting at `s0` delivers
+    every packet alive then before the next phase start, so each twin the
+    copier reads is delivered within the period.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")

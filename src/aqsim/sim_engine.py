@@ -213,43 +213,24 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     returns (`moved[k]` left `senders[k]`) are not needed here.
 
     Period skipping. With a built-in key and a source that declares a
-    `period` q, the run looks for a repeated state by Brent's method. It
-    saves the state before steps 2, 4, 8 and so on, one at a time, and
-    compares the state before each later step with it whenever the packets
-    in the system agree and the steps differ by a multiple of q: two int
-    comparisons a step. The state before step s is, in id order, each queued
-    packet's route, hops done, and arrival and injection steps minus s. On a
-    repeat of the state saved before `s0`, before step `s1 = s0 + P`,
-    `skip_periods` appends as many whole periods as `max_steps` allows and
-    the run steps on; `trace.recurrence` is `(s0, P, 0)`. Why the copies are
-    exact:
-    - Before a step every packet in the system waits in the queue
-      `route[hops_done]`, so the state fixes the queues, `busy` and
-      `in_system`, all up to the shift of times by P.
-    - Each built-in key is an arrival or injection step, negated or not, or
-      a hop count, and a sender compares keys of packets in one queue at one
-      step. Shifting every time by P keeps each comparison; ties go to the
-      least id, and matching the queued packets by position in id order
-      keeps their order, while later packets take ids above all of them on
-      both visits, M apart, M being the packets injected between the visits.
-    - The source's injections from step 2 on depend only on the step modulo
-      q, and `s0 >= 2`; the two visits share the step modulo q, so P is a
-      multiple of q.
-    So every later step repeats the step P earlier, shifted. The saved state
-    is compared with every state up to the next save, so P is the least
-    period of the run from `s0` on. The first saved step at or past both the
-    step from which the run is periodic and its least period finds the
-    repeat one period later, and only one state is held at a time; a dict of
-    every state seen would grow with the steps times the packets in flight.
-
-    A packet queued at `s1` can outlive many periods (on the d=256 line, 256
-    steps against a period of 2), so its fate lies beyond the one period
-    stepped since `s0`. It is its twin's, one period on: the twin is the
-    packet in the same id-order position at `s0`, which has a smaller id. A
-    twin still queued at `s1` is resolved first, by walking the packets in
-    increasing id order, and each chain of twins ends at a packet delivered
-    before `s1`. `skip_periods` gives the details. A custom key is not
-    assumed shift-invariant, so it never skips.
+    `period` q, the run looks for a repeated state by Brent's method. The
+    state before step s is `shifted_state`: in id order, each queued packet's
+    route, hops done, and arrival and injection steps minus s. Before a step
+    every packet in the system waits in the queue `route[hops_done]`, so the
+    state fixes the queues, `busy` and `in_system`, up to the shift of times.
+    The run saves the state before steps 2, 4, 8 and so on, one at a time,
+    and compares the state before each later step with it whenever the
+    packets in the system agree and the steps differ by a multiple of q: two
+    int comparisons a step. On a repeat of the state saved before `s0`,
+    before step `s1 = s0 + P`, `skip_periods` appends as many whole periods
+    as `max_steps` allows, and its docstring says why the copies are exact;
+    the run then steps on, and `trace.recurrence` is `(s0, P, 0)`. The saved
+    state is compared with every state up to the next save, so P is the
+    least period of the run from `s0` on. The first saved step at or past
+    both the step from which the run is periodic and its least period finds
+    the repeat one period later, and only one state is held at a time; a
+    dict of every state seen would grow with the steps times the packets in
+    flight.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -330,6 +311,22 @@ def skip_periods(
     `s1 = s0 + recurrence.period`, the step it has reached. The caller
     appends any phase records and goes on from step `s1 + periods*period`.
 
+    Why the copies are exact. The caller detects the repeat only for a
+    built-in key and a source that declares a `period` q, and compares
+    states that fix every queue and counter the next step reads, up to the
+    shift of times by the period (and of phases by `recurrence.phases`).
+    - Each built-in key is an arrival or injection step, negated or not, or
+      a hop count, and a sender compares keys of packets in one queue at one
+      step. Shifting every time by the period keeps each comparison; ties go
+      to the least id, and matching the queued packets by position in id
+      order keeps their order, while later packets take ids above all of
+      them on both visits, the packets injected per period apart. A custom
+      key is not assumed shift-invariant, so neither engine skips with one.
+    - The source's injections from step 2 on depend only on the step modulo
+      q, and `s0 >= 2`; the two visits share the step modulo q, so the
+      period is a multiple of q.
+    So every later step repeats the step one period earlier, shifted.
+
     `first_count` packets had been injected before `s0`, `twins` were queued
     then and `alive` are queued now, both in id order; `alive[i]` is the twin
     of `twins[i]`, one period later. Each copied period adds the period's
@@ -337,15 +334,16 @@ def skip_periods(
     injected per period, times by the period and phases by
     `recurrence.phases`. Every copy takes its packet's final fields:
     - A packet delivered before `s1` has them already.
-    - A packet queued at `s1` ends as its twin does, one period on. The
-      packets queued at `s1` are those queued at `s0` and not yet delivered,
-      followed by newer packets with larger ids. So the id at each position
-      is at least the id at that position at `s0`, and is never the same
-      packet's, since a packet's injection step does not shift. A twin
-      still queued at `s1` thus has a smaller id, and walking `alive` in
-      increasing id order resolves it first. Every chain of twins ends at a packet delivered before `s1`.
-      (In a phased run every twin is delivered within one period, by the
-      phase that adopted it.)
+    - A packet queued at `s1` can outlive many periods (on the d=256 line,
+      256 steps against a period of 2), and ends as its twin does, one
+      period on. The packets queued at `s1` are those queued at `s0` and not
+      yet delivered, followed by newer packets with larger ids. So the id at
+      each position is at least the id at that position at `s0`, and is
+      never the same packet's, since a packet's injection step does not
+      shift. A twin still queued at `s1` thus has a smaller id, and walking
+      `alive` in increasing id order resolves it first. Every chain of twins
+      ends at a packet delivered before `s1`. (In a phased run every twin is
+      delivered within one period, by the phase that adopted it.)
     After the last copied period, at step `s1 + periods*period`, the run is
     in the state of `s1`, shifted: the packets not delivered before that
     step are, in id order, in the places of `alive`. Each takes its

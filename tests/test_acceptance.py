@@ -203,6 +203,8 @@ def test_c6_admissibility_oracle_and_witnesses():
 def test_c7_scenario_runs_are_deterministic(tmp_path, scenario_dir, capsys):
     cases = [
         ("line_saturating.yaml", []),
+        # long enough that most of the run is copied whole periods
+        ("line_saturating.yaml", ["--max-steps", "30000"]),
         ("burst_fifo.yaml", []),
         ("improvement_tail.yaml", []),
         ("improvement_tail.yaml", ["--improvement", "on"]),

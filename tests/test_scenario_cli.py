@@ -452,12 +452,23 @@ def _scripted(d):
             "error: strategy.improvement: must be a boolean, got 'sometimes'\n",
         ),
         (lambda d: d.pop("run"), [], "error: run: required mapping with 'max_steps'\n"),
+        (
+            # a burst is a step-1 script: two paths over e1 break b=1 on [1,1]
+            lambda d: d.update(
+                adversary={"kind": "burst", "b": 1, "paths": [["e1"], ["e1"]]},
+                strategy={"kind": "plain", "discipline": "FIFO"},
+            ),
+            [],
+            "error: adversary: inadmissible script: edge 'e1': 2 injections in steps [1,1]"
+            " exceed floor(r*1)+b = 1\n",
+        ),
     ],
     ids=[
         "max-steps-0", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
         "edge-not-triple", "undeclared-source", "empty-path", "no-adversary",
         "unknown-adversary-kind", "empty-events", "event-not-mapping", "scripted-path",
         "no-strategy", "unknown-strategy-kind", "improvement-not-bool", "no-run",
+        "overloaded-burst",
     ],
 )
 def test_run_refusal_exits_2_with_exact_stderr(tmp_path, capsys, mutate, argv, err):
@@ -808,8 +819,7 @@ def test_bounds_tree_series_with_a_fraction_rate(capsys):
     # drifted to 146.99999999999997 from i = 3 on
     assert cli.main(["bounds", "tree", "--r", "1/49", "--b", "3", "--d", "49"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2:22] == [f"{i},147.0" for i in range(1, 21)]
-    assert lines[22] == "limit,147.0"
+    assert lines[2:] == [f"{i},147.0" for i in range(1, 21)] + ["limit,147.0", "growth,BOUNDED"]
 
 
 def test_bounds_tree_series_falls_to_zero_without_overflow(capsys):
@@ -864,6 +874,9 @@ def test_bounds_tree_reads_a_decimal_rate_exactly(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"# formula=tree r={typed} b=4.0 d=4.0 c1=1.0 c2=1.0 c3=0.0 log_base=2.0"
     assert not any(line.startswith("limit,") for line in lines)
+    # 0.1 is 1/10, so r*d = 1 and the limit is b*d
+    assert cli.main(["bounds", "tree", "--r", "0.1", "--b", "4", "--d", "10"]) == 0
+    assert capsys.readouterr().out.splitlines().count("limit,40.0") == 1
 
 
 def test_a_refused_rate_is_named_as_given(tmp_path, capsys):
@@ -1107,6 +1120,21 @@ def test_sweep_reports_greedy_gap(capsys):
     data = [ln for ln in lines if ln and not ln.startswith("#") and ln[0].isdigit()]
     assert len(data) == 16
     assert any(int(row.split(",")[5]) < int(row.split(",")[6]) for row in data)
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    # (5,4) has 4,100 distinct patterns, each solved exactly; a state solved
+    # for one pattern is looked up, not searched again, by the later ones
+    [([], 222), (["--max-packets", "5", "--max-edges", "4"], 10141),
+     (["--max-packets", "6", "--max-edges", "4"], 23751)],
+    ids=["defaults", "5-4", "6-4"],
+)
+def test_sweep_summary_line(capsys, argv, checked):
+    assert cli.main(["sweep", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"# no instance exceeded n+d ({checked} instances checked)"
+    )
 
 
 def test_sweep_writes_each_row_before_the_next_is_solved(monkeypatch):
