@@ -46,8 +46,7 @@ def main(argv=None) -> int:
         )
         durations = [rec.duration_steps for rec in records if rec.phase_index >= 1]
         worst_dur = max(durations)
-        worst_sys = max(p.system_time for p in trace.packets
-                        if p.delivered_at is not None)
+        worst_sys = trace.max_system_time
         dur_cap = line_phase_time_limit(float(r), args.edges)
         sys_cap = line_delivery_bound(float(r), args.edges)
         label = (classify_growth(durations).label

@@ -193,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"  max system time: {max_sys if max_sys is not None else '-'}"
     )
     if records is not None:
-        print(f"phases completed: {len(records)} (startup + {max(len(records) - 1, 0)})")
+        print(f"phases completed: {len(records)} (startup + {len(records) - 1})")
         durations = [rec.duration_steps for rec in records if rec.phase_index >= 1]
         if len(durations) >= 10:
             label = analysis.classify_growth(durations)

@@ -30,9 +30,11 @@ from .sim_engine import (
     inject,
     queued,
     shifted_state,
+    skip_period,
     skip_periods,
     step_stats,
 )
+from .static_routing import lemma1_bound
 from .strategies import DISCIPLINES, Packet, get_discipline
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
@@ -81,8 +83,9 @@ def run_interval(
     edge whenever no phase runs, and always with pass-through off, since then
     nothing reads it.
     The current (or last) phase started at step `start` with `count` packets,
-    congestion `n` and dilation `d`; its index is `len(records)` until it
-    closes.
+    congestion `n`, dilation `d` and `bound = lemma1_bound(n, d)`, Lemma 1's
+    ceiling on its duration (0 for the startup phase, which has no packets);
+    its index is `len(records)` until it closes.
 
     A step's `max_queue_len` is the largest `len(active[i]) + len(holding[i])`
     after injection. It is read from three values, each taken before any
@@ -97,13 +100,15 @@ def run_interval(
       pass-through. An edge in both `busy` and `held` is among them, since a
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
-      Their running maximum is taken in the one loop over `held` that also
-      lists the pass-through senders; that list is built only while
-      pass-through is on and a phase runs.
+    One loop over the held edges does both jobs: while pass-through is on
+    and a phase runs, it walks them in edge-declaration order and lists each
+    edge with `demand[i] == 0` as a pass-through sender, whose size it leaves
+    to that advance; every other held edge adds its sum to the running
+    maximum.
     An edge in neither set has two empty queues.
 
-    Period skipping. With a built-in key and a source that declares a
-    `period` q, the run remembers each phase-start state, after adoption:
+    Period skipping. When `sim_engine.skip_period` gives a period q, the
+    run remembers each phase-start state, after adoption:
     `start % q` and `sim_engine.shifted_state` of the alive packets, in id
     order. At a phase start the holding queues are empty, so every packet in
     the system is alive in an active queue. Its queue is `route[hops_done]`,
@@ -114,8 +119,11 @@ def run_interval(
     the first repeat is found. On the first repeat, at `start = s0 + P` with
     R phase records since the visit at `s0`, the shared copier
     `sim_engine.skip_periods` appends as many whole periods as `max_steps`
-    and `max_phases` allow, with R phase records each, and its docstring
-    says why the copies are exact; the run then steps on, and
+    and `max_phases` allow, and its docstring says why the copies are exact.
+    No copied step passes `max_steps`, and no copied phase closes past
+    `max_phases`, where the stepped run would have stopped. Each period
+    adds the R phase records, their indices shifted by R; the run then
+    steps on from the start of the last period copied, and
     `trace.recurrence` is `(s0, P, R)`. The phase starting at `s0` delivers
     every packet alive then before the next phase start, so each twin the
     copier reads is delivered within the period.
@@ -123,10 +131,10 @@ def run_interval(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(inner_discipline)
-    period = getattr(adversary, "period", None)  # a duck-typed source declares none
+    period = skip_period(key, adversary)
     # phase-start state -> (start, len(packets), len(records), alive packets),
-    # kept only while a built-in key and a periodic source may give a repeat
-    seen: Optional[dict] = {} if period is not None and key in DISCIPLINES.values() else None
+    # kept only while the run may skip and has not yet
+    seen: Optional[dict] = None if period is None else {}
     recurrence = None
     routes = Routes(network)
     active: list[list[Packet]] = [[] for _ in network.edges]
@@ -137,7 +145,7 @@ def run_interval(
     packets: list[Packet] = []
     steps: list[StepStats] = []
     records = [PhaseRecord(0, 0, 0, 0, 0, 0)]  # the empty startup phase closes at step 1
-    start, count, n, d = 1, 0, 0, 0
+    start, count, n, d, bound = 1, 0, 0, 0, 0
     in_system = 0
     now = 1
     while now <= max_steps:
@@ -151,24 +159,19 @@ def run_interval(
         # fixed before any movement this step); the peak queue over the held
         # edges that stay put is read before anything moves (see the docstring)
         delivered_now = max_queue = 0
-        if improvement_on and busy:
-            idle = []
-            for i in sorted(held):
-                if demand[i]:
-                    size = len(active[i]) + len(holding[i])
-                    if size > max_queue:
-                        max_queue = size
-                else:
-                    idle.append(i)
-            if idle:
-                _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
-                if longest > max_queue:
-                    max_queue = longest
-        else:
-            for i in held:
-                size = len(active[i]) + len(holding[i])
-                if size > max_queue:
-                    max_queue = size
+        passing = improvement_on and busy
+        idle = []
+        for i in sorted(held) if passing else held:
+            if passing and not demand[i]:
+                idle.append(i)
+                continue
+            size = len(active[i]) + len(holding[i])
+            if size > max_queue:
+                max_queue = size
+        if idle:
+            _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
+            if longest > max_queue:
+                max_queue = longest
 
         # the active phase advances exactly like the plain engine
         senders = sorted(busy)
@@ -181,16 +184,16 @@ def run_interval(
         delivered_now += delivered_active
         in_system += injected - delivered_now
 
-        # the one n*d check: a phase still running at n*d steps can no longer
-        # finish in time, so no phase ever closes past its bound
+        # the one n*d check: a phase still running at its bound can no longer
+        # finish in time, so no phase ever closes past it
         running = now - start + 1
-        if busy and running >= n * d:
+        if busy and running >= bound:
             raise Lemma1ViolationError(
-                f"phase {len(records)} still running after {running} steps, bound n*d = {n * d}"
+                f"phase {len(records)} still running after {running} steps, bound n*d = {bound}"
             )
         # the step that empties the active queues closes the phase
         if moved and not busy:
-            records.append(PhaseRecord(len(records), count, n, d, running, n * d))
+            records.append(PhaseRecord(len(records), count, n, d, running, bound))
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
@@ -209,58 +212,34 @@ def run_interval(
                 for i, c in nd.crossings.items():
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
+            bound = lemma1_bound(n, d)
             if seen is not None:
                 alive = queued(active, busy)
                 state = (start % period, shifted_state(alive, start))
                 first = seen.setdefault(state, (start, len(packets), len(records), alive))
-                if first[0] != start:
+                first_start, first_count, first_records, twins = first
+                if first_start != start:
                     seen = None  # a later repeat would leave no more whole periods
-                    recurrence = Recurrence(first[0], start - first[0], len(records) - first[2])
-                    start = _skip_phases(
-                        first, alive, recurrence, packets, steps, records, active,
-                        max_steps, max_phases,
-                    )
-                    now = start - 1
+                    length, phases = start - first_start, len(records) - first_records
+                    recurrence = Recurrence(first_start, length, phases)
+                    periods = (max_steps - start + 1) // length
+                    if max_phases is not None:
+                        periods = min(periods, (max_phases - len(records)) // phases)
+                    if periods > 0:
+                        copied = records[first_records:]
+                        skip_periods(
+                            recurrence, periods, first_count, twins, alive, packets, steps, active
+                        )
+                        for k in range(1, periods + 1):
+                            records.extend([PhaseRecord(r[0] + k * phases, *r[1:]) for r in copied])
+                        start += periods * length
+                        now = start - 1
 
         now += 1
         if max_phases is not None and len(records) > max_phases:
             break
     truncated = in_system > 0 or not adversary.done_after(now - 1)
     return Trace(steps, packets, truncated, recurrence=recurrence), records
-
-
-def _skip_phases(
-    first: tuple,
-    alive: list[Packet],
-    recurrence: Recurrence,
-    packets: list[Packet],
-    steps: list[StepStats],
-    records: list[PhaseRecord],
-    active: list[list[Packet]],
-    max_steps: int,
-    max_phases: Optional[int],
-) -> int:
-    """Append the whole periods that follow a repeated phase-start state,
-    through `skip_periods`, with `recurrence.phases` phase records each, and
-    return the step the run goes on from: the start of the last period
-    copied. `first` is what was remembered at the state's first visit and
-    `alive` the packets of the phase starting now, in id order.
-
-    No copied step may pass `max_steps`, and no copied phase may close past
-    `max_phases`, where the stepped run would have stopped.
-    """
-    first_start, first_count, first_records, twins = first
-    start = first_start + recurrence.period
-    periods = (max_steps - start + 1) // recurrence.period
-    if max_phases is not None:
-        periods = min(periods, (max_phases - len(records)) // recurrence.phases)
-    if periods < 1:
-        return start
-    period_records = records[first_records:]
-    skip_periods(recurrence, periods, first_count, twins, alive, packets, steps, active)
-    for k in range(1, periods + 1):
-        records.extend([PhaseRecord(rec[0] + k * recurrence.phases, *rec[1:]) for rec in period_records])
-    return start + periods * recurrence.period
 
 
 def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str = "") -> None:

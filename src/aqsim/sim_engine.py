@@ -18,9 +18,10 @@ second time. The senders leave the set of non-empty queues in one update per
 step, not one removal per hop. A packet moves by its `route`, its path as
 queue indices, which `Routes` resolves once per distinct path of a run.
 
-Both engines also share the period copier, `skip_periods`: once a run of a
-built-in key and a periodic source repeats a state, it appends whole periods
-as shifted copies instead of stepping them.
+Both engines also share period skipping: `skip_period` says which runs may
+skip, those of a built-in key and a periodic source, and once such a run
+repeats a state the copier `skip_periods` appends whole periods as shifted
+copies instead of stepping them.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     queue is the longest sender queue that `advance` reports. The packets it
     returns (`moved[k]` left `senders[k]`) are not needed here.
 
-    Period skipping. With a built-in key and a source that declares a
-    `period` q, the run looks for a repeated state by Brent's method. The
+    Period skipping. When `skip_period` gives a period q, the run looks for
+    a repeated state by Brent's method. The
     state before step s is `shifted_state`: in id order, each queued packet's
     route, hops done, and arrival and injection steps minus s. Before a step
     every packet in the system waits in the queue `route[hops_done]`, so the
@@ -235,11 +236,11 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     key = get_discipline(strategy)
-    period = getattr(adversary, "period", None)  # a duck-typed source declares none
+    period = skip_period(key, adversary)
     # Brent's detector: the next step whose state is saved (0: none), and
     # `in_system` at the saved state (-1: none is saved), so a run that
     # cannot repeat pays two failing int comparisons a step
-    save_at = 2 if period is not None and key in DISCIPLINES.values() else 0
+    save_at = 0 if period is None else 2
     saved_in = saved_step = -1
     saved: tuple = ()  # len(packets), the queued packets and their state at saved_step
     recurrence = None
@@ -296,6 +297,30 @@ def shifted_state(alive: list[Packet], now: int) -> tuple:
     )
 
 
+def skip_period(key: DisciplineKey, adversary: Adversary) -> Optional[int]:
+    """The period q by which a run of `key` against `adversary` may skip, or
+    None when the run must step through every step.
+
+    Only a run of a built-in key and a source that declares a `period` may
+    skip, because only there does a state shifted in time by a multiple of q
+    go on as a shifted copy:
+    - Each built-in key is an arrival or injection step, negated or not, or
+      a hop count, and a sender compares keys of packets in one queue at one
+      step. Shifting every time by the period keeps each comparison; ties go
+      to the least id, and matching the queued packets by position in id
+      order keeps their order, while later packets take ids above all of
+      them on both visits, the packets injected per period apart. A custom
+      key is not assumed shift-invariant, so neither engine skips with one.
+    - The source's injections from step 2 on depend only on the step modulo
+      q, so two visits from step 2 on at steps that agree modulo q meet the
+      same injections from then on. The attribute is read with `getattr`: a
+      duck-typed source, such as a proxy around a periodic one, declares
+      none, and its run steps every step.
+    """
+    period = getattr(adversary, "period", None)
+    return period if period is not None and key in DISCIPLINES.values() else None
+
+
 def skip_periods(
     recurrence: Recurrence,
     periods: int,
@@ -311,21 +336,13 @@ def skip_periods(
     `s1 = s0 + recurrence.period`, the step it has reached. The caller
     appends any phase records and goes on from step `s1 + periods*period`.
 
-    Why the copies are exact. The caller detects the repeat only for a
-    built-in key and a source that declares a `period` q, and compares
-    states that fix every queue and counter the next step reads, up to the
-    shift of times by the period (and of phases by `recurrence.phases`).
-    - Each built-in key is an arrival or injection step, negated or not, or
-      a hop count, and a sender compares keys of packets in one queue at one
-      step. Shifting every time by the period keeps each comparison; ties go
-      to the least id, and matching the queued packets by position in id
-      order keeps their order, while later packets take ids above all of
-      them on both visits, the packets injected per period apart. A custom
-      key is not assumed shift-invariant, so neither engine skips with one.
-    - The source's injections from step 2 on depend only on the step modulo
-      q, and `s0 >= 2`; the two visits share the step modulo q, so the
-      period is a multiple of q.
-    So every later step repeats the step one period earlier, shifted.
+    Why the copies are exact. The caller detects the repeat only when
+    `skip_period` gives a period q, and compares states that fix every queue
+    and counter the next step reads, up to the shift of times by the period
+    (and of phases by `recurrence.phases`). The two visits share the step
+    modulo q, so the period is a multiple of q, and `s0 >= 2`; so by
+    `skip_period`'s docstring every later step repeats the step one period
+    earlier, shifted.
 
     `first_count` packets had been injected before `s0`, `twins` were queued
     then and `alive` are queued now, both in id order; `alive[i]` is the twin

@@ -246,6 +246,12 @@ def test_scripted_rejects_invalid_path_against_network():
         scripted_adversary([InjectionEvent(1, path("e2", "e1"))], Fraction(1, 2), 4, net)
 
 
+def test_saturating_rejects_invalid_path_against_network():
+    with pytest.raises(AdversaryError) as err:
+        saturating_adversary(line_network(2), path("e9"), 0.5, 1)
+    assert str(err.value) == "invalid path ('e9',)"
+
+
 def test_scripted_refuses_an_unknown_edge_when_built():
     # a script always names its network, so a path over an edge the network
     # lacks is refused here, not as a KeyError once a run injects it

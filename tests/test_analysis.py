@@ -295,6 +295,8 @@ def test_classifier_labels_plain_series():
 def test_classifier_reports_the_trailing_ratio():
     out = classify_growth([3.0 ** i for i in range(12)])
     assert out == GrowthLabel(DIVERGENT, pytest.approx(3.0))
+    # growth from zero is an infinite ratio
+    assert classify_growth([0] * 9 + [5]) == GrowthLabel(DIVERGENT, math.inf)
 
 
 def test_classifier_requires_enough_data():

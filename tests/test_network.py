@@ -58,6 +58,13 @@ def test_build_network_rejects_unhashable_ids(nodes, edges):
         build_network(nodes=nodes, edges=edges)
 
 
+def test_empty_networks_are_refused():
+    with pytest.raises(NetworkError, match="node list must be non-empty"):
+        build_network([], [])
+    with pytest.raises(NetworkError, match="at least one edge"):
+        line_network(0)
+
+
 def test_single_node_network_is_valid():
     net = build_network(nodes=["only"], edges=[])
     assert net.edges == ()

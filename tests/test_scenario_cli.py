@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import signal
@@ -219,6 +220,14 @@ def test_name_defaults_to_file_stem(tmp_path):
 def test_make_adversary_returns_fresh_instances():
     sc = parse_scenario(_valid_doc())
     assert make_adversary(sc) is not make_adversary(sc)
+
+
+def test_make_adversary_rejects_an_unknown_kind():
+    # parse_scenario admits only the known kinds; a hand-built Scenario may hold any
+    sc = dataclasses.replace(parse_scenario(_valid_doc()), adversary_kind="periodic")
+    with pytest.raises(ScenarioError) as err:
+        make_adversary(sc)
+    assert err.value.problems == ["adversary.kind: unknown kind 'periodic'"]
 
 
 def test_make_adversary_rejects_inadmissible_script():
@@ -595,6 +604,20 @@ def test_pure_python_loader_refuses_deep_nesting_quickly(tmp_path, monkeypatch):
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(f))
     assert time.perf_counter() - started < 2
+    assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
+
+
+def test_pure_python_loader_refuses_what_its_walk_lets_through_too_deep(tmp_path, monkeypatch):
+    # a document exactly as deep as the walk's limit passes the walk (its
+    # comment lines pass the byte count), but its composition, two frames a
+    # level on top of the frames already in use, runs out of frames
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    depth = scenario._walk_limit()
+    f = tmp_path / "deep.yaml"
+    f.write_text("#\n" * depth * 4 + "[" * depth + "]" * depth + "\n")
+    assert not scenario._deeper_than(depth, f.read_text(), str(f))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
     assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
 
 

@@ -19,6 +19,13 @@ def make_packet(pid, *, injected=1, arrived=1, hops_done=0, path=("e1",)):
                   hops_done=hops_done, arrived_in_queue_at=arrived)
 
 
+def test_system_time_counts_the_injection_and_delivery_steps():
+    pkt = make_packet(1, injected=3)
+    assert pkt.system_time is None  # not yet delivered
+    pkt.delivered_at = 7
+    assert pkt.system_time == 5
+
+
 # ---- the eight disciplines --------------------------------------------------
 
 
@@ -105,6 +112,8 @@ def test_non_forward_looking_partition():
         assert is_non_forward_looking(name) == expected
     assert not is_non_forward_looking("NTG")
     assert not is_non_forward_looking("FTG")
+    with pytest.raises(ValueError, match="unknown discipline 'XYZ'"):
+        is_non_forward_looking("XYZ")
 
 
 # ---- properties --------------------------------------------------------------
