@@ -12,7 +12,12 @@ from __future__ import annotations
 import argparse
 
 from aqsim.adversary import as_rate, saturating_adversary
-from aqsim.analysis import classify_growth, line_delivery_bound, line_phase_time_limit
+from aqsim.analysis import (
+    MIN_GROWTH_TERMS,
+    classify_growth,
+    line_delivery_bound,
+    line_phase_time_limit,
+)
 from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
 
@@ -47,10 +52,10 @@ def main(argv=None) -> int:
         durations = [rec.duration_steps for rec in records if rec.phase_index >= 1]
         worst_dur = max(durations)
         worst_sys = trace.max_system_time
-        dur_cap = line_phase_time_limit(float(r), args.edges)
-        sys_cap = line_delivery_bound(float(r), args.edges)
+        dur_cap = line_phase_time_limit(r, args.edges)
+        sys_cap = line_delivery_bound(r, args.edges)
         label = (classify_growth(durations).label
-                 if len(durations) >= 10 else "n/a")
+                 if len(durations) >= MIN_GROWTH_TERMS else "n/a")
         flag = "" if worst_dur <= max(dur_cap, args.b + args.edges) else "  <-- over cap!"
         print(f"{str(r):>6} {worst_dur:>10} {dur_cap:>12.2f} "
               f"{worst_sys:>10} {sys_cap:>13.2f}  {label}{flag}")

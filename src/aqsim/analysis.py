@@ -1,10 +1,12 @@
 """Closed-form worst-case bounds for the phased protocol, their limits, and
 an empirical growth-trend classifier for phase series.
 
-The line, scheduler-family and non-forward-looking bounds are evaluated in
-double precision. The in-tree bound and limit form r*d exactly, reading the
-rate as `as_rate` reads it, so r*d = 1 is decided exactly. The simulator
-never feeds back into these functions.
+Every limit is exact: it is formed from the parameters as typed, the rate
+read by `as_rate` (a float as its shortest decimal form) and b, d and the
+c's as the rationals they hold, and rounded to a float once. The terms are
+the paper's closed forms in double precision, except that the in-tree terms
+form r*d exactly, so r*d = 1 is decided exactly. The simulator never feeds
+back into these functions.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ DIVERGENT = "DIVERGENT"
 
 _EPSILON = 0.01  # fixed dead zone around ratio 1 for the classifier
 _WINDOW = 5  # terms in the classifier's leading and trailing windows
+MIN_GROWTH_TERMS = 2 * _WINDOW  # the shortest series classify_growth labels
+
+Rate = float | Fraction  # a float is read as its shortest decimal form, as `as_rate` reads it
 
 
 class RecurrenceDomainError(ValueError):
@@ -33,14 +38,34 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _check_common(r: float, b: float, d: float) -> None:
+def _check_domain(r: Rate, b=1, d=1, c1=0, c2=0, c3=0) -> None:
+    """The bounds' domain: 0 < r < 1, b >= 1, d >= 1, 0 <= c1 <= 1 and
+    c2, c3 >= 0. A parameter a formula does not take keeps its default,
+    which passes."""
     _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
     _require(b >= 1, f"need b >= 1, got b={b}")
     _require(d >= 1, f"need d >= 1, got d={d}")
+    _require(0 <= c1 <= 1, f"need 0 <= c1 <= 1, got c1={c1}")
+    _require(c2 >= 0, f"need c2 >= 0, got c2={c2}")
+    _require(c3 >= 0, f"need c3 >= 0, got c3={c3}")
 
 
 def _check_phase(i: int) -> None:
     _require(isinstance(i, int) and i >= 1, f"phase index must be an integer >= 1, got {i}")
+
+
+def _limit(ratio: Fraction, step: Fraction, first: Fraction = Fraction(0)) -> float:
+    """Limit of the affine series T_1 = first, T_i = ratio*T_{i-1} + step,
+    for ratio >= 0 and step >= 0, rounded once: step/(1 - ratio) when
+    ratio < 1, first when the series is constant (ratio = 1 and step = 0),
+    and infinity otherwise. A finite limit past the float range is infinity
+    too. Only the tree can reach ratio = 1, so only it passes `first`."""
+    if ratio > 1 or ratio == 1 and step != 0:  # the series grows without bound
+        return math.inf
+    try:  # step/(1 - ratio), or the constant series' first term
+        return float(step / (1 - ratio) if ratio < 1 else first)
+    except OverflowError:  # Fraction -> float raises where float arithmetic gives inf
+        return math.inf
 
 
 # ---- one-way line ----------------------------------------------------------
@@ -52,22 +77,21 @@ def line_phase_time_bound(i: int, r: float, b: float, d: float) -> float:
     return theorem_phase_time_bound(i, r, b, d, 1, 1, 0)
 
 
-def line_phase_time_limit(r: float, d: float) -> float:
-    """Limit of line_phase_time_bound as i grows: d/(1-r)."""
+def line_phase_time_limit(r: Rate, d: float) -> float:
+    """Limit of line_phase_time_bound as i grows: d/(1-r), exact, rounded once."""
     return theorem_phase_time_limit(r, d, 1, 1, 0)
 
 
-def line_delivery_bound(r: float, d: float) -> float:
-    """Worst packet system time on a line under the phased protocol: 2d/(1-r)."""
-    _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
-    _require(d >= 1, f"need d >= 1, got d={d}")
-    return 2 * d / (1 - r)
+def line_delivery_bound(r: Rate, d: float) -> float:
+    """Worst packet system time on a line under the phased protocol: 2d/(1-r),
+    twice the line's phase limit."""
+    return 2 * line_phase_time_limit(r, d)
 
 
 # ---- in-trees ---------------------------------------------------------------
 
 
-def tree_phase_time_bound(i: int, r: float | Fraction, b: float, d: float) -> float:
+def tree_phase_time_bound(i: int, r: Rate, b: float, d: float) -> float:
     """Steps the i-th phase can need on a tree: r^(i-1)*b*d^i, evaluated as
     (r*d)^(i-1)*b*d with r*d formed exactly before it is rounded to a float.
     The rate is read by `as_rate`, a float as its shortest decimal form, so
@@ -75,23 +99,19 @@ def tree_phase_time_bound(i: int, r: float | Fraction, b: float, d: float) -> fl
     of 1/49 with d = 49 gives b*d at every i, and the terms of r*d < 1 fall
     to 0 rather than overflow in d^i."""
     _check_phase(i)
-    _check_common(r, b, d)
+    _check_domain(r, b, d)
     return float(as_rate(r) * Fraction(d)) ** (i - 1) * b * d
 
 
-def tree_phase_time_limit(r: float | Fraction, b: float, d: float) -> float:
+def tree_phase_time_limit(r: Rate, b: float, d: float) -> float:
     """0, b*d, or infinity depending on the sign of r*d - 1, decided exactly:
     the rate is read by `as_rate` (a float as its shortest decimal form) and
     d as the rational it holds. So a `Fraction` rate of 1/49 with d = 49
     gives b*d, where the float product of 1/49 and 49 falls short of 1, and
-    a float rate of 0.1 with d = 10 gives b*d too."""
-    _check_common(r, b, d)
-    rd = as_rate(r) * Fraction(d)
-    if rd < 1:
-        return 0.0
-    if rd == 1:
-        return float(b * d)
-    return math.inf
+    a float rate of 0.1 with d = 10 gives b*d too. The series is affine with
+    first term b*d, ratio r*d and step 0."""
+    _check_domain(r, b, d)
+    return _limit(as_rate(r) * Fraction(d), Fraction(0), Fraction(b) * Fraction(d))
 
 
 # ---- non-forward-looking inner schedulers -----------------------------------
@@ -107,7 +127,7 @@ def nonforward_k_series(
     positive and the recurrence leaves its domain).
     """
     _check_phase(i_max)
-    _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
+    _check_domain(r)
     _require(b >= 2, f"need b >= 2 (log b must be positive), got b={b}")
     _require(d >= 2, f"need d >= 2, got d={d}")
     _require(log_base > 1, f"log base must exceed 1, got {log_base}")
@@ -126,30 +146,22 @@ def nonforward_k_series(
 # ---- the c1*n + c2*d + c3 scheduler family -----------------------------------
 
 
-def _check_theorem(r: float, c1: float, c2: float, c3: float) -> None:
-    _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
-    _require(0 <= c1 <= 1, f"need 0 <= c1 <= 1, got c1={c1}")
-    _require(c2 >= 0, f"need c2 >= 0, got c2={c2}")
-    _require(c3 >= 0, f"need c3 >= 0, got c3={c3}")
-
-
 def theorem_phase_time_bound(
     i: int, r: float, b: float, d: float, c1: float, c2: float, c3: float
 ) -> float:
     """Steps the i-th phase can need when static routing finishes within
     c1*n + c2*d + c3: r^(i-1)*c1^i*b + (c2*d+c3)*((r*c1)^i - 1)/(r*c1 - 1)."""
     _check_phase(i)
-    _check_common(r, b, d)
-    _check_theorem(r, c1, c2, c3)
+    _check_domain(r, b, d, c1, c2, c3)
     rc1 = r * c1
     return r ** (i - 1) * c1**i * b + (c2 * d + c3) * (rc1**i - 1) / (rc1 - 1)
 
 
-def theorem_phase_time_limit(r: float, d: float, c1: float, c2: float, c3: float) -> float:
-    """Limit of theorem_phase_time_bound: (c2*d + c3)/(1 - r*c1)."""
-    _require(d >= 1, f"need d >= 1, got d={d}")
-    _check_theorem(r, c1, c2, c3)
-    return (c2 * d + c3) / (1 - r * c1)
+def theorem_phase_time_limit(r: Rate, d: float, c1: float, c2: float, c3: float) -> float:
+    """Limit of theorem_phase_time_bound, (c2*d + c3)/(1 - r*c1): the series
+    has ratio r*c1 and step c2*d + c3."""
+    _check_domain(r, d=d, c1=c1, c2=c2, c3=c3)
+    return _limit(as_rate(r) * Fraction(c1), Fraction(c2) * Fraction(d) + Fraction(c3))
 
 
 def theorem_phase_packet_bound(
@@ -160,17 +172,17 @@ def theorem_phase_packet_bound(
     the geometric sum. Satisfies time_bound(i) = c1*packet_bound(i) + c2*d + c3.
     """
     _check_phase(i)
-    _check_common(r, b, d)
-    _check_theorem(r, c1, c2, c3)
+    _check_domain(r, b, d, c1, c2, c3)
     rc1 = r * c1
     return rc1 ** (i - 1) * b + r * (c2 * d + c3) * (rc1 ** (i - 1) - 1) / (rc1 - 1)
 
 
-def theorem_phase_packet_limit(r: float, d: float, c1: float, c2: float, c3: float) -> float:
-    """Limit of theorem_phase_packet_bound: r*(c2*d + c3)/(1 - r*c1)."""
-    _require(d >= 1, f"need d >= 1, got d={d}")
-    _check_theorem(r, c1, c2, c3)
-    return r * (c2 * d + c3) / (1 - r * c1)
+def theorem_phase_packet_limit(r: Rate, d: float, c1: float, c2: float, c3: float) -> float:
+    """Limit of theorem_phase_packet_bound, r*(c2*d + c3)/(1 - r*c1): the
+    series has ratio r*c1 and step r*(c2*d + c3)."""
+    _check_domain(r, d=d, c1=c1, c2=c2, c3=c3)
+    rate = as_rate(r)
+    return _limit(rate * Fraction(c1), rate * (Fraction(c2) * Fraction(d) + Fraction(c3)))
 
 
 # ---- growth classification ---------------------------------------------------
@@ -187,12 +199,12 @@ def classify_growth(series: Sequence[float]) -> GrowthLabel:
 
     Mean successive ratio over the last 5 terms: DIVERGENT if the ratio is
     >= 1.01 and the max of those terms exceeds the max of the first 5;
-    CONVERGENT if <= 0.99; otherwise BOUNDED. The series needs at least 10
-    terms. An empirical heuristic — it flags trends, it does not decide
-    stability.
+    CONVERGENT if <= 0.99; otherwise BOUNDED. The series needs at least
+    MIN_GROWTH_TERMS = 10 terms. An empirical heuristic — it flags trends,
+    it does not decide stability.
     """
     _require(
-        len(series) >= 2 * _WINDOW,
+        len(series) >= MIN_GROWTH_TERMS,
         f"series of length {len(series)} too short for window {_WINDOW}",
     )
     _require(all(v >= 0 for v in series), "series values must be non-negative")

@@ -163,14 +163,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace, records = run_interval(
             scenario.network, discipline, adversary, max_steps, improvement
         )
+        mode = f"interval({discipline}) improvement={'on' if improvement else 'off'}"
     else:
         trace = run(scenario.network, discipline, adversary, max_steps)
-
-    mode = (
-        f"interval({discipline}) improvement={'on' if improvement else 'off'}"
-        if scenario.strategy_kind == "interval"
-        else f"plain({discipline})"
-    )
+        mode = f"plain({discipline})"
     header = (
         f"scenario={scenario.name} adversary={scenario.adversary_kind}"
         f" r={scenario.r if scenario.r is not None else '-'} b={scenario.b}"
@@ -195,11 +191,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if records is not None:
         print(f"phases completed: {len(records)} (startup + {len(records) - 1})")
         durations = [rec.duration_steps for rec in records if rec.phase_index >= 1]
-        if len(durations) >= 10:
+        if len(durations) >= analysis.MIN_GROWTH_TERMS:
             label = analysis.classify_growth(durations)
-            print(f"phase duration growth: {label.label} (mean ratio {label.ratio:.3f})")
+            growth = f"{label.label} (mean ratio {label.ratio:.3f})"
         else:
-            print("phase duration growth: n/a (needs at least 10 completed phases)")
+            growth = f"n/a (needs at least {analysis.MIN_GROWTH_TERMS} completed phases)"
+        print(f"phase duration growth: {growth}")
         if trace.recurrence is not None:
             s0, period, phases = trace.recurrence
             print(f"phase starts recur: step {s0}, period {period} steps ({phases} phases)")
@@ -216,9 +213,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _bound_series(args: argparse.Namespace, rate: Fraction) -> tuple[list[float], Optional[float]]:
     """Series for i = 1..i_max plus the limit (None when undefined/infinite).
-    The tree series and limit take the exact `rate`, so that r*d is formed
-    exactly and r*d = 1 is decided exactly. The other series take it as a
-    float, and refuse a rate that rounds to 0.0 or 1.0 there."""
+    Every limit and the tree series take the exact `rate`, so each limit is
+    its exact value rounded once and r*d = 1 is decided exactly. The other
+    series take the rate as a float, and refuse one that rounds to 0.0 or
+    1.0 there."""
     b, d = args.b, args.d
     c1, c2, c3 = args.c1, args.c2, args.c3
 
@@ -239,14 +237,15 @@ def _bound_series(args: argparse.Namespace, rate: Fraction) -> tuple[list[float]
     if r in (0.0, 1.0):
         raise ValueError(f"need 0 < r < 1, got r={args.r}, which rounds to {r} in double precision")
     if args.formula == "line":
-        return terms(analysis.line_phase_time_bound, r, b, d), analysis.line_phase_time_limit(r, d)
+        series = terms(analysis.line_phase_time_bound, r, b, d)
+        return series, analysis.line_phase_time_limit(rate, d)
     if args.formula == "nonforward":
         return analysis.nonforward_k_series(args.i_max, r, b, d, args.log_base), None
     if args.formula == "theorem-time":
         series = terms(analysis.theorem_phase_time_bound, r, b, d, c1, c2, c3)
-        return series, analysis.theorem_phase_time_limit(r, d, c1, c2, c3)
+        return series, analysis.theorem_phase_time_limit(rate, d, c1, c2, c3)
     series = terms(analysis.theorem_phase_packet_bound, r, b, d, c1, c2, c3)
-    return series, analysis.theorem_phase_packet_limit(r, d, c1, c2, c3)
+    return series, analysis.theorem_phase_packet_limit(rate, d, c1, c2, c3)
 
 
 def _growth(args: argparse.Namespace, series: list[float], limit: Optional[float]) -> str:
@@ -291,7 +290,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         overflow = next((row for row in rows if not math.isfinite(row[1])), None)
         if overflow is not None:  # e.g. b*(d-1) for a --d near the float maximum
             raise OverflowError(f"{overflow[1]} at i={overflow[0]}")
-        if len(series) >= 10:
+        if len(series) >= analysis.MIN_GROWTH_TERMS:
             rows.append(("growth", _growth(args, series, limit)))
     write_csv(
         sys.stdout, ["i", "value"], rows,

@@ -4,6 +4,7 @@ problem found."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import reprlib
@@ -94,9 +95,26 @@ def _deeper_than(limit: int, text: str, path: str) -> bool:
     Each level opens with a `[`, `{`, `-`, `?` or `:` of its own, so the
     count of those characters plus the newlines is never below the depth.
     Only a document whose count passes `limit` is parsed, and the walk over
-    its events stops one level past `limit`."""
+    its events stops one level past `limit`.
+
+    Under the pure-Python loader, whose scanner slows with every open flow
+    level, the first 2*limit characters are walked first. A prefix's
+    collection starts are the document's own, except one opened by a `-`,
+    `?` or `:` at its very end, which the next character may deny; the cut
+    leaves those out. So a prefix that is too deep decides the document; a
+    prefix that is not, or that the cut makes malformed, leaves the whole
+    text to walk."""
     if sum(text.count(mark) for mark in "[{-?:\n") <= limit:
         return False
+    if limit < MAX_DEPTH and len(text) > 2 * limit:
+        with contextlib.suppress(yaml.YAMLError):  # the cut may fall inside a token
+            if _walk(limit, text[: 2 * limit].rstrip("-?:"), path):
+                return True
+    return _walk(limit, text, path)
+
+
+def _walk(limit: int, text: str, path: str) -> bool:
+    """Whether the events of `text` open more than `limit` collections at once."""
     depth = 0
     for event in yaml.parse(_text(text, path), Loader=_Loader):
         if isinstance(event, yaml.CollectionStartEvent):

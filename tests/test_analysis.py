@@ -74,6 +74,17 @@ def test_line_delivery_bound_values():
     assert line_delivery_bound(1e-12, 5) == pytest.approx(10.0)
 
 
+def test_limits_are_exact_and_read_a_float_rate_as_its_shortest_decimal():
+    # 0.7 is read as 7/10, so d/(1-r) = 3/(3/10) is exactly 10, where the
+    # float formula gave 9.999999999999998; a finite limit past the float
+    # range is infinite
+    assert line_phase_time_limit(0.7, 3) == 10.0
+    assert line_delivery_bound(0.7, 3) == 20.0
+    assert theorem_phase_time_limit(Fraction(2, 3), 4, 0.5, 1, 0) == 6.0
+    assert theorem_phase_packet_limit(0.7, 3, 1, 1, 0) == 7.0
+    assert line_phase_time_limit(0.5, 1e308) == math.inf
+
+
 def test_line_bound_rejects_bad_domain():
     for bad in ({"i": 0}, {"r": 0.0}, {"r": 1.0}, {"b": 0}, {"d": 0}):
         kw = {"i": 1, "r": 0.5, "b": 4, "d": 4, **bad}

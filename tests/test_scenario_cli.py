@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import os
 import signal
 import subprocess
@@ -607,6 +608,44 @@ def test_pure_python_loader_refuses_deep_nesting_quickly(tmp_path, monkeypatch):
     assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
 
 
+def test_pure_python_loader_refuses_a_deep_prefix_before_a_malformed_tail(tmp_path, monkeypatch):
+    # the first 2*limit characters are walked first: they are too deep, so
+    # the bad character after them is never scanned (a whole walk meets it
+    # within the scanner's look-ahead and raises a YAMLError instead)
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    limit = scenario._walk_limit()
+    f = tmp_path / "deep.yaml"
+    f.write_text("[" * (limit + 1) + " " * limit + "@\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
+
+
+def test_pure_python_loader_refuses_a_document_deep_only_past_its_prefix(tmp_path, monkeypatch):
+    # limit levels in the first 2*limit characters, one more after them: the
+    # prefix decides nothing and the whole text is walked
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    limit = scenario._walk_limit()
+    text = "[ " * (limit + 1) + "]" * (limit + 1) + "\n"
+    assert text[: 2 * limit].count("[") == limit
+    f = tmp_path / "deep.yaml"
+    f.write_text(text)
+    assert scenario._deeper_than(limit, text, str(f))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(f))
+    assert err.value.problems == ["scenario: nested too deeply for the YAML loader"]
+
+
+def test_depth_prefix_leaves_out_a_collection_its_cut_opens(monkeypatch):
+    # cut after `a:`, the prefix reads a one-pair mapping at level limit + 1;
+    # the whole text reads the plain scalar `a:b` there, so it is limit deep
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    limit = scenario._walk_limit()
+    text = "[" * limit + "a" * (limit - 1) + ":b" + "]" * limit + "\n"
+    assert text[2 * limit - 1] == ":"
+    assert not scenario._deeper_than(limit, text, "deep.yaml")
+
+
 def test_pure_python_loader_refuses_what_its_walk_lets_through_too_deep(tmp_path, monkeypatch):
     # a document exactly as deep as the walk's limit passes the walk (its
     # comment lines pass the byte count), but its composition, two frames a
@@ -854,6 +893,34 @@ def test_bounds_tree_series_falls_to_zero_without_overflow(capsys):
     assert "limit,0.0" in lines
 
 
+_GRID_RATES = ("1/10", "1/3", "1/2", "2/3", "0.7", "9/10", "0.99", "3/7", "0.1", "0.25")
+
+
+@pytest.mark.parametrize("formula", ["line", "theorem-time", "theorem-packets", "tree"])
+def test_bounds_limit_is_its_exact_value_rounded_once(formula):
+    # each limit row is float() of the limit formed in Fractions from the
+    # typed values; in floats, line --r 1/3 --d 4 gave 5.999999999999999
+    family = formula.startswith("theorem")
+    for typed, d, b, (c1, c2, c3) in itertools.product(
+        _GRID_RATES, ("1", "3", "4", "7", "16", "100"), ("1", "4"),
+        [("0.5", "1", "0"), ("1", "0.3", "2.5"), ("0.7", "3", "0.1")] if family else [(None,) * 3],
+    ):
+        argv = [formula, "--r", typed, "--b", b, "--d", d, "--i-max", "3"]
+        if family:
+            argv += ["--c1", c1, "--c2", c2, "--c3", c3]
+        status, rows, _ = _bounds_rows(argv)
+        assert status == 0
+        r, dd, bb = Fraction(typed), Fraction(float(d)), Fraction(float(b))
+        if formula == "tree":
+            exact = 0 if r * dd < 1 else bb * dd if r * dd == 1 else None  # None: infinite
+        elif formula == "line":
+            exact = dd / (1 - r)
+        else:
+            k1, k2, k3 = (Fraction(float(c)) for c in (c1, c2, c3))
+            exact = (k2 * dd + k3) / (1 - r * k1) * (r if formula == "theorem-packets" else 1)
+        assert rows.get("limit") == (None if exact is None else repr(float(exact))), argv
+
+
 @pytest.mark.parametrize(
     "argv, label",
     [
@@ -944,8 +1011,8 @@ def _bounds_rows(argv) -> tuple[int, dict, str]:
 @example(("0.25000000000000000001", 0.25), 4, 4)
 @example(("0.9999999999999999999999999", 1.0), 2, 3)
 def test_bounds_rate_is_read_as_the_api_reads_it(rate, b, d):
-    # the tree rows read the rate exactly, by `as_rate`; the line rows take
-    # the float nearest to it
+    # the tree rows and every limit read the rate exactly, by `as_rate`; the
+    # line terms take the float nearest to it
     text, r = rate
     argv = ["--r", text, "--b", str(b), "--d", str(d), "--i-max", "12"]
     status, rows, _ = _bounds_rows(["tree", *argv])
@@ -965,7 +1032,7 @@ def test_bounds_rate_is_read_as_the_api_reads_it(rate, b, d):
     assert [float(rows[str(i)]) for i in range(1, 13)] == [
         line_phase_time_bound(i, r, b, d) for i in range(1, 13)
     ]
-    assert float(rows["limit"]) == line_phase_time_limit(r, d)
+    assert float(rows["limit"]) == line_phase_time_limit(exact, d)
 
 
 @pytest.mark.parametrize(
