@@ -24,6 +24,7 @@ from . import analysis
 from .adversary import AdversaryError, as_rate
 from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
+from .periodic import Periodic
 from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
 from .static_routing import SweepSummary, count_instances, sweep_rows, write_sweep_csv
@@ -149,6 +150,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         improvement = args.improvement == "on"
     if max_steps < 1:
         raise ValueError(f"run.max_steps: must be >= 1, got {max_steps}")
+    if max_steps > sys.maxsize:  # a trace's len() could not answer
+        raise ValueError(f"run.max_steps: must be at most {sys.maxsize}, got {max_steps}")
 
     with _refuse(AdversaryError, "adversary: "):
         adversary = make_adversary(scenario)
@@ -158,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _refuse(OSError, "--out: "):  # --out names a file, or a path under one
         os.makedirs(args.out, exist_ok=True)
 
-    records: Optional[list[PhaseRecord]] = None
+    records: Optional[Periodic[PhaseRecord]] = None
     if scenario.strategy_kind == "interval":
         trace, records = run_interval(
             scenario.network, discipline, adversary, max_steps, improvement
@@ -190,9 +193,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if records is not None:
         print(f"phases completed: {len(records)} (startup + {len(records) - 1})")
-        durations = [rec.duration_steps for rec in records if rec.phase_index >= 1]
-        if len(durations) >= analysis.MIN_GROWTH_TERMS:
-            label = analysis.classify_growth(durations)
+        indices = range(1, len(records))  # records[0] is the startup phase
+        if len(indices) >= analysis.MIN_GROWTH_TERMS:
+            # classify_growth reads the first and the last half of its shortest
+            # series, and every duration is positive, so these label them all;
+            # `origin` reads a copied record's duration from its template
+            half = analysis.MIN_GROWTH_TERMS // 2
+            ends = (*indices[:half], *indices[-half:])
+            label = analysis.classify_growth([records.origin(i)[0].duration_steps for i in ends])
             growth = f"{label.label} (mean ratio {label.ratio:.3f})"
         else:
             growth = f"n/a (needs at least {analysis.MIN_GROWTH_TERMS} completed phases)"

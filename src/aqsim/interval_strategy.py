@@ -15,11 +15,12 @@ one edge per step and stays held (or is delivered).
 
 from __future__ import annotations
 
-from typing import IO, NamedTuple, Optional
+from functools import partial
+from typing import IO, Iterable, NamedTuple, Optional
 
 from .adversary import Adversary
-from .csvio import write_csv
 from .network import Network, congestion_dilation
+from .periodic import Periodic, as_periodic
 from .sim_engine import (
     EngineInvariantError,
     Recurrence,
@@ -27,6 +28,7 @@ from .sim_engine import (
     StepStats,
     Trace,
     advance,
+    check_max_steps,
     inject,
     queued,
     shifted_state,
@@ -63,9 +65,11 @@ def run_interval(
     max_steps: int,
     improvement_on: bool = False,
     max_phases: Optional[int] = None,
-) -> tuple[Trace, list[PhaseRecord]]:
+) -> tuple[Trace, Periodic[PhaseRecord]]:
     """Full phased run; stops at max_steps, at system drain, or once
     `max_phases` non-startup phases have completed. Step 1 always runs.
+    Returns the trace and the phase records, the startup phase's first, as a
+    `Periodic` sequence like the trace's (see `Trace`).
 
     Every edge owns an active queue and a holding queue, both indexed in
     edge-declaration order; `busy` and `held` are the sets of indices whose
@@ -118,18 +122,18 @@ def run_interval(
     phase, not once per step, so a dict of every state seen stays small, and
     the first repeat is found. On the first repeat, at `start = s0 + P` with
     R phase records since the visit at `s0`, the shared copier
-    `sim_engine.skip_periods` appends as many whole periods as `max_steps`
+    `sim_engine.skip_periods` records as many whole periods as `max_steps`
     and `max_phases` allow, and its docstring says why the copies are exact.
     No copied step passes `max_steps`, and no copied phase closes past
-    `max_phases`, where the stepped run would have stopped. Each period
-    adds the R phase records, their indices shifted by R; the run then
-    steps on from the start of the last period copied, and
-    `trace.recurrence` is `(s0, P, R)`. The phase starting at `s0` delivers
+    `max_phases`, where the stepped run would have stopped. The records
+    become a `Periodic` too: each copied period repeats the last R records,
+    their indices shifted by R; the run then steps on from the start of the
+    period after the last one copied, and `trace.recurrence` is
+    `(s0, P, R)`. The phase starting at `s0` delivers
     every packet alive then before the next phase start, so each twin the
     copier reads is delivered within the period.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    check_max_steps(max_steps)
     key = get_discipline(inner_discipline)
     period = skip_period(key, adversary)
     # phase-start state -> (start, len(packets), len(records), alive packets),
@@ -226,12 +230,11 @@ def run_interval(
                     if max_phases is not None:
                         periods = min(periods, (max_phases - len(records)) // phases)
                     if periods > 0:
-                        copied = records[first_records:]
-                        skip_periods(
+                        steps, packets = skip_periods(
                             recurrence, periods, first_count, twins, alive, packets, steps, active
                         )
-                        for k in range(1, periods + 1):
-                            records.extend([PhaseRecord(r[0] + k * phases, *r[1:]) for r in copied])
+                        copy = partial(_moved_records, records[first_records:], phases)
+                        records = Periodic(records, phases, periods, copy)
                         start += periods * length
                         now = start - 1
 
@@ -239,15 +242,21 @@ def run_interval(
         if max_phases is not None and len(records) > max_phases:
             break
     truncated = in_system > 0 or not adversary.done_after(now - 1)
-    return Trace(steps, packets, truncated, recurrence=recurrence), records
+    return Trace(steps, packets, truncated, recurrence=recurrence), as_periodic(records)
 
 
-def write_phases_csv(records: list[PhaseRecord], dest: IO, header_comment: str = "") -> None:
-    """One row per completed phase:
+def _moved_records(records: list[PhaseRecord], phases: int, k: int) -> list[PhaseRecord]:
+    """`records` with their indices moved on k periods of `phases` phases."""
+    return [PhaseRecord(r[0] + k * phases, *r[1:]) for r in records]
+
+
+def write_phases_csv(records: Iterable[PhaseRecord], dest: IO, header_comment: str = "") -> None:
+    """One row per completed phase of `records`, a `Periodic` or a list:
     phase_index,packet_count,n_i,d_i,duration,lemma1_bound."""
-    write_csv(
+    records = as_periodic(records)
+    records.write_csv(
         dest,
         ["phase_index", "packet_count", "n_i", "d_i", "duration", "lemma1_bound"],
-        records,
+        (records.size, 0, 0, 0, 0, 0),
         header_comment,
     )

@@ -20,12 +20,13 @@ queue indices, which `Routes` resolves once per distinct path of a run.
 
 Both engines also share period skipping: `skip_period` says which runs may
 skip, those of a built-in key and a periodic source, and once such a run
-repeats a state the copier `skip_periods` appends whole periods as shifted
-copies instead of stepping them.
+repeats a state the copier `skip_periods` records whole periods as copies of
+one period, shifted, instead of stepping them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -33,8 +34,8 @@ from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
-from .csvio import write_csv
 from .network import EdgeId, Network
+from .periodic import Periodic, as_periodic
 from .strategies import DISCIPLINES, DisciplineKey, Packet, get_discipline, least
 
 _packet_id = attrgetter("id")
@@ -76,28 +77,51 @@ class Recurrence(NamedTuple):
 
 @dataclass
 class Trace:
-    steps: list[StepStats]
-    packets: list[Packet]  # every injected packet, in id order
-    truncated: bool  # cut at max_steps with work (or injections) remaining
-    # the repeat found by a run that looks for one (see `Recurrence`)
+    """One run: a row per step, every injected packet in id order, whether
+    the run was cut at `max_steps` with work (or injections) remaining, and
+    the repeat it found, if it looks for one (see `Recurrence`).
+
+    `steps` and `packets` are `Periodic` sequences; a list given here is
+    wrapped, not copied. A run that skipped periods stores the rows and
+    packets it stepped and one period: the copies are built, all of them and
+    once, when one of them is first read. `len`, `last_step`, the maxima,
+    `delivered_count` and the CSV writers read only what is stored, so they
+    cost the stepped part and one period however long the run.
+    """
+
+    steps: Periodic[StepStats]
+    packets: Periodic[Packet]
+    truncated: bool
     recurrence: Optional[Recurrence] = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        self.steps, self.packets = as_periodic(self.steps), as_periodic(self.packets)
 
     @property
     def last_step(self) -> int:
-        return self.steps[-1].step if self.steps else 0
+        return len(self.steps)  # the rows are steps 1, 2, ... in order
 
     @property
     def max_system_time(self) -> Optional[int]:
-        times = [p.system_time for p in self.packets if p.delivered_at is not None]
-        return max(times) if times else None
+        delivered = (p.system_time for p in self.packets.stored() if p.delivered_at is not None)
+        return max(delivered, default=None)
 
     @property
     def max_queue_len(self) -> int:
-        return max((s.max_queue_len for s in self.steps), default=0)
+        return max((s.max_queue_len for s in self.steps.stored()), default=0)
 
     @property
     def delivered_count(self) -> int:
-        return sum(1 for p in self.packets if p.delivered_at is not None)
+        return self.packets.total(lambda p: p.delivered_at is not None)
+
+
+def check_max_steps(max_steps: int) -> None:
+    """Refuse a run of no steps, or of more than `sys.maxsize`, the longest
+    sequence whose `len` Python can answer."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if max_steps > sys.maxsize:
+        raise ValueError(f"max_steps must be at most {sys.maxsize}, got {max_steps}")
 
 
 # ---- the step core both strategies use -------------------------------------
@@ -122,12 +146,13 @@ class Routes(dict):
 def inject(
     adversary: Adversary,
     now: int,
-    packets: list[Packet],
+    packets: list[Packet] | Periodic[Packet],
     routes: Routes,
     queues: list[list[Packet]],
     busy: set[int],
 ) -> int:
-    """The adversary's packets for step `now` are appended to `packets` and
+    """The adversary's packets for step `now` are appended to `packets` (a
+    list, or after skipping the run's `Periodic`, whose tail takes them) and
     join the queue of their first edge in `queues`, whose non-empty indices
     `busy` holds; returns how many there were. Each packet shares its
     `PacketPath`'s edge tuple and takes its route from `routes`."""
@@ -233,8 +258,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     dict of every state seen would grow with the steps times the packets in
     flight.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    check_max_steps(max_steps)
     key = get_discipline(strategy)
     period = skip_period(key, adversary)
     # Brent's detector: the next step whose state is saved (0: none), and
@@ -262,7 +286,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
                 save_at, saved_in = 0, -1  # a later repeat would leave no more whole periods
                 periods = (max_steps - now + 1) // recurrence.period
                 if periods:
-                    skip_periods(
+                    steps, packets = skip_periods(
                         recurrence, periods, first_count, twins, alive, packets, steps, queues
                     )
                     now += periods * recurrence.period
@@ -330,11 +354,14 @@ def skip_periods(
     packets: list[Packet],
     steps: list[StepStats],
     queues: list[list[Packet]],
-) -> None:
-    """Append `periods` whole periods to a run whose state before step
+) -> tuple[Periodic[StepStats], Periodic[Packet]]:
+    """Record `periods` whole periods after a run whose state before step
     `s0 = recurrence.start` has recurred, shifted, before step
-    `s1 = s0 + recurrence.period`, the step it has reached. The caller
-    appends any phase records and goes on from step `s1 + periods*period`.
+    `s1 = s0 + recurrence.period`, the step it has reached. Returns the
+    run's steps and packets as `Periodic` sequences: the stepped ones, whose
+    last period is the template, `periods` copies of it, and a tail that the
+    caller appends to as it goes on from step `s1 + periods*period`. The
+    caller records any phase records the same way.
 
     Why the copies are exact. The caller detects the repeat only when
     `skip_period` gives a period q, and compares states that fix every queue
@@ -346,7 +373,7 @@ def skip_periods(
 
     `first_count` packets had been injected before `s0`, `twins` were queued
     then and `alive` are queued now, both in id order; `alive[i]` is the twin
-    of `twins[i]`, one period later. Each copied period adds the period's
+    of `twins[i]`, one period later. Each copied period holds the period's
     step rows and the packets injected in it, with ids shifted by the packets
     injected per period, times by the period and phases by
     `recurrence.phases`. Every copy takes its packet's final fields:
@@ -362,35 +389,50 @@ def skip_periods(
       ends at a packet delivered before `s1`. (In a phased run every twin is
       delivered within one period, by the phase that adopted it.)
     After the last copied period, at step `s1 + periods*period`, the run is
-    in the state of `s1`, shifted: the packets not delivered before that
-    step are, in id order, in the places of `alive`. Each takes its
-    counterpart's hops done, arrival step and phase, shifted, and joins its
-    queue in `queues`, which otherwise keep what they held.
+    in the state of `s1`, shifted. From step 2 on, steps one period apart
+    inject the same paths in the same order, so every packet injected from
+    step 2 on has its copy, one period later, exactly `per_period` ids on.
+    Each of `alive` was injected after step 1, so the packets still queued
+    then are `alive`'s, `periods*per_period` ids on. Each takes its counterpart's
+    hops done, arrival step and phase, shifted, and joins its queue in
+    `queues`, which otherwise keep what they held. These packets go on
+    changing, so they and every later copy are built now, into the tail: the
+    copied periods from the one holding the oldest of them on. No earlier
+    copy is built.
     """
     s0, period, phases = recurrence
     s1 = s0 + period
     per_period = len(packets) - first_count
     # the period's rows by column, less the step column, which counts up by one
-    columns = list(zip(*steps[s0 - 1 : s1 - 1]))[1:]
+    columns = list(zip(*steps[s0 - 1 :]))[1:]
     for p, twin in zip(alive, twins):
         queues[p.route[p.hops_done]].clear()
         twin = packets[twin.id - 1]  # delivered, or queued at s1 and resolved above
         packets[p.id - 1] = _shifted(twin, p.id - twin.id, period, phases)
     done = packets[first_count:]  # the period's packets, each as it ends
-    for k in range(1, periods + 1):
-        shift = k * period
-        steps.extend(map(step_stats, zip(range(s0 + shift, s1 + shift), *columns)))
-        packets.extend([_shifted(p, k * per_period, shift, k * phases) for p in done])
-    if not alive:
-        return
-    end, shift = s1 + periods * period, periods * period
-    later = [p for p in packets[alive[0].id - 1 :] if p.delivered_at >= end]
-    for p, place in zip(later, alive):
+
+    def copy_steps(k: int):
+        return map(step_stats, zip(range(s0 + k * period, s1 + k * period), *columns))
+
+    def copy_packets(k: int) -> list[Packet]:
+        return [_shifted(p, k * per_period, k * period, k * phases) for p in done]
+
+    # copy k holds ids first_count + k*per_period + 1 on, so those before the
+    # oldest packet queued at the end stay unbuilt
+    unbuilt = periods
+    if alive:
+        unbuilt = max(0, periods - 1 + (alive[0].id - 1 - first_count) // per_period)
+    built = [p for k in range(unbuilt + 1, periods + 1) for p in copy_packets(k)]
+    packets = Periodic(packets, per_period, unbuilt, copy_packets, built)
+    ids, shift = periods * per_period, periods * period
+    for place in alive:
+        p = packets[place.id - 1 + ids]
         p.hops_done = place.hops_done
         p.arrived_in_queue_at = place.arrived_in_queue_at + shift
         p.delivered_at = None
         p.phase = None if place.phase is None else place.phase + periods * phases
         queues[p.route[p.hops_done]].append(p)
+    return Periodic(steps, period, periods, copy_steps), packets
 
 
 def _shifted(p: Packet, ids: int, steps: int, phases: int) -> Packet:
@@ -412,7 +454,8 @@ def _shifted(p: Packet, ids: int, steps: int, phases: int) -> Packet:
 
 def write_trace_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
     """One row per step: step,total_in_system,injections,deliveries,max_queue_len."""
-    write_csv(dest, StepStats._fields, trace.steps, header_comment)
+    steps = trace.steps
+    steps.write_csv(dest, StepStats._fields, (steps.size, 0, 0, 0, 0), header_comment)
 
 
 def write_packets_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
@@ -420,18 +463,21 @@ def write_packets_csv(trace: Trace, dest: IO, header_comment: str = "") -> None:
 
     Undelivered packets leave delivered_at and system_time empty.
     """
-    write_csv(
+    period = trace.steps.size  # steps a copied period spans; packets are copied only with steps
+    trace.packets.write_csv(
         dest,
         ["packet_id", "injected_at", "delivered_at", "system_time", "path_len"],
-        (
-            (
-                p.id,
-                p.injected_at,
-                "" if p.delivered_at is None else p.delivered_at,
-                "" if p.delivered_at is None else p.system_time,
-                len(p.path),
-            )
-            for p in trace.packets
-        ),
+        (trace.packets.size, period, period, 0, 0),
         header_comment,
+        _packet_row,
+    )
+
+
+def _packet_row(p: Packet) -> tuple:
+    return (
+        p.id,
+        p.injected_at,
+        "" if p.delivered_at is None else p.delivered_at,
+        "" if p.delivered_at is None else p.system_time,
+        len(p.path),
     )

@@ -406,6 +406,14 @@ def _scripted(d):
     "mutate, argv, err",
     [
         (lambda d: d, ["--max-steps", "0"], "error: run.max_steps: must be >= 1, got 0\n"),
+        (
+            lambda d: d, ["--max-steps", "99999999999999999999"],
+            f"error: run.max_steps: must be at most {sys.maxsize}, got 99999999999999999999\n",
+        ),
+        (
+            lambda d: d["run"].update(max_steps=sys.maxsize + 1), [],
+            f"error: run.max_steps: must be at most {sys.maxsize}, got {sys.maxsize + 1}\n",
+        ),
         (lambda d: [d], [], "error: top level: expected a mapping\n"),
         (lambda d: d.update(name=7), [], "error: name: must be a non-empty string\n"),
         (
@@ -474,7 +482,7 @@ def _scripted(d):
         ),
     ],
     ids=[
-        "max-steps-0", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
+        "max-steps-0", "max-steps-past-maxsize", "yaml-max-steps-past-maxsize", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
         "edge-not-triple", "undeclared-source", "empty-path", "no-adversary",
         "unknown-adversary-kind", "empty-events", "event-not-mapping", "scripted-path",
         "no-strategy", "unknown-strategy-kind", "improvement-not-bool", "no-run",
