@@ -109,9 +109,10 @@ def _write_csv_set(out_dir: str, name: str, outputs, header: str) -> list[str]:
     in `outputs`, to `out_dir` as a whole set, and return their paths.
 
     Each CSV is written to a temporary name first, and the files are renamed
-    only after the last write succeeds. On an OSError the temporary files and
-    any file of the set already renamed are removed, and the error is raised
-    again, so a failed run leaves no partial set behind.
+    only after the last write succeeds. On any exception, an OSError or an
+    interrupt such as Ctrl-C alike, the temporary files and any file of the
+    set already renamed are removed, and the exception is raised again
+    unchanged, so a failed or interrupted run leaves no partial set behind.
     """
     tag = secrets.token_hex(4)
     temps: list[str] = []
@@ -126,7 +127,7 @@ def _write_csv_set(out_dir: str, name: str, outputs, header: str) -> list[str]:
             final = os.path.join(out_dir, f"{name}_{kind}.csv")
             os.replace(tmp, final)
             done.append(final)
-    except OSError:
+    except BaseException:
         for path in temps[len(done):] + done:
             with contextlib.suppress(OSError):
                 os.remove(path)

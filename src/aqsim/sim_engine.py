@@ -36,7 +36,7 @@ from typing import IO, NamedTuple, Optional
 from .adversary import Adversary
 from .network import EdgeId, Network
 from .periodic import Periodic, as_periodic
-from .strategies import DISCIPLINES, DisciplineKey, Packet, get_discipline, least
+from .strategies import DisciplineKey, Packet, get_discipline, is_builtin, least
 
 _packet_id = attrgetter("id")
 
@@ -188,10 +188,14 @@ def advance(
     packet lands in it the step it emptied). Queues in `busy` that do not
     send stay in it.
 
-    The key is evaluated once per queued packet of each sender, in queue
-    order. A sender holding one packet (nearly all of them on the benchmark
-    workloads) still evaluates it once and then sends that packet; longer
-    queues pick through `strategies.least`.
+    A sender holding one packet (nearly all of them on the benchmark
+    workloads) sends it without comparing anything. Under a built-in key it
+    does not evaluate the key either: a built-in key only reads the packet's
+    fields, so with one packet to pick from the call could change neither
+    the pick nor any state. A custom key is evaluated once per queued packet
+    of each sender, in queue order, a lone packet included, so a key that
+    counts its calls still sees every one. Longer queues pick through
+    `strategies.least`, which evaluates every key once in queue order.
 
     Returns the packets that crossed, `moved[k]` being the one that left
     `senders[k]`; the number of packets that finished their path; and the
@@ -200,11 +204,13 @@ def advance(
     """
     moved = []
     longest = 1 if senders else 0
+    custom = not is_builtin(key)
     busy.difference_update(senders)
     for i in senders:
         q = queues[i]
         if len(q) == 1:
-            key(q[0])  # a custom key may count its calls; see the docstring
+            if custom:
+                key(q[0])  # a custom key may count its calls; see the docstring
             moved.append(q.pop())
         else:
             if len(q) > longest:
@@ -334,7 +340,9 @@ def skip_period(key: DisciplineKey, adversary: Adversary) -> Optional[int]:
       to the least id, and matching the queued packets by position in id
       order keeps their order, while later packets take ids above all of
       them on both visits, the packets injected per period apart. A custom
-      key is not assumed shift-invariant, so neither engine skips with one.
+      key, a wrapper around a built-in one included (`strategies.is_builtin`
+      tells them apart), is not assumed shift-invariant, so neither engine
+      skips with one.
     - The source's injections from step 2 on depend only on the step modulo
       q, so two visits from step 2 on at steps that agree modulo q meet the
       same injections from then on. The attribute is read with `getattr`: a
@@ -342,7 +350,7 @@ def skip_period(key: DisciplineKey, adversary: Adversary) -> Optional[int]:
       none, and its run steps every step.
     """
     period = getattr(adversary, "period", None)
-    return period if period is not None and key in DISCIPLINES.values() else None
+    return period if period is not None and is_builtin(key) else None
 
 
 def skip_periods(

@@ -99,6 +99,17 @@ NON_FORWARD_LOOKING: frozenset[str] = frozenset(
 )
 
 
+# The built-in keys by identity: each lives as long as this module, so no
+# other object can take its id, and a custom key need not be hashable.
+_BUILTIN_IDS: frozenset[int] = frozenset(map(id, DISCIPLINES.values()))
+
+
+def is_builtin(key: DisciplineKey) -> bool:
+    """Whether `key` is one of the eight keys in `DISCIPLINES` itself, not a
+    custom callable, even one that wraps a built-in key."""
+    return id(key) in _BUILTIN_IDS
+
+
 def get_discipline(discipline) -> DisciplineKey:
     """Resolve a discipline name (or pass a key function through)."""
     if callable(discipline):

@@ -367,6 +367,19 @@ def test_run_failed_csv_write_leaves_no_file(scenario_dir, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_interrupted_csv_write_leaves_no_file(scenario_dir, tmp_path, monkeypatch):
+    # the second of three writers is interrupted part-way: the trace CSV is
+    # already written to its temporary name and the phases CSV never starts
+    def interrupted(trace, dest, header_comment=""):
+        dest.write("packet_id,partial\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_packets_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", str(scenario_dir / "line_saturating.yaml"), "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_missing_file_exits_2(capsys):
     assert cli.main(["run", "no_such_file.yaml"]) == 2
     assert "cannot read scenario" in capsys.readouterr().err
