@@ -15,7 +15,6 @@ whose docstring proves it admissible.
 from __future__ import annotations
 
 import re
-import reprlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .network import EdgeId, Network, PacketPath, validate_path
+from .network import EdgeId, Network, PacketPath, shown, validate_path
 
 
 class AdversaryError(ValueError):
@@ -56,23 +55,21 @@ def as_rate(r) -> Fraction:
     """Exact rational injection rate in (0,1); floats are read as their
     shortest decimal form (0.1 means exactly 1/10)."""
     if _huge_exponent(r):
-        raise AdversaryError(
-            f"injection rate exponent exceeds {_MAX_DIGITS} in {reprlib.repr(r)}"
-        )
+        raise AdversaryError(f"injection rate exponent exceeds {_MAX_DIGITS} in {shown(r)}")
     try:  # refuses None, nan, inf, "abc", "1/0" and Decimal("Infinity")
         rate = Fraction(str(r) if isinstance(r, float) else r)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise AdversaryError(f"cannot read injection rate from {reprlib.repr(r)}") from None
+        raise AdversaryError(f"cannot read injection rate from {shown(r)}") from None
     if abs(rate.numerator) >= _TOO_MANY_DIGITS or rate.denominator >= _TOO_MANY_DIGITS:
         raise AdversaryError(f"injection rate has more than {_MAX_DIGITS} digits")
     if not 0 < rate < 1:
-        raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {reprlib.repr(r)}")
+        raise AdversaryError(f"injection rate must satisfy 0 < r < 1, got {shown(r)}")
     return rate
 
 
 def _check_burst(b) -> int:
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise AdversaryError(f"burst must be an integer >= 1, got {b!r}")
+        raise AdversaryError(f"burst must be an integer >= 1, got {shown(b)}")
     return b
 
 
@@ -95,7 +92,7 @@ class Violation:
     def __str__(self) -> str:
         length = self.end - self.start + 1
         return (
-            f"edge {self.edge!r}: {self.count} injections in steps "
+            f"edge {shown(self.edge)}: {self.count} injections in steps "
             f"[{self.start},{self.end}] exceed floor(r*{length})+b = {self.allowed}"
         )
 
@@ -268,7 +265,8 @@ class ScriptedAdversary(Adversary):
                 raise AdversaryError("events must be sorted by time")
         for ev in self._events:
             if not validate_path(network, ev.path):
-                raise AdversaryError(f"event at step {ev.time}: invalid path {ev.path.edges}")
+                edges = shown(ev.path.edges)
+                raise AdversaryError(f"event at step {ev.time}: invalid path {edges}")
         self._last = max((ev.time for ev in self._events), default=0)
         if self._events:
             result = verify_admissible(self._events, self.r, self.b, self._last)
@@ -328,7 +326,7 @@ class SaturatingAdversary(Adversary):
 
     def __init__(self, network: Network, path: PacketPath, r, b):
         if not validate_path(network, path):
-            raise AdversaryError(f"invalid path {path.edges}")
+            raise AdversaryError(f"invalid path {shown(path.edges)}")
         self.r = as_rate(r)
         self.b = _check_burst(b)
         self._p, self._q = self.r.numerator, self.r.denominator

@@ -2,9 +2,9 @@
 and sweep the brute-force scheduling oracle.
 
 Exit codes: 0 success, 2 validation/domain error, 3 broken runtime invariant
-(a bound the engine must never exceed). Each command raises on a refusal, and
-`main` alone turns it into an exit status and its `error:` or `fatal:` lines
-on stderr."""
+(a bound the engine must never exceed), and 130 from the console script on
+an interrupt. Each command raises on a refusal, and `main` alone turns it
+into an exit status and its `error:` or `fatal:` lines on stderr."""
 
 from __future__ import annotations
 
@@ -257,23 +257,16 @@ def _bound_series(args: argparse.Namespace, rate: Fraction) -> tuple[list[float]
     return series, analysis.theorem_phase_packet_limit(rate, d, c1, c2, c3)
 
 
-def _growth(args: argparse.Namespace, series: list[float], limit: Optional[float]) -> str:
+def _growth(formula: str, series: list[float], limit: Optional[float]) -> str:
     """The series' trend. Every closed form tends to its limit, so its label
-    is decided exactly from the parameters: DIVERGENT when the limit is
-    infinite, CONVERGENT when it is 0 and BOUNDED otherwise. The tree limit
-    is exactly 0.0 for r*d < 1, b*d >= 1 for r*d = 1 and None (infinite) for
-    r*d > 1; the scheduler-family limits are finite and 0 exactly when
-    c2*d + c3 is, and the line's is d/(1-r) > 0. The `nonforward` recurrence
-    has no closed form, so `classify_growth` labels its terms."""
-    if args.formula == "nonforward":
+    is read from that limit alone: DIVERGENT when it is infinite (None),
+    CONVERGENT when it is 0 and BOUNDED otherwise. The `nonforward`
+    recurrence has no closed form, so `classify_growth` labels its terms."""
+    if formula == "nonforward":
         return analysis.classify_growth(series).label
-    if args.formula == "tree":
-        if limit is None:
-            return analysis.DIVERGENT
-        return analysis.CONVERGENT if limit == 0 else analysis.BOUNDED
-    if args.formula != "line" and args.c2 * args.d + args.c3 == 0:
-        return analysis.CONVERGENT
-    return analysis.BOUNDED
+    if limit is None:
+        return analysis.DIVERGENT
+    return analysis.CONVERGENT if limit == 0 else analysis.BOUNDED
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -300,7 +293,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if overflow is not None:  # e.g. b*(d-1) for a --d near the float maximum
             raise OverflowError(f"{overflow[1]} at i={overflow[0]}")
         if len(series) >= analysis.MIN_GROWTH_TERMS:
-            rows.append(("growth", _growth(args, series, limit)))
+            rows.append(("growth", _growth(args.formula, series, limit)))
     write_csv(
         sys.stdout, ["i", "value"], rows,
         f"formula={args.formula} r={args.r} b={args.b} d={args.d}"
@@ -359,10 +352,16 @@ def entry() -> None:
     """The `aqsim` console script. It restores the default SIGPIPE action, so
     a reader that closes stdout early (`aqsim sweep | head -1`) ends the
     process quietly, as it ends `cat`, not in a BrokenPipeError traceback.
+    An interrupt (Ctrl-C) writes one `error:` line and exits 130, the
+    shell's status for SIGINT; a run's CSV set is removed as it unwinds.
     `main` leaves signal handling to in-process callers."""
     if hasattr(signal, "SIGPIPE"):  # not on Windows
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        sys.exit(130)
 
 
 if __name__ == "__main__":

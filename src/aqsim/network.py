@@ -15,13 +15,10 @@ class NetworkError(ValueError):
     pass
 
 
-def shown(value: object) -> str:
-    """`repr(value)`, or reprlib's shortened form of it where the value nests
-    too deeply for `repr` to reach the bottom within the recursion limit."""
-    try:
-        return repr(value)
-    except RecursionError:
-        return reprlib.repr(value)
+# How a refusal quotes a value from outside the program: its repr within
+# reprlib's default limits (6 levels, 6 items a list, 30 characters a string),
+# so a quote stays small however deep, long or aliased the value is.
+shown = reprlib.repr
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,13 @@ def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId,
         except TypeError:
             raise NetworkError(f"edge {shown(eid)}: ids must be hashable") from None
         if eid in by_id:
-            raise NetworkError(f"duplicate edge id {eid!r}")
+            raise NetworkError(f"duplicate edge id {shown(eid)}")
         if src not in node_set:
-            raise NetworkError(f"edge {eid!r}: source node {src!r} not declared")
+            raise NetworkError(f"edge {shown(eid)}: source node {shown(src)} not declared")
         if dst not in node_set:
-            raise NetworkError(f"edge {eid!r}: target node {dst!r} not declared")
+            raise NetworkError(f"edge {shown(eid)}: target node {shown(dst)} not declared")
         if (src, dst) in seen_pairs:
-            raise NetworkError(f"edge {eid!r}: parallel edge on pair ({src!r}, {dst!r})")
+            raise NetworkError(f"edge {shown(eid)}: parallel edge on pair {shown((src, dst))}")
         seen_pairs.add((src, dst))
         edge = Edge(src, dst, eid)
         edge_list.append(edge)

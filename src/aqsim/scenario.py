@@ -27,7 +27,8 @@ from .adversary import (
 from .network import Network, NetworkError, PacketPath, build_network, shown, validate_path
 from .strategies import DISCIPLINES
 
-ADVERSARY_KINDS = ("scripted", "burst", "saturating")
+# each adversary kind and the one field that gives its paths
+ADVERSARY_KINDS = {"scripted": "events", "burst": "paths", "saturating": "path"}
 STRATEGY_KINDS = ("plain", "interval")
 MAX_DEPTH = 10_000  # nesting levels; a deeper document is refused before it is composed
 # packets; the saturating source builds its step-1 burst as a list of b paths,
@@ -237,10 +238,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         fail("adversary", "required mapping with a 'kind'")
     else:
         adv_kind = adv.get("kind")
-        if adv_kind not in ADVERSARY_KINDS:
+        if not isinstance(adv_kind, str) or adv_kind not in ADVERSARY_KINDS:
             fail("adversary.kind", f"must be one of {', '.join(ADVERSARY_KINDS)}")
             adv_kind = ""
-        unknown_keys(adv, {"kind", "r", "b", "path", "paths", "events"}, "adversary.")
+        unknown_keys(adv, {"kind", "r", "b", *ADVERSARY_KINDS.values()}, "adversary.")
 
         if "r" in adv:
             try:
@@ -259,8 +260,6 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
                     f"must be at most {SATURATING_B_LIMIT:,} for the saturating adversary, got {b}",
                 )
             sat_path = read_path(adv.get("path"), "adversary.path")
-            if "paths" in adv or "events" in adv:
-                fail("adversary", "saturating takes 'path', not 'paths'/'events'")
         elif adv_kind == "burst":
             raw_paths = adv.get("paths")
             if not isinstance(raw_paths, list) or not raw_paths:
@@ -270,8 +269,6 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
                     p = read_path(raw, f"adversary.paths[{i}]")
                     if p is not None:
                         burst_paths.append(p)
-            if "path" in adv or "events" in adv:
-                fail("adversary", "burst takes 'paths', not 'path'/'events'")
         elif adv_kind == "scripted":
             raw_events = adv.get("events")
             if not isinstance(raw_events, list) or not raw_events:
@@ -292,8 +289,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
                     p = read_path(raw.get("path"), f"{where}.path")
                     if p is not None:
                         events.append(InjectionEvent(step_no, p))
-            if "path" in adv or "paths" in adv:
-                fail("adversary", "scripted takes 'events', not 'path'/'paths'")
+        own = ADVERSARY_KINDS.get(adv_kind)  # None for a refused kind
+        others = [f for f in ("path", "paths", "events") if f != own]
+        if own and any(f in adv for f in others):
+            fail("adversary", f"{adv_kind} takes '{own}', not {'/'.join(map(repr, others))}")
 
     # -- strategy
     strat_kind = "plain"
@@ -367,4 +366,4 @@ def make_adversary(scenario: Scenario) -> Adversary:
         return saturating_adversary(
             scenario.network, scenario.sat_path, scenario.r, scenario.b
         )
-    raise ScenarioError([f"adversary.kind: unknown kind {scenario.adversary_kind!r}"])
+    raise ScenarioError([f"adversary.kind: unknown kind {shown(scenario.adversary_kind)}"])

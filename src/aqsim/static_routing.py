@@ -22,6 +22,7 @@ from .network import (
     congestion_dilation,
     in_tree_network,
     line_network,
+    shown,
     validate_path,
 )
 from .csvio import write_csv
@@ -55,7 +56,7 @@ def make_instance(network: Network, paths: Iterable[PacketPath]) -> StaticInstan
 def _check_paths(network: Network, paths: Sequence[PacketPath]) -> None:
     for i, p in enumerate(paths):
         if not validate_path(network, p):
-            raise NetworkError(f"packet {i + 1}: invalid path {p.edges}")
+            raise NetworkError(f"packet {i + 1}: invalid path {shown(p.edges)}")
 
 
 def lemma1_bound(n: int, d: int) -> int:
@@ -286,7 +287,7 @@ def enumerate_instances(
         raise ValueError("no shapes given; expected 'line', 'tree' or both")
     for shape in shapes:
         if shape not in ("line", "tree"):
-            raise ValueError(f"unknown shape {shape!r}; expected 'line' or 'tree'")
+            raise ValueError(f"unknown shape {shown(shape)}; expected 'line' or 'tree'")
     if max_packets < 1 or max_edges < 1:
         raise ValueError("max_packets and max_edges must be >= 1")
 

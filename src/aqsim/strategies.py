@@ -12,6 +12,8 @@ from itertools import compress, repeat
 from operator import attrgetter, eq
 from typing import Callable, Optional, Sequence
 
+from .network import shown
+
 
 @dataclass(slots=True)
 class Packet:
@@ -118,14 +120,14 @@ def get_discipline(discipline) -> DisciplineKey:
         return DISCIPLINES[str(discipline).upper()]
     except KeyError:
         raise ValueError(
-            f"unknown discipline {discipline!r}; expected one of {sorted(DISCIPLINES)}"
+            f"unknown discipline {shown(discipline)}; expected one of {sorted(DISCIPLINES)}"
         ) from None
 
 
 def is_non_forward_looking(discipline) -> bool:
     name = str(discipline).upper()
     if name not in DISCIPLINES:
-        raise ValueError(f"unknown discipline {discipline!r}")
+        raise ValueError(f"unknown discipline {shown(discipline)}")
     return name in NON_FORWARD_LOOKING
 
 

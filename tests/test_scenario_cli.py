@@ -137,6 +137,13 @@ def _nested(levels):
     return value
 
 
+def _aliased(width, levels):
+    value = []
+    for _ in range(levels):
+        value = [value] * width
+    return value
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [
@@ -149,14 +156,21 @@ def _nested(levels):
     ],
 )
 def test_parse_names_a_value_nested_too_deeply_for_repr(mutate, field):
-    # repr of a list 3,000 levels deep exhausts the recursion limit
-    doc = _valid_doc()
-    mutate(doc, _nested(3_000))
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(doc)
-    problems = err.value.problems
-    assert [p.split(": ")[0] for p in problems] == [field]
-    assert "[[[[[[[...]]]]]]]" in problems[0]
+    # repr of a list 3,000 levels deep exhausts the recursion limit, and the
+    # repr of 9 aliases a level over 8 levels is 9^8 lists long
+    for value, quote in (
+        (_nested(3_000), "[[[[[[[...]]]]]]]"),
+        (_aliased(9, 8), "[[[[[[[...], [...], [...], [...], [...], [...], ...], "),
+    ):
+        doc = _valid_doc()
+        mutate(doc, value)
+        started = time.perf_counter()
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert time.perf_counter() - started < 1
+        problems = err.value.problems
+        assert [p.split(": ")[0] for p in problems] == [field]
+        assert quote in problems[0]
 
 
 def test_parse_reports_every_unknown_key_and_count_in_order():
@@ -380,6 +394,26 @@ def test_run_interrupted_csv_write_leaves_no_file(scenario_dir, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_entry_exits_130_on_an_interrupt(scenario_dir, tmp_path, monkeypatch, capsys):
+    def interrupted(trace, dest, header_comment=""):
+        dest.write("packet_id,partial\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_packets_csv", interrupted)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)  # keep this process's SIGPIPE action
+    scenario_file = str(scenario_dir / "line_saturating.yaml")
+    monkeypatch.setattr(sys, "argv", ["aqsim", "run", scenario_file, "--out", str(tmp_path)])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+    except KeyboardInterrupt:  # would end the test session, not fail one test
+        pytest.fail("the interrupt escaped entry()")
+    assert exit_.value.code == 130
+    out, err = capsys.readouterr()
+    assert err == "error: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_missing_file_exits_2(capsys):
     assert cli.main(["run", "no_such_file.yaml"]) == 2
     assert "cannot read scenario" in capsys.readouterr().err
@@ -493,13 +527,26 @@ def _scripted(d):
             "error: adversary: inadmissible script: edge 'e1': 2 injections in steps [1,1]"
             " exceed floor(r*1)+b = 1\n",
         ),
+        (
+            # a YAML list is unhashable, so it cannot be looked up among the kinds
+            lambda d: d["adversary"].update(kind=["scripted"]), [],
+            "error: adversary.kind: must be one of scripted, burst, saturating\n",
+        ),
+        (
+            lambda d: d["adversary"].update(events=[{"step": 1, "path": ["e1"]}]), [],
+            "error: adversary: saturating takes 'path', not 'paths'/'events'\n",
+        ),
+        (
+            lambda d: d["adversary"].update(kind="burst", paths=[["e1"]]), [],
+            "error: adversary: burst takes 'paths', not 'path'/'events'\n",
+        ),
     ],
     ids=[
         "max-steps-0", "max-steps-past-maxsize", "yaml-max-steps-past-maxsize", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
         "edge-not-triple", "undeclared-source", "empty-path", "no-adversary",
         "unknown-adversary-kind", "empty-events", "event-not-mapping", "scripted-path",
         "no-strategy", "unknown-strategy-kind", "improvement-not-bool", "no-run",
-        "overloaded-burst",
+        "overloaded-burst", "unhashable-adversary-kind", "saturating-events", "burst-path",
     ],
 )
 def test_run_refusal_exits_2_with_exact_stderr(tmp_path, capsys, mutate, argv, err):
@@ -691,6 +738,72 @@ def test_pure_python_loader_composes_what_its_walk_lets_through(tmp_path, monkey
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(f))
     assert err.value.problems == ["top level: expected a mapping"]
+
+
+# 8 levels of 9 aliases: the discipline is 9^8 = 43,046,721 strings
+_ALIAS_BOMB = """\
+network: {nodes: [v0, v1], edges: [[v0, v1, e1]]}
+adversary: {kind: saturating, r: 1/2, b: 2, path: [e1]}
+run: {max_steps: 10}
+strategy:
+  kind: plain
+  discipline: [&g [&f [&e [&d [&c [&b [&a [x, x, x, x, x, x, x, x, x],
+    *a, *a, *a, *a, *a, *a, *a, *a], *b, *b, *b, *b, *b, *b, *b, *b],
+    *c, *c, *c, *c, *c, *c, *c, *c], *d, *d, *d, *d, *d, *d, *d, *d],
+    *e, *e, *e, *e, *e, *e, *e, *e], *f, *f, *f, *f, *f, *f, *f, *f],
+    *g, *g, *g, *g, *g, *g, *g, *g]
+"""
+
+
+@pytest.mark.parametrize("loader", ["default", "pure-Python"])
+def test_run_refuses_an_alias_bomb_quickly(tmp_path, monkeypatch, capsys, loader):
+    if loader == "pure-Python":
+        monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    f = tmp_path / "bomb.yaml"
+    f.write_text(_ALIAS_BOMB)
+    started = time.perf_counter()
+    assert cli.main(["run", str(f), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err) < 1_000_000
+    assert err.startswith("error: strategy.discipline: must be one of")
+    assert err.count("\n") == 1
+
+
+def test_anchors_and_aliases_load_as_their_values(tmp_path):
+    shared = textwrap.dedent(
+        """\
+        name: shared
+        network:
+          nodes: [v0, v1, v2]
+          edges: [[v0, v1, e1], [v1, v2, e2]]
+        adversary:
+          kind: scripted
+          r: 1/2
+          b: 2
+          events:
+            - {step: 1, path: &p [e1, e2]}
+            - {step: 2, path: *p}
+            - {step: 4, path: *p}
+        strategy: {kind: interval, discipline: FIFO}
+        run: {max_steps: 20}
+        """
+    )
+    texts = {"aliased": shared, "expanded": shared.replace("&p ", "").replace("*p", "[e1, e2]")}
+    loaded, written = {}, {}
+    for form, text in texts.items():
+        f = tmp_path / f"{form}.yaml"
+        f.write_text(text)
+        loaded[form] = load_scenario(str(f))
+        out = tmp_path / form
+        assert cli.main(["run", str(f), "--out", str(out)]) == 0
+        written[form] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "*p" not in texts["expanded"]
+    assert len(loaded["aliased"].events) == 3
+    assert loaded["aliased"] == loaded["expanded"]
+    assert sorted(written["aliased"]) == ["shared_packets.csv", "shared_phases.csv", "shared_trace.csv"]
+    assert written["aliased"] == written["expanded"]
 
 
 def test_load_errors_read_as_from_the_file(tmp_path):
