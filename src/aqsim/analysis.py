@@ -51,7 +51,8 @@ def _check_domain(r: Rate, b=1, d=1, c1=0, c2=0, c3=0) -> None:
 
 
 def _check_phase(i: int) -> None:
-    _require(isinstance(i, int) and i >= 1, f"phase index must be an integer >= 1, got {i}")
+    ok = isinstance(i, int) and not isinstance(i, bool) and i >= 1
+    _require(ok, f"phase index must be an integer >= 1, got {i}")
 
 
 def _limit(ratio: Fraction, step: Fraction, first: Fraction = Fraction(0)) -> float:

@@ -28,15 +28,15 @@ from .periodic import Periodic
 from .scenario import ScenarioError, load_scenario, make_adversary
 from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
 from .static_routing import SweepSummary, count_instances, sweep_rows, write_sweep_csv
-from .strategies import get_discipline
+from .strategies import discipline_name
 
-FORMULAS = ("line", "tree", "nonforward", "theorem-time", "theorem-packets")
-# the flags of `aqsim bounds` that only some formulas read
-READ_BY = {
-    "--c1": ("theorem-time", "theorem-packets"),
-    "--c2": ("theorem-time", "theorem-packets"),
-    "--c3": ("theorem-time", "theorem-packets"),
-    "--log-base": ("nonforward",),
+# each formula of `aqsim bounds` and the flags it reads beyond --r, --b, --d and --i-max
+FORMULAS = {
+    "line": (),
+    "tree": (),
+    "nonforward": ("--log-base",),
+    "theorem-time": ("--c1", "--c2", "--c3"),
+    "theorem-packets": ("--c1", "--c2", "--c3"),
 }
 SWEEP_LIMIT = 2_000_000  # instances; a larger sweep is refused before it starts
 I_MAX_LIMIT = 100_000  # bounds terms; a longer series is refused before any is computed
@@ -143,7 +143,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = load_scenario(args.scenario)
 
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
-    discipline = scenario.discipline if args.strategy is None else args.strategy.upper()
     improvement = scenario.improvement
     if args.improvement is not None:
         if scenario.strategy_kind != "interval":
@@ -153,11 +152,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"run.max_steps: must be >= 1, got {max_steps}")
     if max_steps > sys.maxsize:  # a trace's len() could not answer
         raise ValueError(f"run.max_steps: must be at most {sys.maxsize}, got {max_steps}")
+    # an unknown --strategy is refused before the adversary is built and --out created
+    discipline = scenario.discipline if args.strategy is None else discipline_name(args.strategy)
 
     with _refuse(AdversaryError, "adversary: "):
         adversary = make_adversary(scenario)
-    if args.strategy is not None:
-        get_discipline(discipline)  # an unknown name is refused before --out is created
 
     with _refuse(OSError, "--out: "):  # --out names a file, or a path under one
         os.makedirs(args.out, exist_ok=True)
@@ -270,7 +269,7 @@ def _growth(formula: str, series: list[float], limit: Optional[float]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    unread = [flag for flag in dict.fromkeys(args.given) if args.formula not in READ_BY[flag]]
+    unread = [flag for flag in dict.fromkeys(args.given) if flag not in FORMULAS[args.formula]]
     if unread:
         raise ValueError(f"the {args.formula} formula does not read {', '.join(unread)}")
     if args.i_max < 1:

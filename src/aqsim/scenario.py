@@ -25,7 +25,7 @@ from .adversary import (
     scripted_adversary,
 )
 from .network import Network, NetworkError, PacketPath, build_network, shown, validate_path
-from .strategies import DISCIPLINES
+from .strategies import DISCIPLINES, discipline_name
 
 # each adversary kind and the one field that gives its paths
 ADVERSARY_KINDS = {"scripted": "events", "burst": "paths", "saturating": "path"}
@@ -308,13 +308,13 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             strat_kind = "plain"
         unknown_keys(strat, {"kind", "discipline", "improvement"}, "strategy.")
         raw_disc = strat.get("discipline")
-        if not isinstance(raw_disc, str) or raw_disc.upper() not in DISCIPLINES:
+        try:
+            discipline = discipline_name(raw_disc)
+        except ValueError:
             fail(
                 "strategy.discipline",
                 f"must be one of {', '.join(sorted(DISCIPLINES))}, got {shown(raw_disc)}",
             )
-        else:
-            discipline = raw_disc.upper()
         raw_improve = strat.get("improvement", False)
         if not isinstance(raw_improve, bool):
             fail("strategy.improvement", f"must be a boolean, got {shown(raw_improve)}")

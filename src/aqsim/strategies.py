@@ -112,23 +112,24 @@ def is_builtin(key: DisciplineKey) -> bool:
     return id(key) in _BUILTIN_IDS
 
 
+def discipline_name(value) -> str:
+    """The key of `DISCIPLINES` that `value` names in any case. Anything else,
+    a value that is not a string included, is refused without building its
+    str(), which a deeply nested or widely aliased list cannot afford."""
+    if isinstance(value, str) and value.upper() in DISCIPLINES:
+        return value.upper()
+    raise ValueError(f"unknown discipline {shown(value)}; expected one of {sorted(DISCIPLINES)}")
+
+
 def get_discipline(discipline) -> DisciplineKey:
     """Resolve a discipline name (or pass a key function through)."""
     if callable(discipline):
         return discipline
-    try:
-        return DISCIPLINES[str(discipline).upper()]
-    except KeyError:
-        raise ValueError(
-            f"unknown discipline {shown(discipline)}; expected one of {sorted(DISCIPLINES)}"
-        ) from None
+    return DISCIPLINES[discipline_name(discipline)]
 
 
 def is_non_forward_looking(discipline) -> bool:
-    name = str(discipline).upper()
-    if name not in DISCIPLINES:
-        raise ValueError(f"unknown discipline {shown(discipline)}")
-    return name in NON_FORWARD_LOOKING
+    return discipline_name(discipline) in NON_FORWARD_LOOKING
 
 
 _packet_id = attrgetter("id")

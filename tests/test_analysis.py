@@ -86,7 +86,7 @@ def test_limits_are_exact_and_read_a_float_rate_as_its_shortest_decimal():
 
 
 def test_line_bound_rejects_bad_domain():
-    for bad in ({"i": 0}, {"r": 0.0}, {"r": 1.0}, {"b": 0}, {"d": 0}):
+    for bad in ({"i": 0}, {"i": True}, {"r": 0.0}, {"r": 1.0}, {"b": 0}, {"d": 0}):
         kw = {"i": 1, "r": 0.5, "b": 4, "d": 4, **bad}
         with pytest.raises(ValueError):
             line_phase_time_bound(kw["i"], kw["r"], kw["b"], kw["d"])

@@ -900,12 +900,28 @@ def test_run_unknown_strategy_override_exits_2(scenario_dir, tmp_path, capsys):
 
 def test_run_unknown_strategy_override_creates_no_out_dir(scenario_dir, tmp_path, capsys):
     out = tmp_path / "new"
-    rc = cli.main([
-        "run", str(scenario_dir / "burst_fifo.yaml"), "--strategy", "BOGUS", "--out", str(out),
-    ])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: unknown discipline 'BOGUS'; expected one of")
-    assert not out.exists()
+    for name in ("BOGUS", "bogus"):  # quoted as typed
+        rc = cli.main([
+            "run", str(scenario_dir / "burst_fifo.yaml"), "--strategy", name, "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown discipline '{name}'; expected one of")
+        assert not out.exists()
+
+
+def test_run_strategy_override_reads_any_case(scenario_dir, tmp_path, capsys):
+    written = []
+    for name in ("LIS", "lis"):
+        rc = cli.main([
+            "run", str(scenario_dir / "burst_fifo.yaml"), "--strategy", name,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        csvs = {f.name: f.read_bytes() for f in tmp_path.glob("*.csv")}
+        written.append((capsys.readouterr().out, csvs))
+    assert "strategy=plain(LIS)" in written[0][0]
+    assert written[0] == written[1]
 
 
 def test_run_inadmissible_script_exits_2(tmp_path, capsys):

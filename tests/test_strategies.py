@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,9 +90,24 @@ def test_select_singleton_and_empty():
         select("FIFO", [])
 
 
+def _nested(depth, width):
+    """A list `depth` levels deep whose every level holds `width` aliases of
+    the level below: its str() is `width**depth` leaves long."""
+    value = []
+    for _ in range(depth):
+        value = [value] * width
+    return value
+
+
 def test_get_discipline_unknown_name():
-    with pytest.raises(ValueError):
-        get_discipline("NOPE")
+    # only a string names a discipline: anything else is refused at once,
+    # without the str() that a deep or widely aliased list cannot afford
+    for bad in ("NOPE", 7, None, b"FIFO", _nested(3_000, 1), _nested(7, 9)):
+        for lookup in (get_discipline, is_non_forward_looking):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^unknown discipline "):
+                lookup(bad)
+            assert time.perf_counter() - start < 0.25
 
 
 def test_get_discipline_passes_callables_through():
