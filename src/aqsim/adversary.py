@@ -20,10 +20,10 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .network import EdgeId, Network, PacketPath, shown, validate_path
+from .network import EdgeId, Network, PacketPath, as_count, shown, validate_path
 
 
 class AdversaryError(ValueError):
@@ -67,16 +67,21 @@ def as_rate(r) -> Fraction:
     return rate
 
 
-def _check_burst(b) -> int:
-    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise AdversaryError(f"burst must be an integer >= 1, got {shown(b)}")
-    return b
-
-
 @dataclass(frozen=True)
 class InjectionEvent:
     time: int
     path: PacketPath
+
+
+def _event_steps(events: Sequence[InjectionEvent]) -> list[int]:
+    """The events' steps, each a count (`as_count`). A list of ints >= 1 is
+    accepted by passes in C, with no Python call per event; only a list
+    that fails them is walked, to refuse its first step that is no count."""
+    steps = list(map(attrgetter("time"), events))
+    if steps and not (set(map(type, steps)) <= {int} and min(steps) >= 1):
+        for k, t in enumerate(steps):
+            as_count(t, f"events[{k}].time", AdversaryError)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,9 @@ def verify_admissible(
     no more than the one ending at the last injection before it, so checking
     at injection steps decides every window up to `horizon`. Edges used by the
     same set of distinct paths see the same injections and are checked once.
-    The cost follows the number of events, not `horizon`.
+    The cost follows the number of events, not `horizon`. Refuses a b,
+    horizon or event step that is not a count, and a horizon before the last
+    event.
 
     On failure the witness is on the first violating edge: its shortest
     violating window, earliest end first. It checks the output of every
@@ -183,16 +190,11 @@ def verify_admissible(
     shares no code with it.
     """
     rate = as_rate(r)
-    b = _check_burst(b)
-    if events:
-        latest = max(ev.time for ev in events)
-        if horizon < latest:
-            raise AdversaryError(f"horizon {horizon} precedes last event at step {latest}")
-        earliest = min(ev.time for ev in events)
-        if earliest < 1:
-            raise AdversaryError(f"event times must be >= 1, got {earliest}")
-    if horizon < 1:
-        raise AdversaryError("horizon must be >= 1")
+    b = as_count(b, "b", AdversaryError)
+    horizon = as_count(horizon, "horizon", AdversaryError)
+    latest = max(_event_steps(events), default=0)
+    if horizon < latest:
+        raise AdversaryError(f"horizon {horizon} precedes last event at step {latest}")
 
     times: dict[tuple, list[int]] = {}  # distinct path -> its injection steps
     for ev in events:
@@ -252,22 +254,22 @@ class Adversary:
 
 class ScriptedAdversary(Adversary):
     """Replays a fixed event list on `network`; refuses construction if an
+    event's step is not a count, if the steps are out of order, if an
     event's path is not a path of `network`, or if `verify_admissible`
-    refuses the script: an event before step 1 or a break of the declared
-    (r,b) budget."""
+    refuses the script for a break of the declared (r,b) budget."""
 
     def __init__(self, events: Iterable[InjectionEvent], r, b, network: Network):
         self.r = as_rate(r)
-        self.b = _check_burst(b)
+        self.b = as_count(b, "b", AdversaryError)
         self._events = list(events)
-        for prev, nxt in zip(self._events, self._events[1:]):
-            if nxt.time < prev.time:
-                raise AdversaryError("events must be sorted by time")
+        steps = _event_steps(self._events)  # each a count before steps are compared
+        if any(map(gt, steps, steps[1:])):
+            raise AdversaryError("events must be sorted by time")
         for ev in self._events:
             if not validate_path(network, ev.path):
                 edges = shown(ev.path.edges)
                 raise AdversaryError(f"event at step {ev.time}: invalid path {edges}")
-        self._last = max((ev.time for ev in self._events), default=0)
+        self._last = max(steps, default=0)
         if self._events:
             result = verify_admissible(self._events, self.r, self.b, self._last)
             if not result:
@@ -328,7 +330,7 @@ class SaturatingAdversary(Adversary):
         if not validate_path(network, path):
             raise AdversaryError(f"invalid path {shown(path.edges)}")
         self.r = as_rate(r)
-        self.b = _check_burst(b)
+        self.b = as_count(b, "b", AdversaryError)
         self._p, self._q = self.r.numerator, self.r.denominator
         self.period = self._q
         self._none: list[PacketPath] = []

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .adversary import as_rate
+from .network import as_count, shown
 
 CONVERGENT = "CONVERGENT"
 BOUNDED = "BOUNDED"
@@ -33,26 +34,28 @@ class RecurrenceDomainError(ValueError):
     """The k-sequence left its domain (some k_j <= 1, so log k_j is not positive)."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+_NUMBER = (int, float, Fraction)  # what a bound's parameter may be, if it is not a bool
+# each parameter of `_check_domain`, its domain as a refusal states it, and a
+# test of a number against that domain
+_DOMAIN = (
+    ("r", "0 < r < 1", lambda v: 0 < v < 1),
+    ("b", "b >= 1", lambda v: v >= 1),
+    ("d", "d >= 1", lambda v: v >= 1),
+    ("c1", "0 <= c1 <= 1", lambda v: 0 <= v <= 1),
+    ("c2", "c2 >= 0", lambda v: v >= 0),
+    ("c3", "c3 >= 0", lambda v: v >= 0),
+)
 
 
 def _check_domain(r: Rate, b=1, d=1, c1=0, c2=0, c3=0) -> None:
     """The bounds' domain: 0 < r < 1, b >= 1, d >= 1, 0 <= c1 <= 1 and
-    c2, c3 >= 0. A parameter a formula does not take keeps its default,
-    which passes."""
-    _require(0 < r < 1, f"need 0 < r < 1, got r={r}")
-    _require(b >= 1, f"need b >= 1, got b={b}")
-    _require(d >= 1, f"need d >= 1, got d={d}")
-    _require(0 <= c1 <= 1, f"need 0 <= c1 <= 1, got c1={c1}")
-    _require(c2 >= 0, f"need c2 >= 0, got c2={c2}")
-    _require(c3 >= 0, f"need c3 >= 0, got c3={c3}")
-
-
-def _check_phase(i: int) -> None:
-    ok = isinstance(i, int) and not isinstance(i, bool) and i >= 1
-    _require(ok, f"phase index must be an integer >= 1, got {i}")
+    c2, c3 >= 0, each an int, float or Fraction that is not a bool. A
+    parameter a formula does not take keeps its default, which passes. A
+    value of another type is refused as one out of its domain, before any
+    comparison, and the message is built only then."""
+    for (name, rule, test), value in zip(_DOMAIN, (r, b, d, c1, c2, c3)):
+        if not isinstance(value, _NUMBER) or isinstance(value, bool) or not test(value):
+            raise ValueError(f"need {rule}, got {name}={shown(value)}")
 
 
 def _limit(ratio: Fraction, step: Fraction, first: Fraction = Fraction(0)) -> float:
@@ -99,7 +102,7 @@ def tree_phase_time_bound(i: int, r: Rate, b: float, d: float) -> float:
     0.1 means 1/10; d is read as the rational it holds. So a `Fraction` rate
     of 1/49 with d = 49 gives b*d at every i, and the terms of r*d < 1 fall
     to 0 rather than overflow in d^i."""
-    _check_phase(i)
+    as_count(i, "phase index")
     _check_domain(r, b, d)
     return float(as_rate(r) * Fraction(d)) ** (i - 1) * b * d
 
@@ -127,11 +130,14 @@ def nonforward_k_series(
     Raises RecurrenceDomainError once any k_j <= 1 (its logarithm stops being
     positive and the recurrence leaves its domain).
     """
-    _check_phase(i_max)
-    _check_domain(r)
-    _require(b >= 2, f"need b >= 2 (log b must be positive), got b={b}")
-    _require(d >= 2, f"need d >= 2, got d={d}")
-    _require(log_base > 1, f"log base must exceed 1, got {log_base}")
+    as_count(i_max, "i_max")
+    _check_domain(r, b, d)
+    if b < 2:
+        raise ValueError(f"need b >= 2 (log b must be positive), got b={b}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+    if not log_base > 1:
+        raise ValueError(f"log base must exceed 1, got {log_base}")
     k = b * (d - 1) / math.log(b, log_base)
     series = [k]
     for j in range(2, i_max + 1):
@@ -152,7 +158,7 @@ def theorem_phase_time_bound(
 ) -> float:
     """Steps the i-th phase can need when static routing finishes within
     c1*n + c2*d + c3: r^(i-1)*c1^i*b + (c2*d+c3)*((r*c1)^i - 1)/(r*c1 - 1)."""
-    _check_phase(i)
+    as_count(i, "phase index")
     _check_domain(r, b, d, c1, c2, c3)
     rc1 = r * c1
     return r ** (i - 1) * c1**i * b + (c2 * d + c3) * (rc1**i - 1) / (rc1 - 1)
@@ -172,7 +178,7 @@ def theorem_phase_packet_bound(
     (r*c1)^(i-1)*b + sum_{j=1}^{i-1} r^j*c1^(j-1)*(c2*d+c3); closed form uses
     the geometric sum. Satisfies time_bound(i) = c1*packet_bound(i) + c2*d + c3.
     """
-    _check_phase(i)
+    as_count(i, "phase index")
     _check_domain(r, b, d, c1, c2, c3)
     rc1 = r * c1
     return rc1 ** (i - 1) * b + r * (c2 * d + c3) * (rc1 ** (i - 1) - 1) / (rc1 - 1)
@@ -204,11 +210,10 @@ def classify_growth(series: Sequence[float]) -> GrowthLabel:
     MIN_GROWTH_TERMS = 10 terms. An empirical heuristic — it flags trends,
     it does not decide stability.
     """
-    _require(
-        len(series) >= MIN_GROWTH_TERMS,
-        f"series of length {len(series)} too short for window {_WINDOW}",
-    )
-    _require(all(v >= 0 for v in series), "series values must be non-negative")
+    if len(series) < MIN_GROWTH_TERMS:
+        raise ValueError(f"series of length {len(series)} too short for window {_WINDOW}")
+    if not all(v >= 0 for v in series):
+        raise ValueError("series values must be non-negative")
 
     tail = list(series[-_WINDOW:])
     head = list(series[:_WINDOW])

@@ -24,9 +24,12 @@ from . import analysis
 from .adversary import AdversaryError, as_rate
 from .csvio import write_csv
 from .interval_strategy import PhaseRecord, run_interval, write_phases_csv
+from .network import as_count
 from .periodic import Periodic
 from .scenario import ScenarioError, load_scenario, make_adversary
-from .sim_engine import EngineInvariantError, run, write_packets_csv, write_trace_csv
+from .sim_engine import (
+    EngineInvariantError, check_max_steps, run, write_packets_csv, write_trace_csv,
+)
 from .static_routing import SweepSummary, count_instances, sweep_rows, write_sweep_csv
 from .strategies import discipline_name
 
@@ -148,10 +151,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if scenario.strategy_kind != "interval":
             raise ValueError("strategy.improvement: only valid for the interval strategy")
         improvement = args.improvement == "on"
-    if max_steps < 1:
-        raise ValueError(f"run.max_steps: must be >= 1, got {max_steps}")
-    if max_steps > sys.maxsize:  # a trace's len() could not answer
-        raise ValueError(f"run.max_steps: must be at most {sys.maxsize}, got {max_steps}")
+    with _refuse(ValueError, "run."):  # as a scenario's run.max_steps is refused
+        check_max_steps(max_steps)
     # an unknown --strategy is refused before the adversary is built and --out created
     discipline = scenario.discipline if args.strategy is None else discipline_name(args.strategy)
 
@@ -272,9 +273,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     unread = [flag for flag in dict.fromkeys(args.given) if flag not in FORMULAS[args.formula]]
     if unread:
         raise ValueError(f"the {args.formula} formula does not read {', '.join(unread)}")
-    if args.i_max < 1:
-        raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
-    if args.i_max > I_MAX_LIMIT:
+    if as_count(args.i_max, "--i-max") > I_MAX_LIMIT:
         raise ValueError(f"--i-max must be at most {I_MAX_LIMIT:,}, got {args.i_max}")
     with _refuse(AdversaryError, "--r: "):
         rate = as_rate(args.r)
@@ -306,8 +305,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     shapes = tuple(s.strip() for s in args.shapes.split(",") if s.strip())
-    if args.max_packets < 1 or args.max_edges < 1:
-        raise ValueError("--max-packets and --max-edges must be >= 1")
     rows = sweep_rows(args.max_packets, args.max_edges, shapes)
     count = count_instances(args.max_packets, args.max_edges, shapes, SWEEP_LIMIT)
     if count > SWEEP_LIMIT:

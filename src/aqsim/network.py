@@ -21,6 +21,15 @@ class NetworkError(ValueError):
 shown = reprlib.repr
 
 
+def as_count(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """`value` if it is a count, an int >= 1 that is not a bool; otherwise
+    `error` naming `what`. The one rule for every count a caller passes: a
+    step, a burst, a phase index, a length or a size."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise error(f"{what}: must be an integer >= 1, got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class Edge:
     src: NodeId
@@ -88,8 +97,7 @@ def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId,
 
 def line_network(num_edges: int) -> Network:
     """One-way connection line: nodes v0..vk joined by forward edges e1..ek."""
-    if num_edges < 1:
-        raise NetworkError("line needs at least one edge")
+    as_count(num_edges, "num_edges", NetworkError)
     nodes = [f"v{i}" for i in range(num_edges + 1)]
     edges = [(f"v{i}", f"v{i + 1}", f"e{i + 1}") for i in range(num_edges)]
     return build_network(nodes, edges)

@@ -24,7 +24,9 @@ from .adversary import (
     saturating_adversary,
     scripted_adversary,
 )
-from .network import Network, NetworkError, PacketPath, build_network, shown, validate_path
+from .network import (
+    Network, NetworkError, PacketPath, as_count, build_network, shown, validate_path,
+)
 from .strategies import DISCIPLINES, discipline_name
 
 # each adversary kind and the one field that gives its paths
@@ -169,11 +171,11 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
                 fail(f"{prefix}{key}", what)
 
     def positive_int(raw: Any, where: str) -> Optional[int]:
-        """`raw` if it is an integer >= 1 (not a bool), else None after a problem."""
-        if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-            fail(where, f"must be an integer >= 1, got {shown(raw)}")
-            return None
-        return raw
+        """`raw` if it is a count (`as_count`), else None after a problem."""
+        try:
+            return as_count(raw, where)
+        except ValueError as exc:
+            problems.append(str(exc))
 
     if not isinstance(data, dict):
         raise ScenarioError(["top level: expected a mapping"])

@@ -34,7 +34,7 @@ from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary
-from .network import EdgeId, Network
+from .network import EdgeId, Network, as_count
 from .periodic import Periodic, as_periodic
 from .strategies import DisciplineKey, Packet, get_discipline, is_builtin, least
 
@@ -116,12 +116,10 @@ class Trace:
 
 
 def check_max_steps(max_steps: int) -> None:
-    """Refuse a run of no steps, or of more than `sys.maxsize`, the longest
-    sequence whose `len` Python can answer."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if max_steps > sys.maxsize:
-        raise ValueError(f"max_steps must be at most {sys.maxsize}, got {max_steps}")
+    """Refuse a `max_steps` that is not a count, or one above `sys.maxsize`,
+    the longest sequence whose `len` Python can answer."""
+    if as_count(max_steps, "max_steps") > sys.maxsize:
+        raise ValueError(f"max_steps: must be at most {sys.maxsize}, got {max_steps}")
 
 
 # ---- the step core both strategies use -------------------------------------

@@ -19,6 +19,7 @@ from .network import (
     Network,
     NetworkError,
     PacketPath,
+    as_count,
     congestion_dilation,
     in_tree_network,
     line_network,
@@ -61,9 +62,7 @@ def _check_paths(network: Network, paths: Sequence[PacketPath]) -> None:
 
 def lemma1_bound(n: int, d: int) -> int:
     """Worst-case steps for any greedy discipline on a static instance: n*d."""
-    if n < 1 or d < 1:
-        raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
-    return n * d
+    return as_count(n, "n") * as_count(d, "d")
 
 
 def greedy_schedule(instance: StaticInstance, discipline) -> int:
@@ -288,8 +287,8 @@ def enumerate_instances(
     for shape in shapes:
         if shape not in ("line", "tree"):
             raise ValueError(f"unknown shape {shown(shape)}; expected 'line' or 'tree'")
-    if max_packets < 1 or max_edges < 1:
-        raise ValueError("max_packets and max_edges must be >= 1")
+    as_count(max_packets, "max_packets")
+    as_count(max_edges, "max_edges")
 
     def pools() -> Iterator[tuple[Network, list[PacketPath]]]:
         if "line" in shapes:

@@ -237,7 +237,7 @@ def test_scripted_rejects_unsorted_and_early_events():
         scripted_adversary([InjectionEvent(4, p), InjectionEvent(1, p)], Fraction(1, 2), 4, net)
     with pytest.raises(AdversaryError) as err:
         scripted_adversary([InjectionEvent(0, p)], Fraction(1, 2), 4, net)
-    assert str(err.value) == "event times must be >= 1, got 0"  # from `verify_admissible`
+    assert str(err.value) == "events[0].time: must be an integer >= 1, got 0"
 
 
 def test_scripted_rejects_invalid_path_against_network():

@@ -23,6 +23,7 @@ from aqsim.analysis import (
     tree_phase_time_bound,
     tree_phase_time_limit,
 )
+from aqsim.network import shown
 
 REL = 1e-9
 
@@ -85,11 +86,45 @@ def test_limits_are_exact_and_read_a_float_rate_as_its_shortest_decimal():
     assert line_phase_time_limit(0.5, 1e308) == math.inf
 
 
+def _deep_list(levels=3_000):
+    value = []
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+# every form of a bound that takes (i, r, b, d), as a call of those four; the
+# theorem forms take c1 = c2 = 1 and c3 = 0, and nonforward reads i as i_max
+_FORMS = {
+    "line": line_phase_time_bound,
+    "tree": tree_phase_time_bound,
+    "theorem-time": lambda i, r, b, d: theorem_phase_time_bound(i, r, b, d, 1, 1, 0),
+    "theorem-packets": lambda i, r, b, d: theorem_phase_packet_bound(i, r, b, d, 1, 1, 0),
+    "nonforward": nonforward_k_series,
+}
+
+
 def test_line_bound_rejects_bad_domain():
-    for bad in ({"i": 0}, {"i": True}, {"r": 0.0}, {"r": 1.0}, {"b": 0}, {"d": 0}):
+    # a non-number is refused as a value out of its domain, quoted by `shown`,
+    # not by a TypeError from a comparison or a RecursionError from its str()
+    bads = (
+        {"i": 0}, {"i": True}, {"r": 0.0}, {"r": 1.0}, {"b": 0}, {"d": 0},
+        {"i": _deep_list()}, {"r": "x"}, {"b": None}, {"d": None},
+    )
+    for bad in bads:
         kw = {"i": 1, "r": 0.5, "b": 4, "d": 4, **bad}
-        with pytest.raises(ValueError):
-            line_phase_time_bound(kw["i"], kw["r"], kw["b"], kw["d"])
+        [(name, value)] = bad.items()
+        if name == "i":
+            want = f"must be an integer >= 1, got {shown(value)}"
+        else:
+            want = f"got {name}={shown(value)}"
+        for form, bound in _FORMS.items():
+            with pytest.raises(ValueError) as err:
+                bound(kw["i"], kw["r"], kw["b"], kw["d"])
+            assert str(err.value).endswith(want), form
+    for bound in (theorem_phase_time_bound, theorem_phase_packet_bound):
+        with pytest.raises(ValueError, match=r"^need 0 <= c1 <= 1, got c1=True$"):
+            bound(1, 0.5, 4, 4, True, 1, 0)
 
 
 # ---- tree bounds ------------------------------------------------------------------

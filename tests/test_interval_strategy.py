@@ -41,7 +41,7 @@ def test_a_run_of_no_steps_is_refused(max_steps):
     adv = scripted_adversary([], Fraction(1, 2), 1, net)
     with pytest.raises(ValueError) as err:
         run_interval(net, "FIFO", adv, max_steps=max_steps)
-    assert str(err.value) == f"max_steps must be >= 1, got {max_steps}"
+    assert str(err.value) == f"max_steps: must be an integer >= 1, got {max_steps}"
 
 
 def test_step_one_injections_become_phase_one():

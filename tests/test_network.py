@@ -61,7 +61,7 @@ def test_build_network_rejects_unhashable_ids(nodes, edges):
 def test_empty_networks_are_refused():
     with pytest.raises(NetworkError, match="node list must be non-empty"):
         build_network([], [])
-    with pytest.raises(NetworkError, match="at least one edge"):
+    with pytest.raises(NetworkError, match="num_edges: must be an integer >= 1, got 0"):
         line_network(0)
 
 

@@ -191,7 +191,7 @@ def test_max_steps_past_sys_maxsize_is_refused_by_both_engines(scenario_dir):
     for engine in (run, run_interval):
         with pytest.raises(ValueError) as err:
             engine(sc.network, "FIFO", make_adversary(sc), too_long)
-        assert str(err.value) == f"max_steps must be at most {sys.maxsize}, got {too_long}"
+        assert str(err.value) == f"max_steps: must be at most {sys.maxsize}, got {too_long}"
     trace, records = run_interval(sc.network, "FIFO", make_adversary(sc), sys.maxsize)
     assert (trace.last_step, len(trace.packets)) == (sys.maxsize, sc.b + sys.maxsize // 2)
     last, periods = records.origin(-1)  # read from the template, no copy built

@@ -444,6 +444,9 @@ def test_run_scenario_problems_exit_2_and_name_fields(tmp_path, capsys):
     assert "adversary.r" in capsys.readouterr().err
 
 
+_NO_STEPS = "error: run.max_steps: must be an integer >= 1, got 0\n"
+
+
 def _scripted(d):
     d["adversary"] = {"kind": "scripted", "r": 0.5, "b": 1, "events": [{"step": 1, "path": ["e1"]}]}
     return d["adversary"]
@@ -452,7 +455,9 @@ def _scripted(d):
 @pytest.mark.parametrize(
     "mutate, argv, err",
     [
-        (lambda d: d, ["--max-steps", "0"], "error: run.max_steps: must be >= 1, got 0\n"),
+        # the flag and the file's field are refused with one text
+        (lambda d: d, ["--max-steps", "0"], _NO_STEPS),
+        (lambda d: d["run"].update(max_steps=0), [], _NO_STEPS),
         (
             lambda d: d, ["--max-steps", "99999999999999999999"],
             f"error: run.max_steps: must be at most {sys.maxsize}, got 99999999999999999999\n",
@@ -542,7 +547,7 @@ def _scripted(d):
         ),
     ],
     ids=[
-        "max-steps-0", "max-steps-past-maxsize", "yaml-max-steps-past-maxsize", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
+        "max-steps-0", "yaml-max-steps-0", "max-steps-past-maxsize", "yaml-max-steps-past-maxsize", "top-level", "name", "no-network", "empty-nodes", "edges-not-list",
         "edge-not-triple", "undeclared-source", "empty-path", "no-adversary",
         "unknown-adversary-kind", "empty-events", "event-not-mapping", "scripted-path",
         "no-strategy", "unknown-strategy-kind", "improvement-not-bool", "no-run",

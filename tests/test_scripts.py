@@ -4,6 +4,9 @@ does, in-process: each exits 0 and prints exactly the output pinned here.
 `rate_sweep.py` caps each rate at 30 phases; every rate but 9/10 recurs
 within them, so its rows also check how a skipped copy is sized against
 `max_phases`.
+
+`code_lines.py` runs on a fixture module instead, since its count of
+`src/aqsim` moves with every change to the code.
 """
 
 import pathlib
@@ -78,3 +81,40 @@ def test_script_prints_its_pinned_output(script, args, expected, monkeypatch, ca
         runpy.run_path(str(path), run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == expected
+
+
+CODE_LINES_FIXTURE = '''\
+"""A module docstring
+over two lines."""
+
+# a comment on its own line
+
+import os  # a comment after code
+
+
+class Box:
+    """A class docstring."""
+
+    text = """a string over
+two lines, not a docstring"""
+
+
+def total(x):
+    """A function docstring."""
+    value = (x +
+             1)
+
+    return value
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path, monkeypatch, capsys):
+    # import, class, the two lines of `text`, def, the two lines of `value`
+    # and the return: docstrings, comments and blank lines do not count
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    path = SCRIPTS / "code_lines.py"
+    monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "     8  fixture.py\n     8  total\n"
