@@ -136,8 +136,9 @@ def nonforward_k_series(
         raise ValueError(f"need b >= 2 (log b must be positive), got b={b}")
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
-    if not log_base > 1:
-        raise ValueError(f"log base must exceed 1, got {log_base}")
+    number = isinstance(log_base, _NUMBER) and not isinstance(log_base, bool)
+    if not (number and 1 < log_base < math.inf):  # the type first, then the compare
+        raise ValueError(f"need 1 < log_base < inf, got log_base={shown(log_base)}")
     k = b * (d - 1) / math.log(b, log_base)
     series = [k]
     for j in range(2, i_max + 1):
@@ -212,8 +213,9 @@ def classify_growth(series: Sequence[float]) -> GrowthLabel:
     """
     if len(series) < MIN_GROWTH_TERMS:
         raise ValueError(f"series of length {len(series)} too short for window {_WINDOW}")
-    if not all(v >= 0 for v in series):
-        raise ValueError("series values must be non-negative")
+    for v in series:  # each value's type is checked before it is compared
+        if not isinstance(v, _NUMBER) or isinstance(v, bool) or not v >= 0:
+            raise ValueError(f"series values must be non-negative numbers, got {shown(v)}")
 
     tail = list(series[-_WINDOW:])
     head = list(series[:_WINDOW])

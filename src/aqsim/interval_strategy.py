@@ -10,7 +10,9 @@ at step 1 and step-1 injections always form phase 1.
 With the improvement enabled, a held packet may cross its current edge while a
 phase runs, provided no undelivered packet of the phase has that edge among
 its remaining edges — it can never collide with the phase. It moves at most
-one edge per step and stays held (or is delivered).
+one edge per step and stays held (or is delivered). Without it, under a
+built-in key on a line or an in-tree, the phase's packets cross their edges
+as flights (`flights`), so a phase costs its contention, not its hops.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import partial
 from typing import IO, Iterable, NamedTuple, Optional
 
 from .adversary import Adversary
-from .network import Network, congestion_dilation
+from .flights import FlightRoutes, Flights
+from .network import Network, as_count, congestion_dilation
 from .periodic import Periodic, as_periodic
 from .sim_engine import (
     EngineInvariantError,
@@ -37,7 +40,7 @@ from .sim_engine import (
     step_stats,
 )
 from .static_routing import lemma1_bound
-from .strategies import DISCIPLINES, Packet, get_discipline
+from .strategies import DISCIPLINES, Packet, get_discipline, is_builtin
 
 _by_arrival = DISCIPLINES["FIFO"]  # pass-through order: arrival step, then id
 
@@ -74,10 +77,27 @@ def run_interval(
     Every edge owns an active queue and a holding queue, both indexed in
     edge-declaration order; `busy` and `held` are the sets of indices whose
     active or holding queue is non-empty. Injections join holding queues. A
-    phase runs exactly while `busy` is non-empty. Whenever `busy` is empty and
-    `held` is not, every holding queue is swapped with its (empty) active
-    queue and the next phase starts the following step. Queue order does not
-    matter: each sender picks the packet least in (key, id).
+    phase runs exactly while `busy` is non-empty or, with flights, a flight is
+    aloft (`live`). Whenever no phase runs and `held` is non-empty, every
+    holding queue is swapped with its (empty) active queue and the next phase
+    starts the following step. Queue order does not matter: each sender picks
+    the packet least in (key, id).
+
+    Flights. With pass-through off, under a built-in key, on a network with
+    no node of two out-edges (`Network.edge_after` is not None), such as a
+    line or an in-tree, a phase whose dilation is at least
+    `flights.MIN_DILATION` sends each packet as a flight (see `flights`),
+    which crosses edges on paper until it meets another packet or is
+    delivered; `flying` says whether the running phase does, decided at its
+    start by `Flights.fit`. Each step, `Flights.land` first puts back
+    in its queue every flight that shares it with another packet, and then
+    `Flights.advance` stands in for `sim_engine.advance`: every queue in
+    `busy` sends, and the flights due are delivered. A run that stops with
+    flights aloft ends them with `Flights.settle`, so every packet's fields
+    are those of a stepped run. Plain runs, pass-through runs, custom keys,
+    which the key contract evaluates once per queued packet per step, other
+    networks, shorter phases, and routes that do not drop one depth a hop
+    step every hop.
     With pass-through on, `demand[i]` counts the crossings of edge i that the
     running phase's undelivered packets still have ahead of them: a phase
     start fills it from the `crossings` of the phase's one
@@ -92,11 +112,14 @@ def run_interval(
     its index is `len(records)` until it closes.
 
     A step's `max_queue_len` is the largest `len(active[i]) + len(holding[i])`
-    after injection. It is read from three values, each taken before any
-    packet moves this step, and no queue is scanned for it a second time:
+    after injection, a flight counting as one packet in the active queue it
+    is crossing. It is read from three values, each taken before any packet
+    moves this step, and no queue is scanned for it a second time:
     - the active advance's longest sender. Every edge in `busy` sends, and an
       edge in `busy` but not in `held` has only its active queue. (Pass-through
       moves only holding packets, so it leaves the active queues as they were.)
+      A flight aloft is a sender of one packet, so the longest is at least 1
+      while one is.
     - the pass-through advance's longest sender. It sends only from held edges
       with `demand[i] == 0`; no phase packet still needs such an edge, so its
       active queue is empty and its holding queue is its whole queue.
@@ -104,6 +127,11 @@ def run_interval(
       pass-through. An edge in both `busy` and `held` is among them, since a
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
+      A held edge whose active queue is empty adds one while a flight crosses
+      it (`Flights.crossing`). Any flight that shares its active queue with
+      another packet has landed by then, and only an edge in
+      `FlightRoutes.inner` can see a flight cross it; the check is made only
+      where the one more could raise the running maximum.
     One loop over the held edges does both jobs: while pass-through is on
     and a phase runs, it walks them in edge-declaration order and lists each
     edge with `demand[i] == 0` as a pass-through sender, whose size it leaves
@@ -134,13 +162,23 @@ def run_interval(
     copier reads is delivered within the period.
     """
     check_max_steps(max_steps)
+    if max_phases is not None:
+        as_count(max_phases, "max_phases")
     key = get_discipline(inner_discipline)
     period = skip_period(key, adversary)
     # phase-start state -> (start, len(packets), len(records), alive packets),
     # kept only while the run may skip and has not yet
     seen: Optional[dict] = None if period is None else {}
     recurrence = None
-    routes = Routes(network)
+    flights = None
+    if not improvement_on and is_builtin(key):
+        routes = FlightRoutes(network)
+        flights = Flights(routes)
+    else:
+        routes = Routes(network)
+    flying = False  # whether the running phase sends flights
+    aloft = {} if flights is None else flights.aloft
+    inner = set() if flights is None else routes.inner
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
@@ -157,6 +195,8 @@ def run_interval(
             break
         # injections join the holding queue of their first edge
         injected = inject(adversary, now, packets, routes, holding, held)
+        if flying:  # every flight that meets a packet lands first
+            flights.land(active, busy, now)
 
         # pass-through: while a phase runs, every held edge it no longer
         # demands sends its earliest-arrived holding packet one hop (demand is
@@ -170,6 +210,8 @@ def run_interval(
                 idle.append(i)
                 continue
             size = len(active[i]) + len(holding[i])
+            if size >= max_queue and aloft and i in inner and not active[i]:
+                size += flights.crossing(i, now)  # a flight crossing the held edge i
             if size > max_queue:
                 max_queue = size
         if idle:
@@ -177,9 +219,11 @@ def run_interval(
             if longest > max_queue:
                 max_queue = longest
 
-        # the active phase advances exactly like the plain engine
+        # the active phase advances exactly like the plain engine, or sends
+        # flights (see the docstring)
         senders = sorted(busy)
-        moved, delivered_active, longest = advance(active, busy, senders, key, now)
+        step = flights.advance if flying else advance
+        moved, delivered_active, longest = step(active, busy, senders, key, now)
         if longest > max_queue:
             max_queue = longest
         if improvement_on:
@@ -191,17 +235,18 @@ def run_interval(
         # the one n*d check: a phase still running at its bound can no longer
         # finish in time, so no phase ever closes past it
         running = now - start + 1
-        if busy and running >= bound:
+        live = busy or aloft  # the phase still holds a packet
+        if live and running >= bound:
             raise Lemma1ViolationError(
                 f"phase {len(records)} still running after {running} steps, bound n*d = {bound}"
             )
-        # the step that empties the active queues closes the phase
-        if moved and not busy:
+        # the step that delivers the phase's last packet closes it
+        if moved and not live:
             records.append(PhaseRecord(len(records), count, n, d, running, bound))
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
-        if not busy and held:
+        if not live and held:
             start = now + 1
             remaining = []
             for i in held:
@@ -217,6 +262,7 @@ def run_interval(
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
             bound = lemma1_bound(n, d)
+            flying = flights is not None and flights.fit(d)
             if seen is not None:
                 alive = queued(active, busy)
                 state = (start % period, shifted_state(alive, start))
@@ -241,6 +287,8 @@ def run_interval(
         now += 1
         if max_phases is not None and len(records) > max_phases:
             break
+    if flights is not None:
+        flights.settle(now)
     truncated = in_system > 0 or not adversary.done_after(now - 1)
     return Trace(steps, packets, truncated, recurrence=recurrence), as_periodic(records)
 

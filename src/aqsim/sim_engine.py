@@ -18,6 +18,13 @@ second time. The senders leave the set of non-empty queues in one update per
 step, not one removal per hop. A packet moves by its `route`, its path as
 queue indices, which `Routes` resolves once per distinct path of a run.
 
+One case does not pay a hop at a time: a long active phase of a phased run
+with pass-through off, under a built-in key, on a line or an in-tree. There
+`flights.Flights` stands in for `advance` and sends each packet as a flight,
+moved on paper until it meets another packet or is delivered, so a step
+costs the queues that hold waiting packets and the flights that meet or are
+delivered, not the hops made (see `flights` and `run_interval`).
+
 Both engines also share period skipping: `skip_period` says which runs may
 skip, those of a built-in key and a periodic source, and once such a run
 repeats a state the copier `skip_periods` records whole periods as copies of

@@ -1,14 +1,21 @@
 """Engine crossings seen from the tests, and the one feasibility checker for
 them.
 
-The engines keep no log of their moves. `recorded_moves` wraps `advance`, the
-step core through which `aqsim.sim_engine.run`,
-`aqsim.interval_strategy.run_interval` and `aqsim.static_routing.greedy_schedule`
-send every packet, and logs each crossing as (step, edge id, packet id) in the
-order the engine makes it. Each of the three modules calls `advance` through
-its own module name, so all three names are patched.
-`check_schedule` holds such a list of crossings to the rules of a feasible
-schedule.
+The engines keep no log of their moves. A packet crosses its edges in one of
+two ways, and `recorded_moves` wraps both:
+- `advance`, the step core through which `aqsim.sim_engine.run`,
+  `aqsim.interval_strategy.run_interval` and
+  `aqsim.static_routing.greedy_schedule` send every packet that steps. Each
+  of the three modules calls it through its own module name, so all three
+  names are patched, and its crossings are logged in the order the engine
+  makes them.
+- `aqsim.flights.fly`, through which a phased run ends every flight, and so
+  every crossing a flight makes (see `aqsim.flights`). A flight's crossings
+  are logged together, when it ends, so within one step they need not come
+  in the order a stepping run would make them: compare them per step as
+  multisets.
+Each crossing is logged as (step, edge id, packet id). `check_schedule`
+holds such a list of crossings to the rules of a feasible schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from aqsim import interval_strategy, sim_engine, static_routing
+from aqsim import flights, interval_strategy, sim_engine, static_routing
 
 
 @contextmanager
@@ -26,6 +33,7 @@ def recorded_moves():
     id)."""
     moves = []
     advance = sim_engine.advance
+    fly = flights.fly
 
     def logged(queues, busy, senders, key, now):
         moved, delivered, longest = advance(queues, busy, senders, key, now)
@@ -33,9 +41,16 @@ def recorded_moves():
         moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for pkt in moved)
         return moved, delivered, longest
 
+    def logged_flight(pkt, start, hops):
+        first = pkt.hops_done
+        moves.extend((start + k, pkt.path[first + k], pkt.id) for k in range(hops - first))
+        fly(pkt, start, hops)
+
     with mock.patch.object(sim_engine, "advance", logged), mock.patch.object(
         interval_strategy, "advance", logged
-    ), mock.patch.object(static_routing, "advance", logged):
+    ), mock.patch.object(static_routing, "advance", logged), mock.patch.object(
+        flights, "fly", logged_flight
+    ):
         yield moves
 
 

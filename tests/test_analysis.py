@@ -214,6 +214,16 @@ def test_nonforward_domain_requirements():
         nonforward_k_series(1, 0.5, 4, 5, log_base=1.0)
 
 
+@pytest.mark.parametrize("log_base", [None, "2", True, math.inf, math.nan, _deep_list()])
+def test_nonforward_refuses_a_log_base_out_of_its_domain(log_base):
+    # its type is checked before it is compared, so None is refused with the
+    # domain message rather than a TypeError, and infinity before log() is 0
+    want = f"need 1 < log_base < inf, got log_base={shown(log_base)}"
+    with pytest.raises(ValueError) as err:
+        nonforward_k_series(3, 0.5, 4, 4, log_base)
+    assert str(err.value) == want
+
+
 def test_nonforward_exits_domain_when_k_drops_below_one():
     # b=2, d=2: k1 = 2, k2 = 2r < 1, so k3 cannot be formed
     with pytest.raises(RecurrenceDomainError, match="k_2"):
@@ -350,6 +360,15 @@ def test_classifier_requires_enough_data():
         classify_growth([1.0] * 9)  # needs 2 * window = 10
     with pytest.raises(ValueError):
         classify_growth([1.0, -1.0] * 6)
+
+
+@pytest.mark.parametrize("bad", [None, "1", True, math.nan, -1, _deep_list()])
+def test_classifier_refuses_a_value_that_is_not_a_non_negative_number(bad):
+    # each value's type is checked before it is compared: None and "1" were
+    # a TypeError from `>=`
+    with pytest.raises(ValueError) as err:
+        classify_growth([1.0] * 11 + [bad])
+    assert str(err.value) == f"series values must be non-negative numbers, got {shown(bad)}"
 
 
 def test_classifier_ignores_a_tall_head():
