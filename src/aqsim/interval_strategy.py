@@ -11,8 +11,8 @@ With the improvement enabled, a held packet may cross its current edge while a
 phase runs, provided no undelivered packet of the phase has that edge among
 its remaining edges — it can never collide with the phase. It moves at most
 one edge per step and stays held (or is delivered). Without it, under a
-built-in key on a line or an in-tree, the phase's packets cross their edges
-as flights (`flights`), so a phase costs its contention, not its hops.
+built-in key on any network, a long phase's packets cross their edges as
+flights (`flights`), so a phase costs its contention, not its hops.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import IO, Iterable, NamedTuple, Optional
 
 from .adversary import Adversary
 from .flights import FlightRoutes, Flights
-from .network import Network, as_count, congestion_dilation
+from .network import Network, as_count, congestion_dilation, shown
 from .periodic import Periodic, as_periodic
 from .sim_engine import (
     EngineInvariantError,
@@ -78,26 +78,26 @@ def run_interval(
     edge-declaration order; `busy` and `held` are the sets of indices whose
     active or holding queue is non-empty. Injections join holding queues. A
     phase runs exactly while `busy` is non-empty or, with flights, a flight is
-    aloft (`live`). Whenever no phase runs and `held` is non-empty, every
-    holding queue is swapped with its (empty) active queue and the next phase
-    starts the following step. Queue order does not matter: each sender picks
-    the packet least in (key, id).
+    aloft in `lands` or `due` (`live`). Whenever no phase runs and `held` is
+    non-empty, every holding queue is swapped with its (empty) active queue
+    and the next phase starts the following step. Queue order does not
+    matter: each sender picks the packet least in (key, id).
 
-    Flights. With pass-through off, under a built-in key, on a network with
-    no node of two out-edges (`Network.edge_after` is not None), such as a
-    line or an in-tree, a phase whose dilation is at least
-    `flights.MIN_DILATION` sends each packet as a flight (see `flights`),
-    which crosses edges on paper until it meets another packet or is
-    delivered; `flying` says whether the running phase does, decided at its
-    start by `Flights.fit`. Each step, `Flights.land` first puts back
-    in its queue every flight that shares it with another packet, and then
-    `Flights.advance` stands in for `sim_engine.advance`: every queue in
-    `busy` sends, and the flights due are delivered. A run that stops with
-    flights aloft ends them with `Flights.settle`, so every packet's fields
-    are those of a stepped run. Plain runs, pass-through runs, custom keys,
-    which the key contract evaluates once per queued packet per step, other
-    networks, shorter phases, and routes that do not drop one depth a hop
-    step every hop.
+    Flights. With pass-through off and a built-in key, on any network, a
+    phase whose dilation is at least `flights.MIN_DILATION` sends each packet
+    as a flight (see `flights`), which crosses edges on paper up to the next
+    meeting queue on its route, where it lands, or to its delivery; `flying`
+    says whether the running phase does, decided at its start by
+    `Flights.fit`, which reads the routes resolved since it last read. Each
+    step, `Flights.land` first puts every flight that reaches a meeting
+    queue in that queue, and then `Flights.advance` stands in for
+    `sim_engine.advance`: every queue in `busy` sends, through the same
+    `sim_engine.pick`, and the flights due are delivered. A run that stops
+    with flights aloft ends them with `Flights.settle`, so every packet's
+    fields are those of a stepped run. Plain runs, pass-through runs, custom
+    keys, which the key contract evaluates once per queued packet per step,
+    and shorter phases step every hop; whether the key is custom is decided
+    once per run.
     With pass-through on, `demand[i]` counts the crossings of edge i that the
     running phase's undelivered packets still have ahead of them: a phase
     start fills it from the `crossings` of the phase's one
@@ -128,9 +128,9 @@ def run_interval(
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
       A held edge whose active queue is empty adds one while a flight crosses
-      it (`Flights.crossing`). Any flight that shares its active queue with
-      another packet has landed by then, and only an edge in
-      `FlightRoutes.inner` can see a flight cross it; the check is made only
+      it (`Flights.crossing`). A flight aloft after `land` is alone in a queue
+      that is not a meeting queue, so it is the whole active queue it
+      crosses; the check is made only while a flight is aloft, and only
       where the one more could raise the running maximum.
     One loop over the held edges does both jobs: while pass-through is on
     and a phase runs, it walks them in edge-declaration order and lists each
@@ -162,23 +162,26 @@ def run_interval(
     copier reads is delivered within the period.
     """
     check_max_steps(max_steps)
+    if not isinstance(improvement_on, bool):
+        raise ValueError(f"improvement_on: must be a bool, got {shown(improvement_on)}")
     if max_phases is not None:
         as_count(max_phases, "max_phases")
     key = get_discipline(inner_discipline)
+    custom = not is_builtin(key)
     period = skip_period(key, adversary)
     # phase-start state -> (start, len(packets), len(records), alive packets),
     # kept only while the run may skip and has not yet
     seen: Optional[dict] = None if period is None else {}
     recurrence = None
     flights = None
-    if not improvement_on and is_builtin(key):
+    if not improvement_on and not custom:
         routes = FlightRoutes(network)
         flights = Flights(routes)
     else:
         routes = Routes(network)
     flying = False  # whether the running phase sends flights
-    aloft = {} if flights is None else flights.aloft
-    inner = set() if flights is None else routes.inner
+    # the flights aloft, by the step each lands or is delivered
+    lands, due = ({}, {}) if flights is None else (flights.lands, flights.due)
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
@@ -195,7 +198,7 @@ def run_interval(
             break
         # injections join the holding queue of their first edge
         injected = inject(adversary, now, packets, routes, holding, held)
-        if flying:  # every flight that meets a packet lands first
+        if flying:  # every flight that reaches a meeting queue lands first
             flights.land(active, busy, now)
 
         # pass-through: while a phase runs, every held edge it no longer
@@ -210,12 +213,12 @@ def run_interval(
                 idle.append(i)
                 continue
             size = len(active[i]) + len(holding[i])
-            if size >= max_queue and aloft and i in inner and not active[i]:
+            if size >= max_queue and (lands or due) and not active[i]:
                 size += flights.crossing(i, now)  # a flight crossing the held edge i
             if size > max_queue:
                 max_queue = size
         if idle:
-            _, delivered_now, longest = advance(holding, held, idle, _by_arrival, now)
+            _, delivered_now, longest = advance(holding, held, idle, _by_arrival, False, now)
             if longest > max_queue:
                 max_queue = longest
 
@@ -223,7 +226,7 @@ def run_interval(
         # flights (see the docstring)
         senders = sorted(busy)
         step = flights.advance if flying else advance
-        moved, delivered_active, longest = step(active, busy, senders, key, now)
+        moved, delivered_active, longest = step(active, busy, senders, key, custom, now)
         if longest > max_queue:
             max_queue = longest
         if improvement_on:
@@ -235,7 +238,7 @@ def run_interval(
         # the one n*d check: a phase still running at its bound can no longer
         # finish in time, so no phase ever closes past it
         running = now - start + 1
-        live = busy or aloft  # the phase still holds a packet
+        live = busy or lands or due  # the phase still holds a packet
         if live and running >= bound:
             raise Lemma1ViolationError(
                 f"phase {len(records)} still running after {running} steps, bound n*d = {bound}"

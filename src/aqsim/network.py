@@ -5,8 +5,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 NodeId = Hashable
 EdgeId = Hashable
@@ -54,17 +53,6 @@ class Network:
     def edge_index(self) -> dict[EdgeId, int]:
         """Position of each edge in declaration order."""
         return {eid: i for i, eid in enumerate(self.edge_ids)}
-
-    @cached_property
-    def edge_after(self) -> Optional[tuple[Optional[int], ...]]:
-        """When no node has two out-edges, as on a line or an in-tree, the
-        index of the edge out of each edge's head, or None where it has no
-        out-edge, by edge index; None on any other network."""
-        tails = list(map(attrgetter("src"), self.edges))
-        out = dict(zip(tails, range(len(tails))))
-        if len(out) < len(tails):
-            return None  # a node with two out-edges
-        return tuple(map(out.get, map(attrgetter("dst"), self.edges)))
 
 
 def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId, EdgeId]]) -> Network:

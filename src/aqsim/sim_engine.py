@@ -9,21 +9,24 @@ the system are counted as injected minus delivered; that every injected packet
 is still queued or delivered is checked by the differential tests against a
 full-scan reference engine and by the accounting tests, not at run time.
 
-The step core (`inject`, `advance`) is shared with the phased strategy and
-the greedy static runner. Callers keep the set of non-empty queues, so a step
-costs time in proportion to the busy queues and the packets waiting in them,
-not to the number of edges. The step's peak queue length comes from the same
-pass: `advance` reports its longest sender queue, so no queue is scanned a
-second time. The senders leave the set of non-empty queues in one update per
-step, not one removal per hop. A packet moves by its `route`, its path as
-queue indices, which `Routes` resolves once per distinct path of a run.
+The step core (`inject`, `pick`, `advance`) is shared with the phased
+strategy and the greedy static runner, and each run decides once whether its
+key is custom, which `pick` must evaluate for a lone packet too. Callers
+keep the set of non-empty queues, so a step costs time in proportion to the
+busy queues and the packets waiting in them, not to the number of edges.
+The step's peak queue length comes from the same pass: `advance` reports its
+longest sender queue, so no queue is scanned a second time. The senders
+leave the set of non-empty queues in one update per step, not one removal
+per hop. A packet moves by its `route`, its path as queue indices, which
+`Routes` resolves once per distinct path of a run.
 
 One case does not pay a hop at a time: a long active phase of a phased run
-with pass-through off, under a built-in key, on a line or an in-tree. There
-`flights.Flights` stands in for `advance` and sends each packet as a flight,
-moved on paper until it meets another packet or is delivered, so a step
-costs the queues that hold waiting packets and the flights that meet or are
-delivered, not the hops made (see `flights` and `run_interval`).
+with pass-through off, under a built-in key, on any network. There
+`flights.Flights` stands in for `advance`: it sends each packet that `pick`
+gives up as a flight, moved on paper to the next queue where packets can
+meet or to its delivery, so a step costs the queues that hold waiting
+packets and the flights that land or are delivered, not the hops made (see
+`flights` and `run_interval`).
 
 Both engines also share period skipping: `skip_period` says which runs may
 skip, those of a built-in key and a periodic source, and once such a run
@@ -173,55 +176,73 @@ def inject(
     return len(new_paths)
 
 
-def advance(
+def pick(
     queues: list[list[Packet]],
     busy: set[int],
     senders: list[int],
     key: DisciplineKey,
-    now: int,
-) -> tuple[list[Packet], int, int]:
+    custom: bool,
+) -> tuple[list[Packet], int]:
     """Each queue in `senders` (non-empty, listed in edge-declaration order,
-    all in `busy`) sends the packet least in (key, id) across its edge. All
-    crossings are simultaneous: a packet lands in its next queue, the next
-    index of its `route`, only after every sender has picked, so no packet
-    moves twice in one step.
+    all in `busy`) gives up the packet least in (key, id); `custom` says
+    whether `key` is a custom one, which its run decides once
+    (`strategies.is_builtin`). This is the pick of every step, whatever then
+    moves the packets: `advance` here, or a phased run's flights.
 
-    `busy`, the set of non-empty queues, is kept exact with one set update
-    per step rather than one per hop: every sender leaves it at once, a
-    sender whose queue still holds packets after its send goes back, and each
-    queue a packet lands in joins it (a sender's own queue included, when a
-    packet lands in it the step it emptied). Queues in `busy` that do not
-    send stay in it.
+    Every sender leaves `busy` in one set update, and a sender whose queue
+    still holds packets after its pick goes back; queues in `busy` that do
+    not send stay in it.
 
     A sender holding one packet (nearly all of them on the benchmark
-    workloads) sends it without comparing anything. Under a built-in key it
-    does not evaluate the key either: a built-in key only reads the packet's
-    fields, so with one packet to pick from the call could change neither
-    the pick nor any state. A custom key is evaluated once per queued packet
-    of each sender, in queue order, a lone packet included, so a key that
-    counts its calls still sees every one. Longer queues pick through
+    workloads) gives it up without comparing anything. Under a built-in key
+    it does not evaluate the key either: a built-in key only reads the
+    packet's fields, so with one packet to pick from the call could change
+    neither the pick nor any state. A custom key is evaluated once per queued
+    packet of each sender, in queue order, a lone packet included, so a key
+    that counts its calls still sees every one. Longer queues pick through
     `strategies.least`, which evaluates every key once in queue order.
 
-    Returns the packets that crossed, `moved[k]` being the one that left
-    `senders[k]`; the number of packets that finished their path; and the
-    longest sender queue before sending: 0 with no senders, 1 when every
-    sender holds one packet.
+    Returns the picked packets, `picked[k]` being the one from `senders[k]`,
+    and the longest sender queue before picking: 0 with no senders, 1 when
+    every sender holds one packet.
     """
-    moved = []
+    picked = []
     longest = 1 if senders else 0
-    custom = not is_builtin(key)
     busy.difference_update(senders)
     for i in senders:
         q = queues[i]
         if len(q) == 1:
             if custom:
                 key(q[0])  # a custom key may count its calls; see the docstring
-            moved.append(q.pop())
+            picked.append(q.pop())
         else:
             if len(q) > longest:
                 longest = len(q)
-            moved.append(q.pop(least(q, key)))
+            picked.append(q.pop(least(q, key)))
             busy.add(i)
+    return picked, longest
+
+
+def advance(
+    queues: list[list[Packet]],
+    busy: set[int],
+    senders: list[int],
+    key: DisciplineKey,
+    custom: bool,
+    now: int,
+) -> tuple[list[Packet], int, int]:
+    """Each queue in `senders` sends the packet that `pick` gives up across
+    its edge. All crossings are simultaneous: a packet lands in its next
+    queue, the next index of its `route`, only after every sender has picked,
+    so no packet moves twice in one step. Each queue a packet lands in joins
+    `busy` (a sender's own queue included, when a packet lands in it the step
+    it emptied), so `busy` stays the exact set of non-empty queues.
+
+    Returns the packets that crossed, `moved[k]` being the one that left
+    `senders[k]`; the number of packets that finished their path; and
+    `pick`'s longest sender queue.
+    """
+    moved, longest = pick(queues, busy, senders, key, custom)
     delivered = 0
     for pkt in moved:
         hops = pkt.hops_done + 1
@@ -271,6 +292,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     """
     check_max_steps(max_steps)
     key = get_discipline(strategy)
+    custom = not is_builtin(key)
     period = skip_period(key, adversary)
     # Brent's detector: the next step whose state is saved (0: none), and
     # `in_system` at the saved state (-1: none is saved), so a run that
@@ -307,7 +329,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
             saved = (len(packets), alive, shifted_state(alive, now))
             saved_in, saved_step, save_at = in_system, now, 2 * now
         injected = inject(adversary, now, packets, routes, queues, busy)
-        _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, now)
+        _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, custom, now)
         in_system += injected - delivered_now
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1

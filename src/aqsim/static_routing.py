@@ -28,7 +28,7 @@ from .network import (
 )
 from .csvio import write_csv
 from .sim_engine import EngineInvariantError, Routes, advance
-from .strategies import Packet, get_discipline
+from .strategies import Packet, get_discipline, is_builtin
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
     """
     bound = lemma1_bound(instance.n, instance.d)
     key = get_discipline(discipline)
+    custom = not is_builtin(key)
     network = instance.network
     routes = Routes(network)
     queues: list[list[Packet]] = [[] for _ in network.edges]
@@ -96,7 +97,7 @@ def greedy_schedule(instance: StaticInstance, discipline) -> int:
             raise EngineInvariantError(
                 f"greedy {discipline} run exceeded the n*d = {bound} bound"
             )
-        advance(queues, busy, sorted(busy), key, now)
+        advance(queues, busy, sorted(busy), key, custom, now)
     return now
 
 

@@ -35,8 +35,8 @@ def recorded_moves():
     advance = sim_engine.advance
     fly = flights.fly
 
-    def logged(queues, busy, senders, key, now):
-        moved, delivered, longest = advance(queues, busy, senders, key, now)
+    def logged(queues, busy, senders, key, custom, now):
+        moved, delivered, longest = advance(queues, busy, senders, key, custom, now)
         # a packet that just crossed has the edge behind it in its path
         moves.extend((now, pkt.path[pkt.hops_done - 1], pkt.id) for pkt in moved)
         return moved, delivered, longest

@@ -1,7 +1,7 @@
 """Flights (`aqsim.flights`) against stepping. A phased run with pass-through
-off, under a built-in key, on a line or an in-tree moves a lone packet as a
-flight; the same key behind a wrapper is custom, so that run steps every hop.
-Both must give the same run, bit for bit, and the same crossings per step."""
+off, under a built-in key, on any network moves a lone packet as a flight;
+the same key behind a wrapper is custom, so that run steps every hop. Both
+must give the same run, bit for bit, and the same crossings per step."""
 
 import random
 from collections import Counter
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_engine as ref
 from crossings import check_schedule, recorded_moves
 from aqsim import flights
-from aqsim.flights import FlightRoutes
+from aqsim.flights import FlightRoutes, Flights
 from aqsim.adversary import InjectionEvent, scripted_adversary
 from aqsim.interval_strategy import run_interval
 from aqsim.network import PacketPath, build_network, in_tree_network, line_network, path, shown
@@ -31,8 +31,8 @@ def every_phase_flies(monkeypatch):
 
 
 def random_dag(rng: random.Random):
-    """A small DAG with a node of two out-edges, so no flights, and every
-    walk of up to 4 edges as a route."""
+    """A small DAG with a node of two out-edges, and every walk of up to 4
+    edges as a route."""
     n = rng.randint(3, 7)
     pairs = {(0, 1), (0, 2)} | {
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
@@ -117,8 +117,8 @@ def test_flights_match_stepping(seed, shape, name, improve, r, b, horizon, cut, 
     source = lambda: scripted_adversary(events, r, b, net)  # noqa: E731
     got, want = flown_and_stepped(net, name, source, max_steps, improve, max_phases)
     assert_same_run(got, want)
-    if shape == "dag" or improve:
-        assert not got[3]  # only a phase without pass-through on a line or a tree flies
+    if improve:
+        assert not got[3]  # only a phase without pass-through flies
     hops = sum(p.hops_done for p in got[0].packets)
     assert sum(got[3]) == (hops if got[3] else 0)  # when it flies, every crossing is flown
 
@@ -195,17 +195,14 @@ def test_max_queue_counts_a_flight_passing_an_edge_that_became_a_meeting_queue()
     assert peaks[:4] == [1, 1, 1, 2]
 
 
-class NonContiguousSource:
-    """A duck-typed source, so no path of it is checked: on a line of 4 edges
-    it injects (e1, e3), which skips e2 and so drops two depths in one hop,
-    next to paths that drop one a hop and meet it on e3."""
+class ScriptSource:
+    """A duck-typed source of fixed paths by step, so no path of it is
+    checked, neither against the network nor against a rate."""
 
     period = None
-    script = {
-        1: [("e1", "e3"), ("e2", "e3"), ("e2", "e3"), ("e1", "e2", "e3", "e4")],
-        3: [("e1", "e3"), ("e3", "e4")],
-        6: [("e2", "e3", "e4"), ("e1", "e3"), ("e1", "e2", "e3")],
-    }
+
+    def __init__(self, script):
+        self.script = script
 
     def injections_for(self, step):
         return [PacketPath(edges) for edges in self.script.get(step, ())]
@@ -214,14 +211,25 @@ class NonContiguousSource:
         return step >= max(self.script)
 
 
+# on a line of 4 edges, (e1, e3) skips e2, next to paths that meet it on e3
+NON_CONTIGUOUS = {
+    1: [("e1", "e3"), ("e2", "e3"), ("e2", "e3"), ("e1", "e2", "e3", "e4")],
+    3: [("e1", "e3"), ("e3", "e4")],
+    6: [("e2", "e3", "e4"), ("e1", "e3"), ("e1", "e2", "e3")],
+}
+
+
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
 def test_a_route_that_skips_a_depth_steps(name):
+    # (e1, e3) skips e2, so it enters e3 from e1 while (e2, e3) enters it
+    # from e2: e3 is a meeting queue, and each hop of (e1, e3) is sent alone
     net = line_network(4)
     routes = FlightRoutes(net)
-    skipping, stepping = routes[("e1", "e3")], routes[("e2", "e3")]
-    routes.read()
-    assert id(skipping) not in routes.flyable and id(stepping) in routes.flyable
-    got, want = flown_and_stepped(net, name, NonContiguousSource, 200, False)
+    routes[("e1", "e3")], routes[("e2", "e3")]
+    fleet = Flights(routes)
+    assert fleet.fit(flights.MIN_DILATION) and fleet.meets == {0, 1, 2}
+    source = lambda: ScriptSource(NON_CONTIGUOUS)  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 200, False)
     assert_same_run(got, want)
     # the skipping packets cross one edge per call of `fly`, the others fly
     skipping = [p for p in got[0].packets if p.path == ("e1", "e3")]
@@ -229,23 +237,7 @@ def test_a_route_that_skips_a_depth_steps(name):
     assert max(got[3]) > 1
 
 
-@pytest.mark.parametrize(
-    "edges, after",
-    [
-        ([("a", "b", "x"), ("b", "c", "y")], (1, None)),
-        ([("b", "c", "y"), ("a", "b", "x"), ("d", "b", "z")], (None, 0, 0)),
-        ([("a", "b", "x"), ("c", "d", "y")], (None, None)),  # two lines
-        ([("a", "b", "x"), ("a", "c", "y")], None),  # a node with two out-edges
-        ([("a", "b", "x"), ("b", "a", "y")], (1, 0)),  # a cycle
-    ],
-    ids=["line", "tree", "forest", "fork", "cycle"],
-)
-def test_edge_after(edges, after):
-    nodes = sorted({n for e in edges for n in e[:2]})
-    assert build_network(nodes, edges).edge_after == after
-
-
-def test_depths_are_found_for_the_edges_routes_lead_to():
+def test_meets_holds_first_queues_and_queues_entered_from_two():
     # e4 -> e3 -> e2 -> e1 -> sink; e5 -> e3; e6 and e7 form a cycle that e8 enters
     net = build_network(
         ["s", "a", "b", "c", "d", "f", "g", "h", "i"],
@@ -253,22 +245,21 @@ def test_depths_are_found_for_the_edges_routes_lead_to():
          ("f", "c", "e5"), ("g", "h", "e6"), ("h", "g", "e7"), ("i", "g", "e8")],
     )
     routes = FlightRoutes(net)
-    short = routes[("e5", "e3")]
-    assert not routes.depths  # nothing is read before a phase flies
-    assert routes.read() == {4}
-    assert routes.depths == [1, 2, 3, 0, 4, 0, 0, 0]  # e4 is not on a walk from e5
+    fleet = Flights(routes)
+    routes[("e5", "e3")]
+    assert fleet.fit(1) and fleet.meets == {4}
     routes[("e4", "e3", "e2")]
-    assert routes.read() == {3, 2} and routes.depths[3] == 4  # e3 entered from e4 and e5
-    cycling = routes[("e8", "e6")]
-    assert routes.read() == {7, 5}  # a route that steps: all its queues
-    assert routes.depths[5:] == [-1, -1, -1]
-    assert id(cycling) not in routes.flyable and id(short) in routes.flyable
+    assert not fleet.fit(0) and fleet.meets == {4}  # a phase that steps reads nothing
+    assert fleet.fit(1) and fleet.meets == {4, 3, 2}  # e3 is entered from e4 and e5
+    routes[("e8", "e6")]
+    assert fleet.fit(1) and fleet.meets == {4, 3, 2, 7}  # e6 is entered only from e8
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
 def test_routes_into_a_cycle_step_beside_routes_that_fly(name):
-    # no node has two out-edges, but one component is a cycle with a tail:
-    # its routes never reach a sink, so they step while the line's fly
+    # one component is a cycle with a tail, whose routes never reach a sink:
+    # r1 is entered from r0 and from r2, so it is a meeting queue, and the
+    # cycle's routes fly between its visits as the line's routes fly
     net = build_network(
         ["v0", "v1", "v2", "v3", "a", "b", "t"],
         [("v0", "v1", "e1"), ("v1", "v2", "e2"), ("v2", "v3", "e3"),
@@ -280,7 +271,48 @@ def test_routes_into_a_cycle_step_beside_routes_that_fly(name):
     source = lambda: scripted_adversary(events, r, b, net)  # noqa: E731
     got, want = flown_and_stepped(net, name, source, 1000, False)
     assert_same_run(got, want)
-    assert max(got[3]) > 1  # the line's packets fly
+    assert max(got[3]) > 1
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_route_that_enters_a_queue_from_two_of_its_own_queues(name):
+    # x = a->u, y = u->v, z = v->u: the route x, y, z, y enters y from x and
+    # then from z. Three packets leave x at steps 2, 3 and 4; the first is
+    # back in y at step 5 as the third reaches it, so y must be a meeting
+    # queue, though no other route enters it
+    net = build_network(["a", "u", "v"], [("a", "u", "x"), ("u", "v", "y"), ("v", "u", "z")])
+    routes = FlightRoutes(net)
+    routes[("x", "y", "z", "y")]
+    fleet = Flights(routes)
+    assert fleet.fit(1) and fleet.meets == {0, 1}
+    source = lambda: ScriptSource({1: [("x", "y", "z", "y")] * 3})  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 50, False)
+    assert_same_run(got, want)
+    assert max(got[3]) > 1  # a packet flies y, z into y again
+    reference, _ = ref.run_interval(net, name, source(), 50, False)
+    assert outcome(got[0]) == outcome(reference)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_dag_with_a_fork_flies_exactly(name):
+    # v1 has two out-edges, to v2 and v3, and both rails merge at v4 before a
+    # long tail: packets fly along the rails and the tail, and meet where
+    # routes start and at e45, which the rails enter from e24 and from e34
+    tail = [(f"t{i}", f"t{i + 1}", f"f{i}") for i in range(6)]
+    net = build_network(
+        ["v0", "v1", "v2", "v3", "v4"] + [f"t{i}" for i in range(7)],
+        [("v0", "v1", "e01"), ("v1", "v2", "e12"), ("v1", "v3", "e13"), ("v2", "v4", "e24"),
+         ("v3", "v4", "e34"), ("v4", "t0", "e45")] + tail,
+    )
+    rail = tuple(f"f{i}" for i in range(6))
+    routes = [("e01", "e12", "e24", "e45") + rail, ("e01", "e13", "e34", "e45") + rail,
+              ("e12", "e24", "e45"), ("e13", "e34", "e45") + rail[:3], rail[2:]]
+    r, b = Fraction(3, 4), 3
+    events = admissible_events(random.Random(4), routes, 150, r, b)
+    source = lambda: scripted_adversary(events, r, b, net)  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 1000, False)
+    assert_same_run(got, want)
+    assert max(got[3]) >= 4  # a packet flies past the merge into the tail
 
 
 @pytest.mark.parametrize("d", [63, 64])

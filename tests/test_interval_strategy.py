@@ -17,7 +17,7 @@ from aqsim.interval_strategy import (
     run_interval,
     write_phases_csv,
 )
-from aqsim.network import CongestionDilation, build_network, line_network, path
+from aqsim.network import CongestionDilation, build_network, line_network, path, shown
 from aqsim.sim_engine import EngineInvariantError, Recurrence
 from aqsim.strategies import DISCIPLINES
 from aqsim.static_routing import greedy_schedule, random_instance
@@ -293,6 +293,16 @@ def test_live_check_fires_at_the_bound_not_one_step_late(monkeypatch):
     adv = burst_adversary(net, [path("e1", "e2")] * 2, 2)
     with pytest.raises(Lemma1ViolationError, match=r"^phase 1 still running after 2 steps, "):
         run_interval(net, "FIFO", adv, max_steps=10)
+
+
+@pytest.mark.parametrize("improvement_on", ["off", "on", 1, 0, None, [True]])
+def test_improvement_on_is_a_bool(improvement_on):
+    # "off" and [True] are truthy: none of these may be read as on or off
+    net = line_network(3)
+    adv = saturating_adversary(net, path("e1", "e2", "e3"), Fraction(1, 2), 2)
+    with pytest.raises(ValueError) as err:
+        run_interval(net, "FIFO", adv, 30, improvement_on)
+    assert str(err.value) == f"improvement_on: must be a bool, got {shown(improvement_on)}"
 
 
 def test_phases_csv_schema():

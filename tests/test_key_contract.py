@@ -73,7 +73,7 @@ def test_tie_against_queue_order_goes_to_smallest_id():
     key = CountingKey("FIFO")
     queues = [[_packet(2, 1), _packet(1, 1)], []]
     busy = {0}
-    moved, delivered, _ = advance(queues, busy, [0], key, 1)
+    moved, delivered, _ = advance(queues, busy, [0], key, True, 1)
     assert [p.id for p in moved] == [1]
     assert delivered == 0 and key.calls == 2
     assert [p.id for p in queues[0]] == [2] and [p.id for p in queues[1]] == [1]
@@ -84,7 +84,7 @@ def test_singleton_queue_still_evaluates_the_key():
     key = CountingKey("FIFO")
     queues = [[_packet(1, 1)], []]
     busy = {0}
-    moved, _, _ = advance(queues, busy, [0], key, 1)
+    moved, _, _ = advance(queues, busy, [0], key, True, 1)
     assert [p.id for p in moved] == [1] and key.calls == 1
     assert queues == [[], [moved[0]]] and busy == {1}
 
@@ -98,13 +98,13 @@ def _lone_packet_without_a_path():
 def test_builtin_key_is_not_evaluated_for_a_lone_packet():
     ntg = DISCIPLINES["NTG"]
     queues, busy = _lone_packet_without_a_path()
-    moved, delivered, longest = advance(queues, busy, [0], ntg, 1)
+    moved, delivered, longest = advance(queues, busy, [0], ntg, False, 1)
     assert [p.id for p in moved] == [1] and (delivered, longest) == (0, 1)
     assert queues == [[], moved] and busy == {1}
     # the same key behind a wrapper is custom, so it is evaluated and fails
     queues, busy = _lone_packet_without_a_path()
     with pytest.raises(TypeError):
-        advance(queues, busy, [0], lambda p: ntg(p), 1)
+        advance(queues, busy, [0], lambda p: ntg(p), True, 1)
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
@@ -124,7 +124,7 @@ def test_builtin_key_picks_by_key_then_id_among_two(name, fields):
     key = DISCIPLINES[name]
     want = min(queue, key=lambda p: (key(p), p.id))
     queues, busy = [list(queue), []], {0}
-    moved, _, longest = advance(queues, busy, [0], key, 5)
+    moved, _, longest = advance(queues, busy, [0], key, False, 5)
     assert moved == [want] and longest == 2
     assert queues[0] == [p for p in queue if p is not want] and 0 in busy
 

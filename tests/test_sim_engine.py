@@ -237,13 +237,14 @@ def _queued(lengths):
 
 def test_advance_longest_is_zero_without_senders():
     queues, busy = _queued([0, 2, 0])
-    assert advance(queues, busy, [], get_discipline("FIFO"), 1) == ([], 0, 0)
+    assert advance(queues, busy, [], get_discipline("FIFO"), False, 1) == ([], 0, 0)
     assert [len(q) for q in queues] == [0, 2, 0] and busy == {1}
 
 
 def test_advance_longest_is_one_when_every_sender_holds_one_packet():
     queues, busy = _queued([1, 0, 1, 1])
-    moved, delivered, longest = advance(queues, busy, sorted(busy), get_discipline("FIFO"), 1)
+    fifo = get_discipline("FIFO")
+    moved, delivered, longest = advance(queues, busy, sorted(busy), fifo, False, 1)
     assert (len(moved), delivered, longest) == (3, 3, 1)
     assert busy == set()
 
@@ -252,7 +253,7 @@ def test_advance_longest_is_one_when_every_sender_holds_one_packet():
 def test_advance_longest_is_the_longest_sender_queue_before_sending(lengths):
     queues, busy = _queued(lengths)
     senders = sorted(busy)
-    _, delivered, longest = advance(queues, busy, senders, get_discipline("FIFO"), 1)
+    _, delivered, longest = advance(queues, busy, senders, get_discipline("FIFO"), False, 1)
     assert longest == max(lengths)
     assert delivered == len(senders)
 
@@ -260,7 +261,7 @@ def test_advance_longest_is_the_longest_sender_queue_before_sending(lengths):
 def test_advance_longest_ignores_queues_that_do_not_send():
     # only the senders' queues count, as in a pass-through step
     queues, busy = _queued([5, 2, 1])
-    _, _, longest = advance(queues, busy, [1, 2], get_discipline("FIFO"), 1)
+    _, _, longest = advance(queues, busy, [1, 2], get_discipline("FIFO"), False, 1)
     assert longest == 2 and len(queues[0]) == 5
 
 
@@ -270,7 +271,7 @@ def test_advance_longest_ignores_queues_that_do_not_send():
 def test_advance_keeps_queues_that_do_not_send_in_busy():
     # a strict subset of busy sends, as in a pass-through step
     queues, busy = _queued([1, 1, 1, 2])
-    advance(queues, busy, [1, 2], get_discipline("FIFO"), 1)
+    advance(queues, busy, [1, 2], get_discipline("FIFO"), False, 1)
     assert busy == {0, 3}
     assert [len(q) for q in queues] == [1, 0, 0, 2]
 
@@ -278,7 +279,7 @@ def test_advance_keeps_queues_that_do_not_send_in_busy():
 def test_advance_keeps_a_multi_packet_sender_in_busy():
     # one-hop packets: nothing lands, so only the sender's own leftovers keep it busy
     queues, busy = _queued([3, 1, 2])
-    moved, delivered, _ = advance(queues, busy, [0, 1, 2], get_discipline("FIFO"), 1)
+    moved, delivered, _ = advance(queues, busy, [0, 1, 2], get_discipline("FIFO"), False, 1)
     assert busy == {0, 2}
     assert [len(q) for q in queues] == [2, 0, 1]
     assert delivered == len(moved) == 3
@@ -294,7 +295,7 @@ def test_advance_keeps_a_multi_packet_sender_in_busy():
 )
 def test_advance_lands_in_a_queue_emptied_the_same_step(routes_by_queue):
     queues, busy = _routed(routes_by_queue)
-    moved, delivered, _ = advance(queues, busy, [0, 1], get_discipline("FIFO"), 1)
+    moved, delivered, _ = advance(queues, busy, [0, 1], get_discipline("FIFO"), False, 1)
     lander = next(p for p in moved if p.delivered_at is None)
     target = lander.route[1]
     assert delivered == 1
@@ -312,7 +313,7 @@ def test_advance_moved_k_left_senders_k():
     key = get_discipline("LIFO")
     senders = [0, 2, 3]
     expected = [queues[i][-1] for i in senders]
-    moved, _, _ = advance(queues, busy, senders, key, 1)
+    moved, _, _ = advance(queues, busy, senders, key, False, 1)
     assert moved == expected
     assert [p.route[p.hops_done - 1] for p in moved] == senders
 
@@ -328,7 +329,7 @@ def test_advance_keeps_busy_exact_and_moved_in_sender_order(data):
     senders = sorted(data.draw(st.sets(st.sampled_from(sorted(busy))))) if busy else []
     key = get_discipline(data.draw(st.sampled_from(sorted(DISCIPLINES))))
     picks = [min(queues[i], key=lambda p: (key(p), p.id)) for i in senders]
-    moved, delivered, _ = advance(queues, busy, senders, key, 1)
+    moved, delivered, _ = advance(queues, busy, senders, key, False, 1)
     assert moved == picks
     assert [p.route[p.hops_done - 1] for p in moved] == senders
     assert delivered == sum(p.delivered_at is not None for p in moved)
