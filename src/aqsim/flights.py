@@ -43,6 +43,18 @@ on at once, as stepping would too. So after `land`, every flight aloft is
 alone in a queue that is not a meeting queue: `crossing` answers False for a
 meeting queue at once, and scans the flights aloft only for another queue.
 
+Order. Flights run only under a built-in key, and every built-in key reads
+the arrival step, the injection step or the hop count of a packet, none of
+which changes while it waits. So a queue sorted by `(-key, -id)`, the packet
+least in (key, id) last, stays sorted until a packet arrives, and its pick is
+its last packet: `advance` pops it, and evaluates no key. In a flying phase
+packets arrive in a queue in three places only, and each keeps the order:
+- at adoption, where `sort` sorts the busy queues;
+- at a landing, where `land` inserts the flight in order;
+- at a one-edge send into a meeting queue, which `_launch` inserts in order.
+`run_interval` calls `sort` after any period skip at that phase start, not
+before: `sim_engine.skip_periods` refills the queues in id order.
+
 Materialising. A flight's packet keeps its fields from before it left until
 `fly` brings them up to date, so a key never reads them in flight. `fly`
 gives it its hops done, arrival step and delivery step as stepping would
@@ -54,10 +66,11 @@ flight.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import chain
 
 from .network import EdgeId, Network
-from .sim_engine import Routes, pick
+from .sim_engine import Routes
 from .strategies import DisciplineKey, Packet
 
 # a flight: its packet and the step it left
@@ -107,8 +120,10 @@ MIN_DILATION = 64
 class Flights:
     """The flights of one phased run; see the module docstring."""
 
-    def __init__(self, routes: FlightRoutes):
+    def __init__(self, routes: FlightRoutes, key: DisciplineKey):
         self.routes = routes
+        # the queue order: the packet least in (key, id) is last
+        self._order = lambda pkt: (-key(pkt), -pkt.id)
         self.meets: set[int] = set()
         self._entered: dict[int, int] = {}  # queue -> the queue routes read so far enter it from
         # route id -> for each hop h, the index of the first meeting queue
@@ -137,6 +152,11 @@ class Flights:
                 self._stops.clear()
         return True
 
+    def sort(self, queues: list[list[Packet]], busy: set[int]) -> None:
+        """Put every busy queue in order, at the start of a phase that flies."""
+        for i in busy:
+            queues[i].sort(key=self._order)
+
     def _aloft(self):
         """Every flight aloft, in no particular order."""
         return chain.from_iterable(chain(self.lands.values(), self.due.values()))
@@ -157,7 +177,7 @@ class Flights:
             k = pkt.hops_done + now - start
             fly(pkt, start, k)
             q = pkt.route[k]
-            queues[q].append(pkt)
+            insort(queues[q], pkt, key=self._order)
             busy.add(q)
 
     def advance(
@@ -170,17 +190,28 @@ class Flights:
         now: int,
     ) -> tuple[bool, int, int]:
         """`sim_engine.advance` for a phase with flights, after `land`: each
-        queue in `senders` sends the packet that `sim_engine.pick` gives up,
-        which leaves as a flight, and the flights due this step are
-        delivered.
+        queue in `senders` sends its last packet, the one least in (key, id)
+        (see "Order" in the module docstring), which leaves as a flight, and
+        the flights due this step are delivered. Every sender picks before
+        any packet is sent, so a one-edge send into a sender's queue waits
+        for the next step, as in stepping. `key` and `custom` are not read:
+        they are taken only so that this method and `sim_engine.advance`
+        share one signature.
 
         Returns whether any packet crossed an edge (a sender's or a flight's),
         the number delivered, and the longest queue that sent: a flight
         aloft is a queue of one."""
         crossed = bool(senders or self.lands or self.due)
-        picked, longest = pick(queues, busy, senders, key, custom)
-        if crossed and not longest:
-            longest = 1
+        longest = 1 if crossed else 0
+        busy.difference_update(senders)
+        picked = []
+        for i in senders:
+            q = queues[i]
+            picked.append(q.pop())
+            if q:
+                if len(q) >= longest:
+                    longest = len(q) + 1
+                busy.add(i)
         delivered = 0
         for pkt in picked:
             delivered += self._launch(pkt, now, queues, busy)
@@ -203,7 +234,7 @@ class Flights:
             if stop == n:
                 return 1
             q = route[stop]
-            queues[q].append(pkt)
+            insort(queues[q], pkt, key=self._order)
             busy.add(q)
         elif stop == n:
             self.due.setdefault(now + n - 1 - h, []).append((pkt, now))

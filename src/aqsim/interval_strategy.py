@@ -80,8 +80,10 @@ def run_interval(
     phase runs exactly while `busy` is non-empty or, with flights, a flight is
     aloft in `lands` or `due` (`live`). Whenever no phase runs and `held` is
     non-empty, every holding queue is swapped with its (empty) active queue
-    and the next phase starts the following step. Queue order does not
-    matter: each sender picks the packet least in (key, id).
+    and the next phase starts the following step. Each sender picks the
+    packet least in (key, id): in a phase that steps, queue order does not
+    matter; in a phase that flies, each queue is kept in that order, so its
+    pick is its last packet (see "Order" in `flights`).
 
     Flights. With pass-through off and a built-in key, on any network, a
     phase whose dilation is at least `flights.MIN_DILATION` sends each packet
@@ -91,8 +93,9 @@ def run_interval(
     `Flights.fit`, which reads the routes resolved since it last read. Each
     step, `Flights.land` first puts every flight that reaches a meeting
     queue in that queue, and then `Flights.advance` stands in for
-    `sim_engine.advance`: every queue in `busy` sends, through the same
-    `sim_engine.pick`, and the flights due are delivered. A run that stops
+    `sim_engine.advance`: every queue in `busy` sends its last packet, and
+    the flights due are delivered. `Flights.sort` orders the queues at the
+    start of each phase that flies, after any period skip. A run that stops
     with flights aloft ends them with `Flights.settle`, so every packet's
     fields are those of a stepped run. Plain runs, pass-through runs, custom
     keys, which the key contract evaluates once per queued packet per step,
@@ -176,7 +179,7 @@ def run_interval(
     flights = None
     if not improvement_on and not custom:
         routes = FlightRoutes(network)
-        flights = Flights(routes)
+        flights = Flights(routes, key)
     else:
         routes = Routes(network)
     flying = False  # whether the running phase sends flights
@@ -286,6 +289,8 @@ def run_interval(
                         records = Periodic(records, phases, periods, copy)
                         start += periods * length
                         now = start - 1
+            if flying:  # after any skip, which refills the queues in id order
+                flights.sort(active, busy)
 
         now += 1
         if max_phases is not None and len(records) > max_phases:

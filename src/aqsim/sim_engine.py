@@ -22,11 +22,12 @@ per hop. A packet moves by its `route`, its path as queue indices, which
 
 One case does not pay a hop at a time: a long active phase of a phased run
 with pass-through off, under a built-in key, on any network. There
-`flights.Flights` stands in for `advance`: it sends each packet that `pick`
-gives up as a flight, moved on paper to the next queue where packets can
-meet or to its delivery, so a step costs the queues that hold waiting
-packets and the flights that land or are delivered, not the hops made (see
-`flights` and `run_interval`).
+`flights.Flights` stands in for `advance`: it keeps each queue in (key, id)
+order, sends the last packet of each as a flight, moved on paper to the
+next queue where packets can meet or to its delivery, so a step costs the
+queues that hold waiting packets and the flights that land or are
+delivered, not the hops made or the packets that wait (see `flights` and
+`run_interval`).
 
 Both engines also share period skipping: `skip_period` says which runs may
 skip, those of a built-in key and a periodic source, and once such a run
@@ -186,8 +187,9 @@ def pick(
     """Each queue in `senders` (non-empty, listed in edge-declaration order,
     all in `busy`) gives up the packet least in (key, id); `custom` says
     whether `key` is a custom one, which its run decides once
-    (`strategies.is_builtin`). This is the pick of every step, whatever then
-    moves the packets: `advance` here, or a phased run's flights.
+    (`strategies.is_builtin`). This is the pick of every step that
+    `advance` moves; a flying phase pops its ordered queues instead (see
+    `flights`).
 
     Every sender leaves `busy` in one set update, and a sender whose queue
     still holds packets after its pick goes back; queues in `busy` that do

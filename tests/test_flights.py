@@ -5,6 +5,7 @@ must give the same run, bit for bit, and the same crossings per step."""
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crossings import check_schedule, recorded_moves
-from aqsim import flights
+from aqsim import flights, sim_engine, strategies
 from aqsim.flights import FlightRoutes, Flights
-from aqsim.adversary import InjectionEvent, scripted_adversary
+from aqsim.adversary import InjectionEvent, saturating_adversary, scripted_adversary
 from aqsim.interval_strategy import run_interval
 from aqsim.network import PacketPath, build_network, in_tree_network, line_network, path, shown
 from aqsim.strategies import DISCIPLINES
@@ -85,13 +86,22 @@ def flown_and_stepped(net, name, source, max_steps, improve, max_phases=None):
     return runs
 
 
-def assert_same_run(got, want):
+def assert_same_run(got, want, skips=False):
+    """`skips`: the built-in key's run copies periods, which the wrapped key's
+    run steps through, so only the first finds a recurrence, and only the
+    second makes the crossings of the copied steps."""
     (trace, records, moves, _), (trace_w, records_w, moves_w, ended_w) = got, want
     assert not ended_w  # the wrapped key steps every hop
     assert list(trace.steps) == list(trace_w.steps)
     assert [astuple(p) for p in trace.packets] == [astuple(p) for p in trace_w.packets]
     assert list(records) == list(records_w)
-    assert trace.recurrence == trace_w.recurrence
+    if skips:
+        assert trace.recurrence is not None and trace_w.recurrence is None
+        first, period = sum(trace.recurrence[:2]), trace.recurrence.period
+        copied = range(first, first + trace.steps.periods * period)
+        moves_w = [move for move in moves_w if move[0] not in copied]
+    else:
+        assert trace.recurrence == trace_w.recurrence
     assert trace.truncated == trace_w.truncated
     assert _csvs(trace, records) == _csvs(trace_w, records_w)
     assert per_step(moves) == per_step(moves_w)
@@ -226,7 +236,7 @@ def test_a_route_that_skips_a_depth_steps(name):
     net = line_network(4)
     routes = FlightRoutes(net)
     routes[("e1", "e3")], routes[("e2", "e3")]
-    fleet = Flights(routes)
+    fleet = Flights(routes, DISCIPLINES["FIFO"])
     assert fleet.fit(flights.MIN_DILATION) and fleet.meets == {0, 1, 2}
     source = lambda: ScriptSource(NON_CONTIGUOUS)  # noqa: E731
     got, want = flown_and_stepped(net, name, source, 200, False)
@@ -245,7 +255,7 @@ def test_meets_holds_first_queues_and_queues_entered_from_two():
          ("f", "c", "e5"), ("g", "h", "e6"), ("h", "g", "e7"), ("i", "g", "e8")],
     )
     routes = FlightRoutes(net)
-    fleet = Flights(routes)
+    fleet = Flights(routes, DISCIPLINES["FIFO"])
     routes[("e5", "e3")]
     assert fleet.fit(1) and fleet.meets == {4}
     routes[("e4", "e3", "e2")]
@@ -283,7 +293,7 @@ def test_a_route_that_enters_a_queue_from_two_of_its_own_queues(name):
     net = build_network(["a", "u", "v"], [("a", "u", "x"), ("u", "v", "y"), ("v", "u", "z")])
     routes = FlightRoutes(net)
     routes[("x", "y", "z", "y")]
-    fleet = Flights(routes)
+    fleet = Flights(routes, DISCIPLINES["FIFO"])
     assert fleet.fit(1) and fleet.meets == {0, 1}
     source = lambda: ScriptSource({1: [("x", "y", "z", "y")] * 3})  # noqa: E731
     got, want = flown_and_stepped(net, name, source, 50, False)
@@ -325,6 +335,67 @@ def test_a_phase_flies_from_the_least_dilation(monkeypatch, d):
     got, want = flown_and_stepped(net, "FIFO", source, 200, False)
     assert_same_run(got, want)
     assert got[3] == ([d] * 3 if d == 64 else [])
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_the_queue_order_follows_a_period_skip(name):
+    # the saturating d=8 line repeats a phase start at step 53, 14 steps after
+    # the one at 39; at 106 steps the run copies 3 periods and steps on from
+    # step 95, whose phase holds its packets in e1 and delivers two of them
+    # by step 106. The copier refills e1 in id order, so a queue order set
+    # before the skip would send the wrong packet first
+    net = line_network(8)
+    full = path(*(f"e{i}" for i in range(1, 9)))
+    source = lambda: saturating_adversary(net, full, Fraction(1, 2), 4)  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 106, False)
+    assert_same_run(got, want, skips=True)
+    trace = got[0]
+    assert trace.recurrence == (39, 14, 1) and trace.steps.periods == 3
+    tail = 39 + 14 * 4  # the first step after the last copied period
+    adopted = [p for p in trace.packets if p.injected_at < tail <= (p.delivered_at or 0)]
+    assert len(adopted) >= 2
+
+
+@contextmanager
+def scans():
+    """Inside the block, the yielded Counter counts the calls of
+    `strategies.least`, under each name the step core reads it by, and the
+    calls of `sim_engine.pick` with a sender: at step 1 no phase runs, and
+    the phased loop still advances its empty active queues."""
+    calls = Counter()
+
+    def counted(attr, fn):
+        def call(*args):
+            if attr != "pick" or args[2]:
+                calls[attr] += 1
+            return fn(*args)
+
+        return call
+
+    with mock.patch.object(sim_engine, "pick", counted("pick", sim_engine.pick)), mock.patch.object(
+        sim_engine, "least", counted("least", sim_engine.least)
+    ), mock.patch.object(strategies, "least", counted("least", strategies.least)):
+        yield calls
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_flying_phase_picks_without_scanning(monkeypatch, name):
+    # every phase of the saturating d=64 line flies, and its first queue holds
+    # many packets: each pick pops the queue's last packet, so neither the
+    # pick loop nor `least` runs, where the wrapped key calls both
+    monkeypatch.setattr(flights, "MIN_DILATION", 64)
+    net = line_network(64)
+    full = path(*(f"e{i}" for i in range(1, 65)))
+    source = lambda: saturating_adversary(net, full, Fraction(1, 2), 4)  # noqa: E731
+    builtin = DISCIPLINES[name]
+    with scans() as calls:
+        trace, records = run_interval(net, name, source(), 1500, False)
+    with scans() as calls_w:
+        trace_w, records_w = run_interval(net, lambda pkt: builtin(pkt), source(), 1500, False)
+    assert not calls
+    assert calls_w["pick"] and calls_w["least"]
+    assert all(r.d_i == 64 for r in records[1:]) and max(r.packet_count for r in records) > 2
+    assert _csvs(trace, records) == _csvs(trace_w, records_w)
 
 
 @pytest.mark.parametrize("max_phases", [0, -1, 2.5, True, "3"])
