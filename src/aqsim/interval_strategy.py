@@ -21,13 +21,12 @@ from functools import partial
 from typing import IO, Iterable, NamedTuple, Optional
 
 from .adversary import Adversary
-from .flights import FlightRoutes, Flights
+from .flights import wire
 from .network import Network, as_count, congestion_dilation, shown
 from .periodic import Periodic, as_periodic
 from .sim_engine import (
     EngineInvariantError,
     Recurrence,
-    Routes,
     StepStats,
     Trace,
     advance,
@@ -97,10 +96,11 @@ def run_interval(
     the flights due are delivered. `Flights.sort` orders the queues at the
     start of each phase that flies, after any period skip. A run that stops
     with flights aloft ends them with `Flights.settle`, so every packet's
-    fields are those of a stepped run. Plain runs, pass-through runs, custom
-    keys, which the key contract evaluates once per queued packet per step,
-    and shorter phases step every hop; whether the key is custom is decided
-    once per run.
+    fields are those of a stepped run. `flights.wire` chooses the route
+    cache and `Flights`, as it does for a plain run. Pass-through runs,
+    custom keys, which the key contract evaluates once per queued packet per
+    step, and shorter phases step every hop; whether the key is custom is
+    decided once per run.
     With pass-through on, `demand[i]` counts the crossings of edge i that the
     running phase's undelivered packets still have ahead of them: a phase
     start fills it from the `crossings` of the phase's one
@@ -176,12 +176,7 @@ def run_interval(
     # kept only while the run may skip and has not yet
     seen: Optional[dict] = None if period is None else {}
     recurrence = None
-    flights = None
-    if not improvement_on and not custom:
-        routes = FlightRoutes(network)
-        flights = Flights(routes, key)
-    else:
-        routes = Routes(network)
+    routes, flights = wire(network, key, custom or improvement_on)
     flying = False  # whether the running phase sends flights
     # the flights aloft, by the step each lands or is delivered
     lands, due = ({}, {}) if flights is None else (flights.lands, flights.due)
@@ -228,8 +223,10 @@ def run_interval(
         # the active phase advances exactly like the plain engine, or sends
         # flights (see the docstring)
         senders = sorted(busy)
-        step = flights.advance if flying else advance
-        moved, delivered_active, longest = step(active, busy, senders, key, custom, now)
+        if flying:
+            moved, delivered_active, longest = flights.advance(active, busy, senders, now)
+        else:
+            moved, delivered_active, longest = advance(active, busy, senders, key, custom, now)
         if longest > max_queue:
             max_queue = longest
         if improvement_on:

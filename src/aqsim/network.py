@@ -55,6 +55,27 @@ class Network:
         return {eid: i for i, eid in enumerate(self.edge_ids)}
 
 
+class Routes(dict):
+    """One run's cache from a path's edge tuple to its route, the tuple of
+    the edges' queue indices in `network`'s declaration order; a route is
+    resolved on its first lookup. The cache is its own dict, not
+    `network.edge_index`, because an edge id may itself be a tuple and so
+    equal some path."""
+
+    # Whether a route of at least `flights.MIN_DILATION` edges was resolved:
+    # a plain run flies from then on. Only `flights.FlightRoutes` sets it, so
+    # a run that never flies tests this one attribute a step and reads no route.
+    long = False
+
+    def __init__(self, network: Network):
+        super().__init__()
+        self._index = network.edge_index
+
+    def __missing__(self, edges: tuple[EdgeId, ...]) -> tuple[int, ...]:
+        route = self[edges] = tuple(map(self._index.__getitem__, edges))
+        return route
+
+
 def build_network(nodes: Sequence[NodeId], edges: Iterable[tuple[NodeId, NodeId, EdgeId]]) -> Network:
     """Validate and freeze a network; edge iteration order is the declaration order.
 

@@ -20,14 +20,16 @@ leave the set of non-empty queues in one update per step, not one removal
 per hop. A packet moves by its `route`, its path as queue indices, which
 `Routes` resolves once per distinct path of a run.
 
-One case does not pay a hop at a time: a long active phase of a phased run
-with pass-through off, under a built-in key, on any network. There
+Two cases do not pay a hop at a time, under a built-in key, on any network:
+a long active phase of a phased run with pass-through off, and a plain run
+of a source that declares no period from its first long route on. There
 `flights.Flights` stands in for `advance`: it keeps each queue in (key, id)
 order, sends the last packet of each as a flight, moved on paper to the
 next queue where packets can meet or to its delivery, so a step costs the
 queues that hold waiting packets and the flights that land or are
-delivered, not the hops made or the packets that wait (see `flights` and
-`run_interval`).
+delivered, not the hops made or the packets that wait. Both engines choose
+their route cache and flights through `flights.wire` (see `flights`, `run`
+and `run_interval`).
 
 Both engines also share period skipping: `skip_period` says which runs may
 skip, those of a built-in key and a periodic source, and once such a run
@@ -44,8 +46,9 @@ from itertools import chain
 from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
-from .adversary import Adversary
-from .network import EdgeId, Network, as_count
+from .adversary import Adversary, AdversaryError
+from .flights import wire
+from .network import Network, Routes, as_count
 from .periodic import Periodic, as_periodic
 from .strategies import DisciplineKey, Packet, get_discipline, is_builtin, least
 
@@ -136,22 +139,6 @@ def check_max_steps(max_steps: int) -> None:
 # ---- the step core both strategies use -------------------------------------
 
 
-class Routes(dict):
-    """One run's cache from a path's edge tuple to its route, the tuple of
-    the edges' queue indices in `network`'s declaration order; a route is
-    resolved on its first lookup. The cache is its own dict, not
-    `network.edge_index`, because an edge id may itself be a tuple and so
-    equal some path."""
-
-    def __init__(self, network: Network):
-        super().__init__()
-        self._index = network.edge_index
-
-    def __missing__(self, edges: tuple[EdgeId, ...]) -> tuple[int, ...]:
-        route = self[edges] = tuple(map(self._index.__getitem__, edges))
-        return route
-
-
 def inject(
     adversary: Adversary,
     now: int,
@@ -188,7 +175,7 @@ def pick(
     all in `busy`) gives up the packet least in (key, id); `custom` says
     whether `key` is a custom one, which its run decides once
     (`strategies.is_builtin`). This is the pick of every step that
-    `advance` moves; a flying phase pops its ordered queues instead (see
+    `advance` moves; a run that flies pops its ordered queues instead (see
     `flights`).
 
     Every sender leaves `busy` in one set update, and a sender whose queue
@@ -272,6 +259,18 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     queue is the longest sender queue that `advance` reports. The packets it
     returns (`moved[k]` left `senders[k]`) are not needed here.
 
+    Flights. Under a built-in key, when `skip_period` gives no period, the
+    run lists each distinct route as it resolves it (`flights.FlightRoutes`)
+    and tests one flag a step, `routes.long`, until a route of at least
+    `flights.MIN_DILATION` edges comes. From that step on, `Flights.step`
+    stands in for `advance`: it puts the step's injected packets in (key, id)
+    order (sorting every busy queue on the first such step), reads the new
+    routes and files the flights aloft again if meeting queues were added,
+    lands the flights due to land and sends every busy queue's last packet.
+    `Flights.settle` ends the flights still aloft when the run stops. A run
+    of a periodic source steps, so period skipping never meets a flight; a
+    run that never resolves a long route reads no route and flies nothing.
+
     Period skipping. When `skip_period` gives a period q, the run looks for
     a repeated state by Brent's method. The
     state before step s is `shifted_state`: in id order, each queued packet's
@@ -303,7 +302,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     saved_in = saved_step = -1
     saved: tuple = ()  # len(packets), the queued packets and their state at saved_step
     recurrence = None
-    routes = Routes(network)
+    routes, fleet = wire(network, key, custom or period is not None)
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     packets: list[Packet] = []
@@ -331,10 +330,16 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
             saved = (len(packets), alive, shifted_state(alive, now))
             saved_in, saved_step, save_at = in_system, now, 2 * now
         injected = inject(adversary, now, packets, routes, queues, busy)
-        _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, custom, now)
+        if routes.long:  # the run flies from the step that resolves a long route on
+            fresh = packets[len(packets) - injected :]
+            delivered_now, max_queue = fleet.step(queues, busy, fresh, now)
+        else:
+            _, delivered_now, max_queue = advance(queues, busy, sorted(busy), key, custom, now)
         in_system += injected - delivered_now
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         now += 1
+    if fleet is not None:
+        fleet.settle(now)
     truncated = in_system > 0 or not adversary.done_after(now - 1)
     return Trace(steps, packets, truncated, recurrence=recurrence)
 
@@ -376,10 +381,15 @@ def skip_period(key: DisciplineKey, adversary: Adversary) -> Optional[int]:
       q, so two visits from step 2 on at steps that agree modulo q meet the
       same injections from then on. The attribute is read with `getattr`: a
       duck-typed source, such as a proxy around a periodic one, declares
-      none, and its run steps every step.
+      none, and its run steps every step. A declared period other than None
+      must be a count (`network.as_count`), whatever the key, or the run is
+      refused with `AdversaryError` before its first step.
     """
     period = getattr(adversary, "period", None)
-    return period if period is not None and is_builtin(key) else None
+    if period is None:
+        return None
+    period = as_count(period, "adversary.period", AdversaryError)
+    return period if is_builtin(key) else None
 
 
 def skip_periods(

@@ -19,6 +19,7 @@ from .network import (
     Network,
     NetworkError,
     PacketPath,
+    Routes,
     as_count,
     congestion_dilation,
     in_tree_network,
@@ -27,7 +28,7 @@ from .network import (
     validate_path,
 )
 from .csvio import write_csv
-from .sim_engine import EngineInvariantError, Routes, advance
+from .sim_engine import EngineInvariantError, advance
 from .strategies import Packet, get_discipline, is_builtin
 
 

@@ -80,3 +80,30 @@ def test_a_script_step_between_integers_is_refused():
     want = r"^events\[1\]\.time: must be an integer >= 1, got 2\.5$"
     with pytest.raises(AdversaryError, match=want):
         scripted_adversary(events, HALF, 2, NET)
+
+
+class _Declared:
+    """A duck-typed source of one packet that declares `period`."""
+
+    def __init__(self, period):
+        self.period = period
+
+    def injections_for(self, step):
+        return [P] if step == 1 else []
+
+    def done_after(self, step):
+        return step >= 1
+
+
+@pytest.mark.parametrize("period", [0, "2", 2.5, -2, True], ids=repr)
+@pytest.mark.parametrize("engine", [run, run_interval])
+def test_a_declared_period_is_a_count(engine, period):
+    # None declares no period; anything else must be a count before either
+    # engine steps, or it failed deep in the loop, or was taken as given
+    want = f"adversary.period: must be an integer >= 1, got {shown(period)}"
+    with pytest.raises(AdversaryError) as err:
+        engine(NET, "FIFO", _Declared(period), 10)
+    assert str(err.value) == want
+    ran = engine(NET, "FIFO", _Declared(None), 10)
+    trace = ran[0] if engine is run_interval else ran
+    assert trace.delivered_count == 1

@@ -1,7 +1,8 @@
-"""Flights (`aqsim.flights`) against stepping. A phased run with pass-through
-off, under a built-in key, on any network moves a lone packet as a flight;
-the same key behind a wrapper is custom, so that run steps every hop. Both
-must give the same run, bit for bit, and the same crossings per step."""
+"""Flights (`aqsim.flights`) against stepping. Under a built-in key, on any
+network, a phased run with pass-through off and a plain run of a source that
+declares no period move a lone packet as a flight; the same key behind a
+wrapper is custom, so that run steps every hop. Both must give the same run,
+bit for bit, and the same crossings per step."""
 
 import random
 from collections import Counter
@@ -68,7 +69,8 @@ def per_step(moves):
 
 def flown_and_stepped(net, name, source, max_steps, improve, max_phases=None):
     """The run of the built-in key and of the same key behind a wrapper, each
-    with its crossings, and how many flights `fly` ended in the first."""
+    with its phase records, its crossings, and the hops of each flight that
+    `fly` ended. `improve` None makes a plain run, which has no records."""
     builtin = DISCIPLINES[name]
     runs = []
     for key in (name, lambda pkt: builtin(pkt)):
@@ -81,7 +83,12 @@ def flown_and_stepped(net, name, source, max_steps, improve, max_phases=None):
                 logged(pkt, start, hops)
 
             with mock.patch.object(flights, "fly", counted):
-                trace, records = run_interval(net, key, source(), max_steps, improve, max_phases)
+                if improve is None:
+                    trace, records = sim_engine.run(net, key, source(), max_steps), None
+                else:
+                    trace, records = run_interval(
+                        net, key, source(), max_steps, improve, max_phases
+                    )
         runs.append((trace, records, moves, ended))
     return runs
 
@@ -94,7 +101,8 @@ def assert_same_run(got, want, skips=False):
     assert not ended_w  # the wrapped key steps every hop
     assert list(trace.steps) == list(trace_w.steps)
     assert [astuple(p) for p in trace.packets] == [astuple(p) for p in trace_w.packets]
-    assert list(records) == list(records_w)
+    if records is not None:
+        assert list(records) == list(records_w)
     if skips:
         assert trace.recurrence is not None and trace_w.recurrence is None
         first, period = sum(trace.recurrence[:2]), trace.recurrence.period
@@ -405,3 +413,160 @@ def test_max_phases_is_a_count(max_phases):
     with pytest.raises(ValueError) as err:
         run_interval(net, "FIFO", adversary, 10, max_phases=max_phases)
     assert str(err.value) == f"max_phases: must be an integer >= 1, got {shown(max_phases)}"
+
+
+# ---- plain runs ----------------------------------------------------------------
+
+
+def late_script(rng: random.Random, routes, horizon: int):
+    """A random script of up to 3 packets a step for `horizon` steps, whose
+    routes come in late: step t draws from the first `1 + t*len(routes) //
+    horizon` routes of a shuffled order, so a plain run that flies reads new
+    routes while its flights are aloft."""
+    routes = list(routes)
+    rng.shuffle(routes)
+    script = {}
+    for t in range(1, horizon + 1):
+        pool = routes[: 1 + t * len(routes) // horizon]
+        script[t] = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    return script
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(("forest", "dag")),
+    name=st.sampled_from(sorted(DISCIPLINES)),
+    horizon=st.integers(1, 60),
+    cut=st.booleans(),
+)
+def test_plain_flights_match_stepping(seed, shape, name, horizon, cut):
+    # random lines and in-trees ("forest") and DAGs, under scripts that bring
+    # routes late, so meeting queues are added while flights are aloft
+    rng = random.Random(seed)
+    net, routes = random_network(rng) if shape == "forest" else random_dag(rng)
+    script = late_script(rng, routes, horizon)
+    max_steps = rng.randint(1, horizon + 10) if cut else horizon + 400
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), max_steps, None)
+    assert_same_run(got, want)
+    hops = sum(p.hops_done for p in got[0].packets)
+    assert sum(got[3]) == hops  # the run flies from its first injection: every crossing is flown
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_route_that_starts_where_a_flight_is_lands_it(name):
+    # the packet on e1..e6 flies from step 1 to its delivery, as no other
+    # route is read; at step 3, when it is in e3, a route starts at e3, so it
+    # lands there at once and is picked against the packet injected there
+    net = line_network(6)
+    script = {1: [("e1", "e2", "e3", "e4", "e5", "e6")], 3: [("e3", "e4")]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, None)
+    assert_same_run(got, want)
+    assert got[3][0] == 2  # its first flight ended at e3
+    reference = ref.run(net, name, ScriptSource(script), 50)
+    assert outcome(got[0]) == outcome(reference)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_route_that_enters_a_queue_ahead_of_a_flight_lands_it(name):
+    # the packet on x0..x4 flies from step 1; the route w, y, x3, x4 read at
+    # step 2 enters x3 from y, where the first enters it from x2, so x3 is
+    # added as a meeting queue two hops ahead of the flight. Both packets
+    # reach x3 at step 4, where the flight must land and be picked
+    net = build_network(
+        ["n0", "n1", "n2", "n3", "n4", "n5", "s0", "s1"],
+        [("n0", "n1", "x0"), ("n1", "n2", "x1"), ("n2", "n3", "x2"), ("n3", "n4", "x3"),
+         ("n4", "n5", "x4"), ("s0", "s1", "w"), ("s1", "n3", "y")],
+    )
+    script = {1: [("x0", "x1", "x2", "x3", "x4")], 2: [("w", "y", "x3", "x4")]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, None)
+    assert_same_run(got, want)
+    assert got[3][0] == 3  # its first flight ended at x3
+    reference = ref.run(net, name, ScriptSource(script), 50)
+    assert outcome(got[0]) == outcome(reference)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_flight_due_where_a_route_starts_lands(name):
+    # the packet on e1..e4 is due at step 4, when it crosses e4 alone; the
+    # route (e4,) read at step 4 starts there, so the flight leaves `due` for
+    # `lands` and is picked against the packet injected into e4
+    net = line_network(4)
+    script = {1: [("e1", "e2", "e3", "e4")], 4: [("e4",)]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, None)
+    assert_same_run(got, want)
+    assert got[3][0] == 3  # its flight ended in e4, not past it
+    reference = ref.run(net, name, ScriptSource(script), 50)
+    assert outcome(got[0]) == outcome(reference)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_route_that_starts_where_a_flight_comes_twice_lands_it_the_second_time(name):
+    # x = a->u, y = u->v, z = v->u, w = v->t: the route x, y, z, y, z, w enters
+    # z twice, from y both times, so z is no meeting queue at first. Its
+    # packet leaves y at step 4 as a flight, in z at step 5, when the route
+    # z, y, w read at step 5 makes z a meeting queue: it must land there on
+    # its second visit and be picked against the packet injected there
+    net = build_network(
+        ["a", "u", "v", "t"], [("a", "u", "x"), ("u", "v", "y"), ("v", "u", "z"), ("v", "t", "w")]
+    )
+    script = {1: [("x", "y", "z", "y", "z", "w")], 5: [("z", "y", "w")]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, None)
+    assert_same_run(got, want)
+    assert got[3][:3] == [1, 2, 1]  # x, then y to y, then y to its second z
+    reference = ref.run(net, name, ScriptSource(script), 50)
+    assert outcome(got[0]) == outcome(reference)
+
+
+def line_script(d: int, steps: int):
+    """A non-periodic script on the line of `d` edges: 4 packets on the whole
+    line at step 1, then one a step, so its first queue keeps several."""
+    full = tuple(f"e{i}" for i in range(1, d + 1))
+    return {t: [full] * (4 if t == 1 else 1) for t in range(1, steps + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_plain_run_that_flies_picks_without_scanning(monkeypatch, name):
+    monkeypatch.setattr(flights, "MIN_DILATION", 64)
+    net = line_network(64)
+    script = line_script(64, 300)
+    builtin = DISCIPLINES[name]
+    with scans() as calls:
+        trace = sim_engine.run(net, name, ScriptSource(script), 1000)
+    with scans() as calls_w:
+        trace_w = sim_engine.run(net, lambda pkt: builtin(pkt), ScriptSource(script), 1000)
+    assert not calls
+    assert calls_w["pick"] and calls_w["least"]
+    assert trace.max_queue_len > 2
+    assert _csvs(trace) == _csvs(trace_w)
+
+
+@pytest.mark.parametrize(
+    "source, d, flies",
+    [("script", 64, True), ("script", 63, False), ("periodic", 64, False)],
+)
+def test_only_a_long_route_of_a_source_without_a_period_flies(monkeypatch, source, d, flies):
+    # a plain run reads no route and lands nothing until it resolves a route
+    # of MIN_DILATION edges, and never under a source that declares a period
+    monkeypatch.setattr(flights, "MIN_DILATION", 64)
+    net = line_network(d)
+    if source == "periodic":
+        full = path(*(f"e{i}" for i in range(1, d + 1)))
+        adversary = saturating_adversary(net, full, Fraction(1, 2), 4)
+    else:
+        adversary = ScriptSource(line_script(d, 100))
+    calls = Counter()
+    land, read = Flights.land, Flights._read
+
+    def counted(method, name):
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return call
+
+    with mock.patch.object(Flights, "land", counted(land, "land")), mock.patch.object(
+        Flights, "_read", counted(read, "read")
+    ):
+        sim_engine.run(net, "FIFO", adversary, 400)
+    assert bool(calls["land"]) == bool(calls["read"]) == flies
