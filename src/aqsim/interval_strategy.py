@@ -10,9 +10,10 @@ at step 1 and step-1 injections always form phase 1.
 With the improvement enabled, a held packet may cross its current edge while a
 phase runs, provided no undelivered packet of the phase has that edge among
 its remaining edges — it can never collide with the phase. It moves at most
-one edge per step and stays held (or is delivered). Without it, under a
-built-in key on any network, a long phase's packets cross their edges as
-flights (`flights`), so a phase costs its contention, not its hops.
+one edge per step and stays held (or is delivered). Under a built-in key on
+any network, a long phase's packets, and with the improvement the held
+packets it lets through, cross their edges as flights (`flights`), so a phase
+costs its contention, not its hops.
 """
 
 from __future__ import annotations
@@ -76,70 +77,84 @@ def run_interval(
     Every edge owns an active queue and a holding queue, both indexed in
     edge-declaration order; `busy` and `held` are the sets of indices whose
     active or holding queue is non-empty. Injections join holding queues. A
-    phase runs exactly while `busy` is non-empty or, with flights, a flight is
-    aloft in `lands` or `due` (`live`). Whenever no phase runs and `held` is
-    non-empty, every holding queue is swapped with its (empty) active queue
-    and the next phase starts the following step. Each sender picks the
-    packet least in (key, id): in a phase that steps, queue order does not
-    matter; in a phase that flies, each queue is kept in that order, so its
-    pick is its last packet (see "Order" in `flights`).
+    phase runs exactly while `busy` is non-empty or, with flights, an active
+    flight is aloft in `lands` or `due` (`live`). Whenever no phase runs and
+    `held` is non-empty, every holding queue is swapped with its (empty)
+    active queue and the next phase starts the following step. Each sender
+    picks the packet least in (key, id): in a phase that steps, queue order
+    does not matter; in a phase that flies, each queue is kept in that
+    order, so its pick is its last packet (see "Order" in `flights`).
 
-    Flights. With pass-through off and a built-in key, on any network, a
-    phase whose dilation is at least `flights.MIN_DILATION` sends each packet
-    as a flight (see `flights`), which crosses edges on paper up to the next
-    meeting queue on its route, where it lands, or to its delivery; `flying`
-    says whether the running phase does, decided at its start by
-    `Flights.fit`, which reads the routes resolved since it last read. Each
-    step, `Flights.land` first puts every flight that reaches a meeting
-    queue in that queue, and then `Flights.advance` stands in for
+    Flights. With a built-in key, on any network, a phase whose dilation is
+    at least `flights.MIN_DILATION` sends each packet as a flight (see
+    `flights`), which crosses edges on paper up to the next meeting queue on
+    its route, where it lands, or to its delivery; `flying` says whether the
+    running phase does, decided at its start by `Flights.fit`, which reads
+    the routes resolved since it last read and makes a meeting queue of
+    each queue that adoption filled with two packets or more. Each step,
+    `Flights.land` first puts every flight that reaches a meeting queue in
+    that queue, and then `Flights.advance` stands in for
     `sim_engine.advance`: every queue in `busy` sends its last packet, and
     the flights due are delivered. `Flights.sort` orders the queues at the
-    start of each phase that flies, after any period skip. A run that stops
-    with flights aloft ends them with `Flights.settle`, so every packet's
-    fields are those of a stepped run. `flights.wire` chooses the route
-    cache and `Flights`, as it does for a plain run. Pass-through runs,
-    custom keys, which the key contract evaluates once per queued packet per
-    step, and shorter phases step every hop; whether the key is custom is
-    decided once per run.
+    start of each phase that flies, after any period skip. With pass-through
+    on, `flights.PassingFlights` also flies the held packets that
+    pass-through sends: `land_held` reads the routes resolved this step and
+    lands the held flights due in a holding queue, before the held edges are
+    walked, and `pass_held` stands in for the pass-through advance. When a
+    phase closes, `ground` puts each held flight aloft in the holding queue
+    it is in, before adoption. A run that stops with flights aloft ends them
+    with `Flights.settle`, so every packet's fields are those of a stepped
+    run. `flights.wire` chooses the route cache and `Flights`, as it does
+    for a plain run. Custom keys, which the key contract evaluates once per
+    queued packet per step, and shorter phases step every hop; whether the
+    key is custom is decided once per run.
     With pass-through on, `demand[i]` counts the crossings of edge i that the
-    running phase's undelivered packets still have ahead of them: a phase
-    start fills it from the `crossings` of the phase's one
-    `congestion_dilation` call, made on the packets' remaining routes and so
-    keyed by queue index, and each step takes one off the edge of each sender
-    of the active advance, which sends exactly one packet. It is zero on every
-    edge whenever no phase runs, and always with pass-through off, since then
-    nothing reads it.
+    running phase's undelivered packets still have to make, and, in a phase
+    that flies, still have to launch: a phase start fills it from the
+    `crossings` of the phase's one `congestion_dilation` call, made on the
+    packets' remaining routes and so keyed by queue index. In a phase that
+    steps, each step takes one off the edge of each sender of the active
+    advance, which sends exactly one packet. In a phase that flies, each
+    launch takes its flight's crossings off at once and raises `until[i]` to
+    the last step at which a flight launched so far crosses edge i. Either
+    way the phase's packets have no crossing of edge i left to make from
+    step `now` on exactly when `demand[i] == 0 and until[i] < now`; a phase
+    that steps leaves `until` as it is, below `now`. `demand` is zero on
+    every edge whenever no phase runs, and always with pass-through off,
+    since then nothing reads it.
     The current (or last) phase started at step `start` with `count` packets,
     congestion `n`, dilation `d` and `bound = lemma1_bound(n, d)`, Lemma 1's
     ceiling on its duration (0 for the startup phase, which has no packets);
     its index is `len(records)` until it closes.
 
     A step's `max_queue_len` is the largest `len(active[i]) + len(holding[i])`
-    after injection, a flight counting as one packet in the active queue it
-    is crossing. It is read from three values, each taken before any packet
+    after injection, a flight counting as one packet in the queue it is
+    crossing. It is read from three values, each taken before any packet
     moves this step, and no queue is scanned for it a second time:
     - the active advance's longest sender. Every edge in `busy` sends, and an
       edge in `busy` but not in `held` has only its active queue. (Pass-through
       moves only holding packets, so it leaves the active queues as they were.)
-      A flight aloft is a sender of one packet, so the longest is at least 1
-      while one is.
+      An active flight aloft is a sender of one packet, so the longest is at
+      least 1 while one is.
     - the pass-through advance's longest sender. It sends only from held edges
-      with `demand[i] == 0`; no phase packet still needs such an edge, so its
-      active queue is empty and its holding queue is its whole queue.
+      that no phase packet still has to cross, so their active queues are
+      empty and each holding queue is its edge's whole queue. A held flight
+      aloft is such a sender of one packet, alone in a queue that is not in
+      `held`, so the longest is at least 1 while one is.
     - the sum of both queues over the held edges that do not send in
       pass-through. An edge in both `busy` and `held` is among them, since a
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
-      A held edge whose active queue is empty adds one while a flight crosses
-      it (`Flights.crossing`). A flight aloft after `land` is alone in a queue
-      that is not a meeting queue, so it is the whole active queue it
-      crosses; the check is made only while a flight is aloft, and only
-      where the one more could raise the running maximum.
+      A held edge whose active queue is empty adds one while an active flight
+      crosses it (`Flights.crossing`). An active flight aloft after `land` is
+      alone in its queue, so it is the whole active queue it crosses; the
+      check is made only while one is aloft, and only where the one more
+      could raise the running maximum.
     One loop over the held edges does both jobs: while pass-through is on
     and a phase runs, it walks them in edge-declaration order and lists each
-    edge with `demand[i] == 0` as a pass-through sender, whose size it leaves
-    to that advance; every other held edge adds its sum to the running
-    maximum.
+    edge with `demand[i] == 0 and until[i] < now` as a pass-through sender,
+    whose size it leaves to that advance; every other held edge adds its sum
+    to the running maximum.
     An edge in neither set has two empty queues.
 
     Period skipping. When `sim_engine.skip_period` gives a period q, the
@@ -176,15 +191,19 @@ def run_interval(
     # kept only while the run may skip and has not yet
     seen: Optional[dict] = None if period is None else {}
     recurrence = None
-    routes, flights = wire(network, key, custom or improvement_on)
+    demand = [0] * len(network.edges)
+    until = [0] * len(network.edges)
+    if improvement_on:
+        routes, flights = wire(network, key, custom, demand, until)
+    else:
+        routes, flights = wire(network, key, custom)
     flying = False  # whether the running phase sends flights
-    # the flights aloft, by the step each lands or is delivered
+    # the active flights aloft, by the step each lands or is delivered
     lands, due = ({}, {}) if flights is None else (flights.lands, flights.due)
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     held: set[int] = set()
-    demand = [0] * len(network.edges)
     packets: list[Packet] = []
     steps: list[StepStats] = []
     records = [PhaseRecord(0, 0, 0, 0, 0, 0)]  # the empty startup phase closes at step 1
@@ -198,16 +217,18 @@ def run_interval(
         injected = inject(adversary, now, packets, routes, holding, held)
         if flying:  # every flight that reaches a meeting queue lands first
             flights.land(active, busy, now)
+            if improvement_on:
+                flights.land_held(holding, held, now)
 
         # pass-through: while a phase runs, every held edge it no longer
         # demands sends its earliest-arrived holding packet one hop (demand is
         # fixed before any movement this step); the peak queue over the held
         # edges that stay put is read before anything moves (see the docstring)
         delivered_now = max_queue = 0
-        passing = improvement_on and busy
+        passing = improvement_on and (busy or lands or due)
         idle = []
         for i in sorted(held) if passing else held:
-            if passing and not demand[i]:
+            if passing and not demand[i] and until[i] < now:
                 idle.append(i)
                 continue
             size = len(active[i]) + len(holding[i])
@@ -215,7 +236,11 @@ def run_interval(
                 size += flights.crossing(i, now)  # a flight crossing the held edge i
             if size > max_queue:
                 max_queue = size
-        if idle:
+        if passing and flying:
+            delivered_now, longest = flights.pass_held(holding, held, idle, busy, now)
+            if longest > max_queue:
+                max_queue = longest
+        elif idle:
             _, delivered_now, longest = advance(holding, held, idle, _by_arrival, False, now)
             if longest > max_queue:
                 max_queue = longest
@@ -229,7 +254,7 @@ def run_interval(
             moved, delivered_active, longest = advance(active, busy, senders, key, custom, now)
         if longest > max_queue:
             max_queue = longest
-        if improvement_on:
+        if improvement_on and not flying:
             for i in senders:  # each sender's crossing is one the phase no longer needs
                 demand[i] -= 1
         delivered_now += delivered_active
@@ -246,6 +271,8 @@ def run_interval(
         # the step that delivers the phase's last packet closes it
         if moved and not live:
             records.append(PhaseRecord(len(records), count, n, d, running, bound))
+            if flying and improvement_on:  # held flights aloft join their holding queues
+                flights.ground(holding, held, now + 1)
         steps.append(step_stats((now, in_system, injected, delivered_now, max_queue)))
         # with no phase running, every held packet is adopted into the
         # (empty) active queues and starts the next phase the following step
@@ -265,7 +292,8 @@ def run_interval(
                     demand[i] = c
             count, n, d = len(remaining), nd.n, nd.d
             bound = lemma1_bound(n, d)
-            flying = flights is not None and flights.fit(d)
+            # a phase's dilation is at most its longest route's length
+            flying = routes.long and flights.fit(d, active, busy)
             if seen is not None:
                 alive = queued(active, busy)
                 state = (start % period, shifted_state(alive, start))

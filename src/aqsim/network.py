@@ -63,8 +63,9 @@ class Routes(dict):
     equal some path."""
 
     # Whether a route of at least `flights.MIN_DILATION` edges was resolved:
-    # a plain run flies from then on. Only `flights.FlightRoutes` sets it, so
-    # a run that never flies tests this one attribute a step and reads no route.
+    # a plain run flies from then on, and a phased run's phases may. Only
+    # `flights.FlightRoutes` sets it, so a plain run that never flies tests
+    # this one attribute a step and reads no route.
     long = False
 
     def __init__(self, network: Network):

@@ -21,9 +21,10 @@ per hop. A packet moves by its `route`, its path as queue indices, which
 `Routes` resolves once per distinct path of a run.
 
 Two cases do not pay a hop at a time, under a built-in key, on any network:
-a long active phase of a phased run with pass-through off, and a plain run
-of a source that declares no period from its first long route on. There
-`flights.Flights` stands in for `advance`: it keeps each queue in (key, id)
+a long active phase of a phased run, with the held packets that pass-through
+sends while it runs, and a plain run of a source that declares no period
+from its first long route on. There `flights.Flights` stands in for
+`advance`: it keeps each queue in (key, id)
 order, sends the last packet of each as a flight, moved on paper to the
 next queue where packets can meet or to its delivery, so a step costs the
 queues that hold waiting packets and the flights that land or are

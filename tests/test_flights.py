@@ -1,8 +1,9 @@
 """Flights (`aqsim.flights`) against stepping. Under a built-in key, on any
-network, a phased run with pass-through off and a plain run of a source that
-declares no period move a lone packet as a flight; the same key behind a
-wrapper is custom, so that run steps every hop. Both must give the same run,
-bit for bit, and the same crossings per step."""
+network, a phased run, with the held packets that pass-through sends when it
+is on, and a plain run of a source that declares no period move a lone
+packet as a flight; the same key behind a wrapper is custom, so that run
+steps every hop. Both must give the same run, bit for bit, and the same
+crossings per step."""
 
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crossings import check_schedule, recorded_moves
-from aqsim import flights, sim_engine, strategies
+from aqsim import flights, interval_strategy, sim_engine, strategies
 from aqsim.flights import FlightRoutes, Flights
 from aqsim.adversary import InjectionEvent, saturating_adversary, scripted_adversary
 from aqsim.interval_strategy import run_interval
@@ -135,8 +136,6 @@ def test_flights_match_stepping(seed, shape, name, improve, r, b, horizon, cut, 
     source = lambda: scripted_adversary(events, r, b, net)  # noqa: E731
     got, want = flown_and_stepped(net, name, source, max_steps, improve, max_phases)
     assert_same_run(got, want)
-    if improve:
-        assert not got[3]  # only a phase without pass-through flies
     hops = sum(p.hops_done for p in got[0].packets)
     assert sum(got[3]) == (hops if got[3] else 0)  # when it flies, every crossing is flown
 
@@ -413,6 +412,163 @@ def test_max_phases_is_a_count(max_phases):
     with pytest.raises(ValueError) as err:
         run_interval(net, "FIFO", adversary, 10, max_phases=max_phases)
     assert str(err.value) == f"max_phases: must be an integer >= 1, got {shown(max_phases)}"
+
+
+# ---- pass-through runs --------------------------------------------------------
+
+
+def edges(first: int, last: int) -> tuple[str, ...]:
+    """The line's edges e<first> to e<last>, in order."""
+    return tuple(f"e{i}" for i in range(first, last + 1))
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_held_flight_stops_where_the_phase_demands_and_the_next_one_behind_it(name):
+    # X leaves e1 at step 3, behind phase 1's packet on e1..e4, and is in e4
+    # as phase 1 closes at step 5: phase 2 is X alone in e4, mid-route. H
+    # leaves e1 at step 6, before X is sent, so e4 is still demanded: H's
+    # flight stops there, to land at step 9. H2 leaves e1 at step 7, when e4
+    # is open from step 7 on, and its flight stops at H's pending landing all
+    # the same. H, then H2, lands in e4 and is sent on at once
+    net = line_network(8)
+    script = {1: [edges(1, 4)], 2: [edges(1, 8)], 6: [edges(1, 8)], 7: [edges(1, 8)]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, True)
+    assert_same_run(got, want)
+    assert [r.packet_count for r in got[1]][1:4] == [1, 1, 2]
+    # phase 1's packet, X's flight up to e4, then H's and H2's, each to e4
+    assert got[3][:4] == [4, 3, 3, 3]
+    assert sum(got[3]) == sum(p.hops_done for p in got[0].packets)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_packets_adopted_together_mid_route(name):
+    # e4 sends phase 1's four one-edge packets at steps 2 to 5, so the held
+    # packets from e1 wait in e4 beside Q, injected there at step 3: phase 2
+    # adopts H1, Q and H2 into e4, where H1 and H2 are mid-route, and H3
+    # into e3, from which it flies into e4's queue at step 7
+    net = line_network(8)
+    script = {1: [("e4",)] * 4, 2: [edges(1, 8)], 3: [edges(1, 8), edges(4, 8)], 4: [edges(1, 8)]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, True)
+    assert_same_run(got, want)
+    records = list(got[1])
+    assert records[2].packet_count == 4 and records[2].d_i == 6
+    # adoption makes a queue that it fills with two packets or more a meeting
+    # queue, whether or not a route starts there
+    routes = FlightRoutes(net)
+    routes[edges(1, 8)]
+    fleet = Flights(routes, DISCIPLINES["FIFO"])
+    queues = [[] for _ in net.edges]
+    queues[3] = [object(), object()]
+    queues[2] = [object()]
+    assert fleet.fit(1, queues, {2, 3}) and fleet.meets == {0, 3}
+
+
+def follow_a(name, max_steps=60, max_phases=None):
+    """Phase 1 is A, on e1..e8, sent from e1 at step 2 as one flight. H,
+    injected into e4 at step 3, waits there until A has crossed e4 at step
+    5, though the phase demands e4 no more, and then flies behind A. A is
+    delivered at step 9, and H is still aloft then: its flight ends as phase
+    2 adopts it."""
+    net = line_network(8)
+    script = {1: [edges(1, 8)], 3: [edges(4, 8)]}
+    return flown_and_stepped(net, name, lambda: ScriptSource(script), max_steps, True, max_phases)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_phase_closes_while_a_held_flight_is_aloft(name):
+    got, want = follow_a(name)
+    assert_same_run(got, want)
+    h = got[0].packets[1]
+    assert h.phase == 2 and h.injected_at == 3 and h.delivered_at == 10
+    assert got[3] == [8, 4, 1]  # A; H's flight over e4..e7, ended by adoption; its last hop
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+@pytest.mark.parametrize("max_steps, max_phases", [(7, None), (8, None), (60, 1)])
+def test_a_cut_run_ends_its_held_flights(name, max_steps, max_phases):
+    # follow_a cut while H flies behind A: at steps 7 and 8, and as phase 1
+    # closes at step 9, when the run stops at its first phase
+    got, want = follow_a(name, max_steps, max_phases)
+    assert_same_run(got, want)
+    h = got[0].packets[1]
+    assert h.delivered_at is None and h.hops_done == min(max_steps, 9) - 5
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_held_route_that_merges_ahead_of_a_held_flight_lands_it(name):
+    # the line e1..e8 and g into the node where e3 starts. Phase 1 is A, on
+    # e1..e8; F leaves e1 at step 3, behind A, to fly to the phase's close.
+    # At step 4 the route g, e3, ... is read, and its packet G crosses g: e3
+    # is entered from g and e2 now, so F, in e2, must land in e3 at step 5,
+    # where it is picked against G
+    net = build_network(
+        [f"v{i}" for i in range(9)] + ["u"],
+        [(f"v{i - 1}", f"v{i}", f"e{i}") for i in range(1, 9)] + [("u", "v2", "g")],
+    )
+    script = {1: [edges(1, 8)], 2: [edges(1, 8)], 4: [("g",) + edges(3, 8)]}
+    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), 50, True)
+    assert_same_run(got, want)
+    f, g = got[0].packets[1:]
+    assert got[3][:2] == [1, 2]  # G crossed g at step 4; F's flight ended in e3 at step 5
+    assert f.delivered_at == 10 and g.delivered_at == 11  # G waited a step in e3
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_flying_pass_through_phase_steps_nothing(monkeypatch, name):
+    # the d=64 line: phase 1 is 3 packets in e1, sent at steps 2 to 4, and
+    # packets injected into e17, e33 and e49 wait there for them to pass, in
+    # edges that the phase no longer demands: each step the phased loop asks
+    # whether a flight crosses each of them, with one scan of the flights at
+    # most. Phase 1 flies; later phases, whose dilation is under 64, step
+    monkeypatch.setattr(flights, "MIN_DILATION", 64)
+    net = line_network(64)
+    script = {1: [edges(1, 64)] * 3}
+    for t in range(2, 40):
+        script[t] = [edges(1 + 16 * (t % 3 + 1), 64)]
+    builtin = DISCIPLINES[name]
+    flying, calls, asked, scans_at = [False], Counter(), Counter(), Counter()
+    fit, crossing = flights.PassingFlights.fit, flights.PassingFlights.crossing
+    aloft = Flights._aloft
+
+    def fitted(self, *args):
+        flying[0] = fit(self, *args)
+        calls["flying phases"] += flying[0]
+        return flying[0]
+
+    def asked_at(self, q, now):
+        asked[now] += 1
+        before = calls["scans"]
+        answer = crossing(self, q, now)
+        scans_at[now] += calls["scans"] - before
+        return answer
+
+    def scanned(self):
+        calls["scans"] += 1
+        return aloft(self)
+
+    def counted(module, attr):
+        fn = getattr(module, attr)
+
+        def call(*args):
+            if flying[0] and args[2]:  # a flying phase, and a sender
+                calls[attr] += 1
+            return fn(*args)
+
+        return call
+
+    with mock.patch.object(flights.PassingFlights, "fit", fitted), mock.patch.object(
+        flights.PassingFlights, "crossing", asked_at
+    ), mock.patch.object(Flights, "_aloft", scanned), mock.patch.object(
+        interval_strategy, "advance", counted(interval_strategy, "advance")
+    ), mock.patch.object(sim_engine, "pick", counted(sim_engine, "pick")):
+        trace, records = run_interval(net, name, ScriptSource(script), 1000, True)
+    wrapped = lambda pkt: builtin(pkt)  # noqa: E731
+    trace_w, records_w = run_interval(net, wrapped, ScriptSource(script), 1000, True)
+    assert calls["flying phases"] >= 1 and not calls["advance"] and not calls["pick"]
+    assert records[1].d_i == 64 and trace.packets[3].phase == 2  # held in phase 1
+    # more than 20 steps ask about 2 or 3 held edges, and no step scans twice
+    assert sum(n > 1 for n in asked.values()) > 20 and max(scans_at.values()) == 1
+    assert _csvs(trace, records) == _csvs(trace_w, records_w)
 
 
 # ---- plain runs ----------------------------------------------------------------
