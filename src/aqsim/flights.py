@@ -50,42 +50,50 @@ crosses one edge a step, alone, through queues that are not meeting queues,
 to the next meeting queue on its route, `route[k]`, or to its delivery: at
 step t it is in the queue of `route[h + t - s]`, and stepping would send it
 on at once, whatever the key. `Flights` sends it as a flight, the packet and
-the step s, into one of two buckets keyed by step:
+the step s, into one of the two buckets of its `Fleet`, keyed by step:
 - `lands`, at `s + k - h`, the step it reaches `route[k]`;
 - `due`, at `s + len(route) - 1 - h`, the step it crosses its last edge, when
   no meeting queue is ahead.
 A packet whose next queue is a meeting queue, or whose next edge is its last,
-is sent that one edge at once, through `fly`, as stepping does.
+is sent that one edge at once, through `fly`, as stepping does
+(`Fleet.send`).
 
 Growth while aloft. In a plain run a route first read at step t can make a
 queue a meeting queue while a flight is aloft through it. When the read of
-step t adds meeting queues, `grow` files every flight aloft again, by the
-rule above but from the queue it is in at step t, `route[c]` with
-`c = h + t - s`: it lands at the first meeting queue at or after `route[c]`,
-or else it is delivered when it would have been. This is exact. Each flight
-was filed again at every earlier growth, so at every step from s to t - 1
-it was in a queue that was no meeting queue then, alone by the invariant,
-and stepping sent it on at once, as the flight did. From step t on it goes
-on alone through queues that are no meeting queue at t, up to its new stop,
-and the next growth, if any, files it again the same way. A flight whose
-queue at t is itself new lands at t, before any queue picks, which is where
-stepping has it then. A flight due at t, in its last queue, where a route
-read at t starts, lands there and is picked among the packets injected
-into it, where without the growth it would have been delivered without a
-pick. `lands` and `due` are cleared and refilled in place, since
+step t adds meeting queues, `grow` files every flight aloft again
+(`Fleet.refile`), by the rule above but from the queue it is in at step t,
+`route[c]` with `c = h + t - s`: it lands at the first meeting queue at or
+after `route[c]`, or else it is delivered when it would have been. This is
+exact. Each flight was filed again at every earlier growth, so at every step
+from s to t - 1 it was in a queue that was no meeting queue then, alone by
+the invariant, and stepping sent it on at once, as the flight did. From step
+t on it goes on alone through queues that are no meeting queue at t, up to
+its new stop, and the next growth, if any, files it again the same way. A
+flight whose queue at t is itself new lands at t, before any queue picks,
+which is where stepping has it then. A flight due at t, in its last queue,
+where a route read at t starts, lands there and is picked among the packets
+injected into it, where without the growth it would have been delivered
+without a pick. `lands` and `due` are cleared and refilled in place, since
 `run_interval` holds them too. Only the flights' buckets change: their
-packets' fields are those at their launch, as ever. A phase's active
-flights are not filed again: a route read while the phase runs brings no
-packet into its active queues.
+packets' fields are those at their launch, as ever. A phase's active flights
+are not filed again: a route read while the phase runs brings no packet into
+its active queues.
 
-Landing. Before any queue picks at step t, `land` puts every flight of
-`lands[t]` in its queue, whether or not another packet is there. That queue
-picks next: among others, as stepping would, or alone, which sends the packet
-on at once, as stepping would too. So after `land`, every flight aloft is
-alone in a queue that was no meeting queue when it was sent. Without
-pass-through `meets` does not change while a flight is aloft, so `crossing`
-answers False for a meeting queue at once and scans the flights aloft only
-for another queue; with it, `PassingFlights.crossing` reads `until`.
+Landing. Before any queue picks at step t, `Fleet.land` puts every flight
+of `lands[t]` in its queue, whether or not another packet is there. That
+queue picks next: among others, as stepping would, or alone, which sends the
+packet on at once, as stepping would too. So after landing, every flight
+aloft is alone in a queue that was no meeting queue when it was sent. A
+phased run's held edges ask `crossing` whether an active flight aloft is in
+their queue at step t, and every answer that needs the flights reads one
+set, the queues they cross at t, built at most once a step. In a phased run
+without pass-through `meets` does not change while a flight is aloft, so
+`Flights.crossing` answers False for a meeting queue without the set. With
+pass-through, `PassingFlights.crossing` answers from `until` unless a flight
+crosses the queue after t, and must not skip a meeting queue: `land_held`
+reads the held packets' routes while active flights are aloft, so it can
+make a meeting queue of a queue that one of them is to cross, and active
+flights are not filed again.
 
 Pass-through. With pass-through on, a phase that flies keeps two more
 lists, shared with `run_interval`. `demand[e]` counts the crossings of edge
@@ -101,10 +109,10 @@ it, while an active packet is queued or aloft.
 
 Held flights. Pass-through picks the first packet of each sending holding
 queue, the one least in (arrival step, id), and sends it as a held flight
-(`PassingFlights.pass_held`), in buckets of its own, so that `live`,
-`moved` and the phase records see active packets only. Sent from the
-holding queue of `route[h]` at step s, it crosses `route[k]` at step
-`s + k - h` up to the first k > h where:
+(`PassingFlights.pass_held`), into a fleet of its own,
+`PassingFlights.held`, so that `live`, `moved` and the phase records see
+active packets only. Sent from the holding queue of `route[h]` at step s,
+it crosses `route[k]` at step `s + k - h` up to the first k > h where:
 - `route[k]` is a meeting queue;
 - `route[k]` is blocked (`PassingFlights.blocked`): a held packet sent
   there in this phase waits in its holding queue, or a held flight aloft
@@ -141,8 +149,9 @@ packets. Both rules stay: they keep each step of the proofs above local.
 Once every active packet is aloft and due, the phase closes at the last of
 their steps, and a held flight sent then stops at the queue it will be in
 at the step after, as the phase closes. When the phase closes, `ground`
-ends every held flight aloft, as `settle` does, and puts its packet in the
-holding queue it is in; adoption then moves it to the active queues.
+ends every held flight aloft (`Fleet.end`), as `settle` does, and puts its
+packet in the holding queue it is in; adoption then moves it to the active
+queues.
 
 Order. Flights run only under a built-in key, and every built-in key reads
 the arrival step, the injection step or the hop count of a packet, none of
@@ -153,17 +162,18 @@ packets arrive in a queue in four places only, and each keeps the order:
 - where flying starts, `sort` sorts the busy queues: at the start of each
   phase that flies, or at the plain run's first step that flies, after its
   injections;
-- at a landing, where `land` inserts the flight in order;
-- at a one-edge send into a meeting queue, which `_launch` inserts in order;
+- at a landing, where `Fleet.land` inserts the flight in order;
+- at a one-edge send into a meeting queue, which `Fleet.send` inserts in
+  order;
 - at an injection into a plain run that flies: `inject` appends the step's
   packets, and `step` takes them off the ends of their queues and inserts
   them in order.
 `run_interval` calls `sort` after any period skip at that phase start, not
 before: `sim_engine.skip_periods` refills the queues in id order.
 A holding queue of a phase that flies with pass-through on starts the phase
-empty and is kept in (arrival step, id) order, the least first: injections
-append, landings and one-edge sends insert in order, and pass-through pops
-the first packet.
+empty and is kept in (arrival step, id) order, the least first, the order
+of the held fleet: injections append, landings and one-edge sends insert in
+order, and pass-through pops the first packet.
 
 Materialising. A flight's packet keeps its fields from before it left until
 `fly` brings them up to date, so a key never reads them in flight. `fly`
@@ -178,7 +188,7 @@ phase-start state holds no flight.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from itertools import chain
 from operator import attrgetter
 from typing import Optional
@@ -250,18 +260,93 @@ def wire(
     return routes, PassingFlights(routes, key, demand, until)
 
 
-def _file(
-    lands: dict[int, list[Flight]], due: dict[int, list[Flight]], pkt: Packet, start: int, stop: int
-) -> None:
-    """Bucket the flight of `pkt`, which left the queue of its edge
-    `hops_done` at step `start`: in `lands` by the step it reaches
-    `route[stop]`, or in `due` by its delivery step when `stop` is the
-    route's length."""
-    n = len(pkt.route)
-    if stop == n:
-        due.setdefault(start + n - 1 - pkt.hops_done, []).append((pkt, start))
-    else:
-        lands.setdefault(start + stop - pkt.hops_done, []).append((pkt, start))
+class Fleet:
+    """Flights of one kind, in two buckets keyed by step, and the order of
+    the queues they land in: a queue stays sorted by `order` as a flight
+    lands or is sent one edge into it. `Flights.active` holds a run's active
+    flights, and `PassingFlights.held` the held flights of pass-through."""
+
+    def __init__(self, order):
+        self.order = order
+        self.lands: dict[int, list[Flight]] = {}  # step -> flights that reach a meeting queue then
+        self.due: dict[int, list[Flight]] = {}  # step -> flights delivered then
+
+    def aloft(self):
+        """Every flight aloft, in no particular order."""
+        return chain.from_iterable(chain(self.lands.values(), self.due.values()))
+
+    def file(self, pkt: Packet, start: int, stop: int) -> None:
+        """Bucket the flight of `pkt`, which left the queue of its edge
+        `hops_done` at step `start`: in `lands` by the step it reaches
+        `route[stop]`, or in `due` by its delivery step when `stop` is the
+        route's length."""
+        n = len(pkt.route)
+        if stop == n:
+            self.due.setdefault(start + n - 1 - pkt.hops_done, []).append((pkt, start))
+        else:
+            self.lands.setdefault(start + stop - pkt.hops_done, []).append((pkt, start))
+
+    def send(
+        self, pkt: Packet, now: int, stop: int, queues: list[list[Packet]], busy: set[int]
+    ) -> int:
+        """Send `pkt` from its queue at step `now` up to `route[stop]`: one
+        edge at once, into its queue in order or off the route, or else as a
+        flight. 1 if that delivers it at once."""
+        if stop > pkt.hops_done + 1:
+            self.file(pkt, now, stop)
+            return 0
+        fly(pkt, now, stop)
+        if stop == len(pkt.route):
+            return 1
+        q = pkt.route[stop]
+        insort(queues[q], pkt, key=self.order)
+        busy.add(q)
+        return 0
+
+    def land(self, queues: list[list[Packet]], busy: set[int], now: int) -> None:
+        """Put every flight that stops at step `now` in its queue, in order."""
+        for pkt, start in self.lands.pop(now, ()):
+            k = pkt.hops_done + now - start
+            fly(pkt, start, k)
+            q = pkt.route[k]
+            insort(queues[q], pkt, key=self.order)
+            busy.add(q)
+
+    def deliver(self, now: int) -> int:
+        """Deliver the flights due at step `now`; returns their number."""
+        due = self.due.pop(now, ())
+        for pkt, start in due:
+            fly(pkt, start, len(pkt.route))
+        return len(due)
+
+    def refile(self, now: int, meet) -> None:
+        """File every flight aloft again at step `now`: it stops at its old
+        stop or at `meet(route, c)`, the first meeting queue at or after the
+        queue it is in now, `route[c]`, whichever comes first. The buckets are
+        cleared and refilled in place, since `run_interval` holds them too."""
+        aloft = [
+            (pkt, start, pkt.hops_done + step - start)
+            for step, flights in self.lands.items()
+            for pkt, start in flights
+        ]
+        aloft += [
+            (pkt, start, len(pkt.route)) for pkt, start in chain.from_iterable(self.due.values())
+        ]
+        self.lands.clear()
+        self.due.clear()
+        for pkt, start, stop in aloft:
+            self.file(pkt, start, min(meet(pkt.route, pkt.hops_done + now - start), stop))
+
+    def end(self, now: int) -> list[Packet]:
+        """End every flight aloft as its phase or its run stops before step
+        `now`; returns their packets."""
+        ended = []
+        for pkt, start in self.aloft():
+            fly(pkt, start, pkt.hops_done + now - start)
+            ended.append(pkt)
+        self.lands.clear()
+        self.due.clear()
+        return ended
 
 
 class Flights:
@@ -270,17 +355,16 @@ class Flights:
     def __init__(self, routes: FlightRoutes, key: DisciplineKey):
         self.routes = routes
         # the queue order: the packet least in (key, id) is last
-        self._order = lambda pkt: (-key(pkt), -pkt.id)
+        self.active = Fleet(lambda pkt: (-key(pkt), -pkt.id))
         self._sorted = False  # whether a plain run has sorted its queues
         self.meets: set[int] = set()
         self._entered: dict[int, int] = {}  # queue -> the queue routes read so far enter it from
         # route id -> the route, the index of each queue's first visit on
-        # it, and its marks (see `_marks_of`); a route lives as long as the
+        # it, and its marks (see `_meet`); a route lives as long as the
         # run's cache, so its id names it for that long. The dict holds ints
         # alone, so the garbage collector does not track it
         self._marks: dict[int, tuple[tuple[int, ...], dict[int, int], list[int]]] = {}
-        self.lands: dict[int, list[Flight]] = {}  # step -> flights that reach a meeting queue then
-        self.due: dict[int, list[Flight]] = {}  # step -> flights delivered then
+        self._crossed: tuple[int, set[int]] = (0, set())  # a step, and the queues crossed then
 
     def _read(self, adopted: set[int] = frozenset()) -> bool:
         """Read the routes resolved since the last read; whether that, or
@@ -325,32 +409,12 @@ class Flights:
         queue it is in now (see "Growth while aloft" in the module
         docstring)."""
         if self.routes.unread and self._read():
-            self._refile(self.lands, self.due, now)
-
-    def _refile(
-        self, lands: dict[int, list[Flight]], due: dict[int, list[Flight]], now: int
-    ) -> None:
-        """File every flight of `lands` and `due` again at step `now`: it stops
-        at its old stop or at the first meeting queue at or after the queue it
-        is in now, whichever comes first. The buckets are cleared and refilled
-        in place, since `run_interval` holds them too."""
-        aloft = [
-            (pkt, start, pkt.hops_done + step - start)
-            for step, flights in lands.items()
-            for pkt, start in flights
-        ]
-        aloft += [(pkt, start, len(pkt.route)) for pkt, start in chain.from_iterable(due.values())]
-        lands.clear()
-        due.clear()
-        for pkt, start, stop in aloft:
-            marks = self._marks_of(pkt.route)
-            meets = marks[bisect_left(marks, pkt.hops_done + now - start)]
-            _file(lands, due, pkt, start, meets if meets < stop else stop)
+            self.active.refile(now, self._meet)
 
     def sort(self, queues: list[list[Packet]], busy: set[int]) -> None:
         """Put every busy queue in order, where a run starts to fly."""
         for i in busy:
-            queues[i].sort(key=self._order)
+            queues[i].sort(key=self.active.order)
 
     def step(
         self, queues: list[list[Packet]], busy: set[int], fresh: list[Packet], now: int
@@ -358,48 +422,41 @@ class Flights:
         """Step `now` of a plain run that flies, after `inject` appended
         `fresh`, the packets injected at `now`, to their first queues: put
         them in order (on the run's first step that flies, `sort` every busy
-        queue instead), `grow`, `land` and `advance` every busy queue.
+        queue instead), `grow`, land and `advance` every busy queue.
         Returns the number delivered and the longest queue, as `advance`."""
         if self._sorted:
             for pkt in reversed(fresh):  # each is the last packet of its queue
                 queues[pkt.route[0]].pop()
             for pkt in fresh:
-                insort(queues[pkt.route[0]], pkt, key=self._order)
+                insort(queues[pkt.route[0]], pkt, key=self.active.order)
         else:
             self.sort(queues, busy)
             self._sorted = True
         self.grow(now)
-        self.land(queues, busy, now)
+        self.active.land(queues, busy, now)
         _, delivered, longest = self.advance(queues, busy, sorted(busy), now)
         return delivered, longest
 
-    def _aloft(self):
-        """Every flight aloft, in no particular order."""
-        return chain.from_iterable(chain(self.lands.values(), self.due.values()))
+    def _crossed_at(self, now: int) -> set[int]:
+        """The queues that the active flights aloft cross at step `now`,
+        after landing: listed once a step."""
+        step, crossed = self._crossed
+        if step != now:
+            crossed = {pkt.route[pkt.hops_done + now - start] for pkt, start in self.active.aloft()}
+            self._crossed = (now, crossed)
+        return crossed
 
     def crossing(self, q: int, now: int) -> bool:
-        """Whether a flight aloft is in queue q at step `now`, after `land`."""
-        if q in self.meets:
-            return False
-        for pkt, start in self._aloft():
-            if pkt.route[pkt.hops_done + now - start] == q:
-                return True
-        return False
-
-    def land(self, queues: list[list[Packet]], busy: set[int], now: int) -> None:
-        """Put every flight that reaches a meeting queue at step `now` in that
-        queue, before any queue picks."""
-        for pkt, start in self.lands.pop(now, ()):
-            k = pkt.hops_done + now - start
-            fly(pkt, start, k)
-            q = pkt.route[k]
-            insort(queues[q], pkt, key=self._order)
-            busy.add(q)
+        """Whether an active flight aloft is in queue q at step `now`, after
+        landing. None is in a meeting queue: without pass-through, `meets`
+        does not change while a phase's flights are aloft (see "Landing" in
+        the module docstring)."""
+        return q not in self.meets and q in self._crossed_at(now)
 
     def advance(
         self, queues: list[list[Packet]], busy: set[int], senders: list[int], now: int
     ) -> tuple[bool, int, int]:
-        """`sim_engine.advance` for a run that flies, after `land`: each
+        """`sim_engine.advance` for a run that flies, after landing: each
         queue in `senders` sends its last packet, the one least in (key, id)
         (see "Order" in the module docstring), which leaves as a flight, and
         the flights due this step are delivered. Every sender picks before
@@ -409,7 +466,8 @@ class Flights:
         Returns whether any packet crossed an edge (a sender's or a flight's),
         the number delivered, and the longest queue that sent: a flight
         aloft is a queue of one."""
-        crossed = bool(senders or self.lands or self.due)
+        fleet = self.active
+        crossed = bool(senders or fleet.lands or fleet.due)
         longest = 1 if crossed else 0
         busy.difference_update(senders)
         picked = []
@@ -423,49 +481,33 @@ class Flights:
         delivered = 0
         for pkt in picked:
             delivered += self._launch(pkt, now, queues, busy)
-        due = self.due.pop(now, ())
-        for pkt, start in due:
-            fly(pkt, start, len(pkt.route))
-        return crossed, delivered + len(due), longest
+        return crossed, delivered + fleet.deliver(now), longest
 
     def _launch(self, pkt: Packet, now: int, queues: list[list[Packet]], busy: set[int]) -> int:
         """Send `pkt` from its queue at step `now`; 1 if that delivers it."""
-        route = pkt.route
-        h = pkt.hops_done
-        marks = self._marks_of(route)
-        stop = marks[bisect_right(marks, h)]
-        if stop == h + 1:  # one edge, to a meeting queue or off the route
-            fly(pkt, now, stop)
-            if stop == len(route):
-                return 1
-            q = route[stop]
-            insort(queues[q], pkt, key=self._order)
-            busy.add(q)
-        else:
-            _file(self.lands, self.due, pkt, now, stop)
-        return 0
+        return self.active.send(pkt, now, self._meet(pkt.route, pkt.hops_done + 1), queues, busy)
 
-    def _marks_of(self, route: tuple[int, ...]) -> list[int]:
-        """The indices on `route` of its meeting queues, in order, and then
-        its length: the first mark above hop h is where a flight sent from
-        `route[h]` stops. `_read` adds the marks of meeting queues it adds."""
+    def _meet(self, route: tuple[int, ...], k: int) -> int:
+        """The index of the first meeting queue on `route` at or after index
+        k, or the route's length if none: a flight sent from `route[h]` stops
+        at `_meet(route, h + 1)`. Each route's marks, the indices of its
+        meeting queues in order and then its length, are built at its first
+        call; `_read` adds the marks of meeting queues it adds."""
         known = self._marks.get(id(route))
         if known is None:
             first: dict[int, int] = {}
-            for k, q in enumerate(route):
-                first.setdefault(q, k)
+            for j, q in enumerate(route):
+                first.setdefault(q, j)
             meets = self.meets
-            marks = [k for k, q in enumerate(route) if q in meets]
+            marks = [j for j, q in enumerate(route) if q in meets]
             marks.append(len(route))
             known = self._marks[id(route)] = (route, first, marks)
-        return known[2]
+        marks = known[2]
+        return marks[bisect_left(marks, k)]
 
     def settle(self, now: int) -> None:
         """End every flight still aloft as a run stops before step `now`."""
-        for pkt, start in self._aloft():
-            fly(pkt, start, pkt.hops_done + now - start)
-        self.lands.clear()
-        self.due.clear()
+        self.active.end(now)
 
 
 # a holding queue's order: the packet least in (arrival step, id) first
@@ -480,7 +522,8 @@ class PassingFlights(Flights):
     in the module docstring. Active flights are those of `Flights`, and each
     launch also takes its crossings off `demand` and records in `until` the
     last step a flight crosses each edge. Held flights, which pass-through
-    sends, keep buckets of their own."""
+    sends, are the fleet `held`, in holding queues kept in (arrival step, id)
+    order."""
 
     def __init__(
         self, routes: FlightRoutes, key: DisciplineKey, demand: list[int], until: list[int]
@@ -494,9 +537,7 @@ class PassingFlights(Flights):
         # queue -> the held packets that wait in it, or land in it, since they
         # were sent there in this phase
         self.blocked: dict[int, int] = {}
-        self.held_lands: dict[int, list[Flight]] = {}
-        self.held_due: dict[int, list[Flight]] = {}
-        self._crossed: tuple[int, set[int]] = (0, set())  # a step, and the queues crossed then
+        self.held = Fleet(_arrival)
         self._closes = 0  # the step the running phase closes, once every active flight is due
 
     def fit(self, dilation: int, queues: list[list[Packet]] = (), busy: set[int] = ()) -> bool:
@@ -507,30 +548,26 @@ class PassingFlights(Flights):
 
     def _launch(self, pkt: Packet, now: int, queues: list[list[Packet]], busy: set[int]) -> int:
         route = pkt.route
-        h = pkt.hops_done
-        marks = self._marks_of(route)
+        stop = self._meet(route, pkt.hops_done + 1)
         demand, until, shut, blocked = self.demand, self.until, self.shut, self.blocked
-        for t, q in enumerate(route[h : marks[bisect_right(marks, h)]], now):
+        for t, q in enumerate(route[pkt.hops_done : stop], now):
             left = demand[q] - 1
             demand[q] = left
             if t > until[q]:
                 until[q] = t
             if not left and q not in blocked:
                 shut[q] = until[q]
-        return super()._launch(pkt, now, queues, busy)
+        return self.active.send(pkt, now, stop, queues, busy)
 
     def crossing(self, q: int, now: int) -> bool:
         """Whether an active flight aloft is in queue q at step `now`, after
-        `land`: `until` answers unless a flight crosses q after `now`, and
-        then the queues crossed at `now` are listed once for the step."""
+        landing: `until` answers unless a flight crosses q after `now`. A
+        meeting queue may be crossed: `land_held` can add one under an
+        active flight, which is not filed again."""
         last = self.until[q]
         if last <= now:
             return last == now
-        step, crossed = self._crossed
-        if step != now:
-            crossed = {pkt.route[pkt.hops_done + now - start] for pkt, start in self._aloft()}
-            self._crossed = (now, crossed)
-        return q in crossed
+        return q in self._crossed_at(now)
 
     def _block(self, q: int) -> None:
         """A held packet is sent to queue q, to wait or to land there."""
@@ -547,29 +584,27 @@ class PassingFlights(Flights):
             if not self.demand[q]:
                 self.shut[q] = self.until[q]
 
+    def _landings(self) -> list[int]:
+        """The queue each held flight that lands will land in."""
+        return [
+            pkt.route[pkt.hops_done + step - start]
+            for step, flights in self.held.lands.items()
+            for pkt, start in flights
+        ]
+
     def land_held(self, holding: list[list[Packet]], held: set[int], now: int) -> None:
         """Before any holding queue picks at step `now`: read the routes
         resolved at `now` and, if that adds a meeting queue, file every held
         flight again from the queue it is in now; then put every held flight
         that stops at `now` in its holding queue."""
         if self.routes.unread and self._read():
-            landed = [
-                pkt.route[pkt.hops_done + step - start]
-                for step, flights in self.held_lands.items()
-                for pkt, start in flights
-            ]
-            self._refile(self.held_lands, self.held_due, now)
-            for step, flights in self.held_lands.items():
-                for pkt, start in flights:
-                    self._block(pkt.route[pkt.hops_done + step - start])
+            landed = self._landings()
+            self.held.refile(now, self._meet)
+            for q in self._landings():
+                self._block(q)
             for q in landed:
                 self._unblock(q)
-        for pkt, start in self.held_lands.pop(now, ()):
-            k = pkt.hops_done + now - start
-            fly(pkt, start, k)
-            q = pkt.route[k]
-            insort(holding[q], pkt, key=_arrival)
-            held.add(q)
+        self.held.land(holding, held, now)
 
     def pass_held(
         self, holding: list[list[Packet]], held: set[int], senders: list[int], busy: set[int],
@@ -583,11 +618,12 @@ class PassingFlights(Flights):
         it as a holding queue that is not empty. Returns the number delivered
         and the longest queue that sent: a held flight aloft is a queue of
         one."""
-        if busy or self.lands:
+        if busy or self.active.lands:
             self._closes = 0
         elif not self._closes:  # every active packet is due: so is the phase's close
-            self._closes = max(self.due)
-        longest = 1 if self.held_lands or self.held_due else 0
+            self._closes = max(self.active.due)
+        fleet = self.held
+        longest = 1 if fleet.lands or fleet.due else 0
         for i in senders:
             if len(holding[i]) > longest:
                 longest = len(holding[i])
@@ -598,66 +634,37 @@ class PassingFlights(Flights):
             if not q:
                 held.discard(i)
             self._unblock(i)
-            delivered += self._launch_held(pkt, now, holding, held)
-        due = self.held_due.pop(now, ())
-        for pkt, start in due:
-            fly(pkt, start, len(pkt.route))
-        return delivered + len(due), longest
+            stop = self._held_stop(pkt, now)
+            if stop < len(pkt.route):
+                self._block(pkt.route[stop])
+            delivered += fleet.send(pkt, now, stop, holding, held)
+        return delivered + fleet.deliver(now), longest
 
-    def _launch_held(
-        self, pkt: Packet, now: int, holding: list[list[Packet]], held: set[int]
-    ) -> int:
-        """Send the held `pkt` from its queue at step `now` up to the first
-        queue where it must stop (see "Held flights" in the module
-        docstring); 1 if that delivers it at once."""
+    def _held_stop(self, pkt: Packet, now: int) -> int:
+        """The index on its route of the queue where the held `pkt`, sent
+        from its queue at step `now`, must stop (see "Held flights" in the
+        module docstring)."""
         route = pkt.route
         h = pkt.hops_done
-        marks = self._marks_of(route)
-        stop = marks[bisect_right(marks, h)]
+        stop = self._meet(route, h + 1)
         late = now - h  # the step it reaches route[k] is late + k
         if self._closes and self._closes - late < stop:  # the queue it is in as the phase closes
             stop = self._closes - late + 1
         shut = self.shut
         for t, q in enumerate(route[h + 1 : stop], now + 1):
             if shut[q] >= t:
-                stop = t - late
-                break
-        if stop > h + 1:
-            _file(self.held_lands, self.held_due, pkt, now, stop)
-            if stop < len(route):
-                self._block(route[stop])
-            return 0
-        fly(pkt, now, stop)
-        if stop == len(route):
-            return 1
-        q = route[stop]
-        insort(holding[q], pkt, key=_arrival)
-        held.add(q)
-        self._block(q)
-        return 0
-
-    def _end_held(self, now: int) -> list[Packet]:
-        """End every held flight aloft as its phase or its run stops before
-        step `now`; returns their packets."""
-        ended = []
-        for pkt, start in chain.from_iterable(
-            chain(self.held_lands.values(), self.held_due.values())
-        ):
-            fly(pkt, start, pkt.hops_done + now - start)
-            ended.append(pkt)
-        self.held_lands.clear()
-        self.held_due.clear()
-        self.blocked.clear()
-        return ended
+                return t - late
+        return stop
 
     def ground(self, holding: list[list[Packet]], held: set[int], now: int) -> None:
         """Put every held flight aloft in the holding queue it is in at step
         `now`, as its phase closes before that step."""
-        for pkt in self._end_held(now):
+        for pkt in self.held.end(now):
             q = pkt.route[pkt.hops_done]
             holding[q].append(pkt)
             held.add(q)
+        self.blocked.clear()
 
     def settle(self, now: int) -> None:
         super().settle(now)
-        self._end_held(now)
+        self.held.end(now)

@@ -91,16 +91,18 @@ def run_interval(
     its route, where it lands, or to its delivery; `flying` says whether the
     running phase does, decided at its start by `Flights.fit`, which reads
     the routes resolved since it last read and makes a meeting queue of
-    each queue that adoption filled with two packets or more. Each step,
-    `Flights.land` first puts every flight that reaches a meeting queue in
-    that queue, and then `Flights.advance` stands in for
-    `sim_engine.advance`: every queue in `busy` sends its last packet, and
-    the flights due are delivered. `Flights.sort` orders the queues at the
-    start of each phase that flies, after any period skip. With pass-through
-    on, `flights.PassingFlights` also flies the held packets that
-    pass-through sends: `land_held` reads the routes resolved this step and
-    lands the held flights due in a holding queue, before the held edges are
-    walked, and `pass_held` stands in for the pass-through advance. When a
+    each queue that adoption filled with two packets or more. The active
+    flights aloft are the fleet `flights.active` (a `flights.Fleet`), whose
+    `lands` and `due` buckets the loop reads. Each step, `flights.active.land`
+    first puts every flight that reaches a meeting queue in that queue, and
+    then `Flights.advance` stands in for `sim_engine.advance`: every queue in
+    `busy` sends its last packet, and the flights due are delivered.
+    `Flights.sort` orders the queues at the start of each phase that flies,
+    after any period skip. With pass-through on, `flights.PassingFlights`
+    also flies the held packets that pass-through sends, as a second fleet:
+    `land_held` reads the routes resolved this step and lands the held
+    flights due in a holding queue, before the held edges are walked, and
+    `pass_held` stands in for the pass-through advance. When a
     phase closes, `ground` puts each held flight aloft in the holding queue
     it is in, before adoption. A run that stops with flights aloft ends them
     with `Flights.settle`, so every packet's fields are those of a stepped
@@ -146,7 +148,8 @@ def run_interval(
       phase packet waits in its active queue and so `demand[i] > 0`. With
       pass-through off, or with no phase running, they are all the held edges.
       A held edge whose active queue is empty adds one while an active flight
-      crosses it (`Flights.crossing`). An active flight aloft after `land` is
+      crosses it (`Flights.crossing`, which lists the queues the flights
+      cross at most once a step). An active flight aloft after landing is
       alone in its queue, so it is the whole active queue it crosses; the
       check is made only while one is aloft, and only where the one more
       could raise the running maximum.
@@ -199,7 +202,7 @@ def run_interval(
         routes, flights = wire(network, key, custom)
     flying = False  # whether the running phase sends flights
     # the active flights aloft, by the step each lands or is delivered
-    lands, due = ({}, {}) if flights is None else (flights.lands, flights.due)
+    lands, due = ({}, {}) if flights is None else (flights.active.lands, flights.active.due)
     active: list[list[Packet]] = [[] for _ in network.edges]
     holding: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
@@ -216,7 +219,7 @@ def run_interval(
         # injections join the holding queue of their first edge
         injected = inject(adversary, now, packets, routes, holding, held)
         if flying:  # every flight that reaches a meeting queue lands first
-            flights.land(active, busy, now)
+            flights.active.land(active, busy, now)
             if improvement_on:
                 flights.land_held(holding, held, now)
 
