@@ -10,10 +10,10 @@ Scope. Under a built-in key, on any network, three kinds of packet fly:
   mid-route, where pass-through left it.
 - with pass-through on, the held packets that pass-through sends while such
   a phase runs (`PassingFlights`; see "Pass-through").
-- the packets of a plain run (`sim_engine.run`) whose source declares no
-  period, from the step whose injections resolve its first route of at
-  least `MIN_DILATION` edges (`Routes.long`) to its end. A run of a periodic
-  source steps, so period skipping never meets a flight.
+- the packets of a plain run (`sim_engine.run`), of any source, from the
+  step whose injections resolve its first route of at least `MIN_DILATION`
+  edges (`Routes.long`) to its end. A run of a periodic source finds its
+  repeat with flights aloft (see "Period skipping").
 `wire` chooses each run's route cache and `Flights`, and both engines then
 call `land`, `advance` and `settle`; a plain run calls them through `step`.
 
@@ -149,9 +149,31 @@ packets. Both rules stay: they keep each step of the proofs above local.
 Once every active packet is aloft and due, the phase closes at the last of
 their steps, and a held flight sent then stops at the queue it will be in
 at the step after, as the phase closes. When the phase closes, `ground`
-ends every held flight aloft (`Fleet.end`), as `settle` does, and puts its
-packet in the holding queue it is in; adoption then moves it to the active
-queues.
+ends every held flight aloft (`Fleet.ground`, which ends them as `settle`
+does), and puts its packet, in order, in the holding queue it is in;
+adoption then moves it to the active queues.
+
+Period skipping. A plain run of a periodic source compares states by
+Brent's method (see `sim_engine.run`) while flights are aloft. The state
+before step s is every packet in the system, in id order, and a flight's
+packet is one of them. A flight `(pkt, start)` of `Flights.active` is,
+before s, alone in the queue of `route[pkt.hops_done + s - start]`, and it
+arrived there at s: its packet's fields are those from before it left, so
+its entry is computed, `(route, hops_done + s - start, 0, injected_at - s)`,
+and not read (`sim_engine.shifted_state`). Saving a state, or comparing one
+that does not match, changes no packet and no bucket. A confirmed repeat
+grounds the flights before `sim_engine.skip_periods` copies, since the
+copier reads each queued packet's fields and queue: `Fleet.ground` ends
+every active flight and puts its packet, in order, in the queue it is in at
+s, the queue its entry names. So the copier sees the state that was
+compared, with every packet in a queue, as stepping would leave it. After
+the skip the run is in that state, shifted, and flies on: every packet that
+was aloft is alone in a queue that is no meeting queue, which sends it on
+at once, and `meets` is as it was, since every route injected after the
+skip was read in the copied period. The copier refills the queues in id
+order, so the run sorts them again (see "Order"). A phase-start state of
+`run_interval` holds no flight (see "Materialising"), so its skip grounds
+nothing.
 
 Order. Flights run only under a built-in key, and every built-in key reads
 the arrival step, the injection step or the hop count of a packet, none of
@@ -168,8 +190,9 @@ packets arrive in a queue in four places only, and each keeps the order:
 - at an injection into a plain run that flies: `inject` appends the step's
   packets, and `step` takes them off the ends of their queues and inserts
   them in order.
-`run_interval` calls `sort` after any period skip at that phase start, not
-before: `sim_engine.skip_periods` refills the queues in id order.
+`run_interval` calls `sort` after any period skip at that phase start, and
+a plain run after its skip, not before: `sim_engine.skip_periods` refills
+the queues in id order.
 A holding queue of a phase that flies with pass-through on starts the phase
 empty and is kept in (arrival step, id) order, the least first, the order
 of the held fleet: injections append, landings and one-edge sends insert in
@@ -179,10 +202,10 @@ Materialising. A flight's packet keeps its fields from before it left until
 `fly` brings them up to date, so a key never reads them in flight. `fly`
 gives it its hops done, arrival step and delivery step as stepping would
 have left them: when it lands, when it is delivered (its step's bucket in
-`due`), through `ground`, when its phase closes, and, through `settle`,
-when a run stops with it aloft. A phase closes only when its last active
-flight is delivered, and `ground` ends its held flights then, so a
-phase-start state holds no flight.
+`due`), through `Fleet.ground`, when its phase closes or before a plain run
+skips periods, and, through `settle`, when a run stops with it aloft. A
+phase closes only when its last active flight is delivered, and `ground`
+ends its held flights then, so a phase-start state holds no flight.
 """
 
 from __future__ import annotations
@@ -245,14 +268,16 @@ MIN_DILATION = 64
 
 
 def wire(
-    network: Network, key: DisciplineKey, steps: bool, demand: Optional[list[int]] = None,
+    network: Network, key: DisciplineKey, custom: bool, demand: Optional[list[int]] = None,
     until: Optional[list[int]] = None,
 ) -> tuple[Routes, Optional[Flights]]:
     """A run's route cache and its `Flights` under the built-in `key`, or a
-    plain `Routes` and None when `steps`: the run never flies, and reads no
-    route. A phased run with pass-through on gives its `demand` and `until`
-    lists and gets `PassingFlights`. Both engines choose here."""
-    if steps:
+    plain `Routes` and None when `custom`, a custom key: the run never flies,
+    and reads no route. Whether the source declares a period does not
+    matter, since period skipping reads the flights aloft and grounds them
+    before it copies. A phased run with pass-through on gives its `demand`
+    and `until` lists and gets `PassingFlights`. Both engines choose here."""
+    if custom:
         return Routes(network), None
     routes = FlightRoutes(network)
     if demand is None:
@@ -338,8 +363,8 @@ class Fleet:
             self.file(pkt, start, min(meet(pkt.route, pkt.hops_done + now - start), stop))
 
     def end(self, now: int) -> list[Packet]:
-        """End every flight aloft as its phase or its run stops before step
-        `now`; returns their packets."""
+        """End every flight aloft as its phase or its run stops, or its run
+        skips periods, before step `now`; returns their packets."""
         ended = []
         for pkt, start in self.aloft():
             fly(pkt, start, pkt.hops_done + now - start)
@@ -347,6 +372,15 @@ class Fleet:
         self.lands.clear()
         self.due.clear()
         return ended
+
+    def ground(self, queues: list[list[Packet]], busy: set[int], now: int) -> None:
+        """`end` every flight aloft before step `now` and put its packet, in
+        order, in the queue it is in then: a held flight's as its phase
+        closes, an active flight's as a plain run skips periods."""
+        for pkt in self.end(now):
+            q = pkt.route[pkt.hops_done]
+            insort(queues[q], pkt, key=self.order)
+            busy.add(q)
 
 
 class Flights:
@@ -659,10 +693,7 @@ class PassingFlights(Flights):
     def ground(self, holding: list[list[Packet]], held: set[int], now: int) -> None:
         """Put every held flight aloft in the holding queue it is in at step
         `now`, as its phase closes before that step."""
-        for pkt in self.held.end(now):
-            q = pkt.route[pkt.hops_done]
-            holding[q].append(pkt)
-            held.add(q)
+        self.held.ground(holding, held, now)
         self.blocked.clear()
 
     def settle(self, now: int) -> None:

@@ -22,8 +22,8 @@ per hop. A packet moves by its `route`, its path as queue indices, which
 
 Two cases do not pay a hop at a time, under a built-in key, on any network:
 a long active phase of a phased run, with the held packets that pass-through
-sends while it runs, and a plain run of a source that declares no period
-from its first long route on. There `flights.Flights` stands in for
+sends while it runs, and a plain run from its first long route on, whether
+or not its source declares a period. There `flights.Flights` stands in for
 `advance`: it keeps each queue in (key, id)
 order, sends the last packet of each as a flight, moved on paper to the
 next queue where packets can meet or to its delivery, so a step costs the
@@ -48,7 +48,7 @@ from operator import attrgetter
 from typing import IO, NamedTuple, Optional
 
 from .adversary import Adversary, AdversaryError
-from .flights import wire
+from .flights import Flight, wire
 from .network import Network, Routes, as_count
 from .periodic import Periodic, as_periodic
 from .strategies import DisciplineKey, Packet, get_discipline, is_builtin, least
@@ -260,37 +260,39 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     queue is the longest sender queue that `advance` reports. The packets it
     returns (`moved[k]` left `senders[k]`) are not needed here.
 
-    Flights. Under a built-in key, when `skip_period` gives no period, the
-    run lists each distinct route as it resolves it (`flights.FlightRoutes`)
-    and tests one flag a step, `routes.long`, until a route of at least
+    Flights. Under a built-in key, whatever the source, the run lists each
+    distinct route as it resolves it (`flights.FlightRoutes`) and tests one
+    flag a step, `routes.long`, until a route of at least
     `flights.MIN_DILATION` edges comes. From that step on, `Flights.step`
     stands in for `advance`: it puts the step's injected packets in (key, id)
     order (sorting every busy queue on the first such step), reads the new
     routes and files the flights aloft again if meeting queues were added,
     lands the flights due to land and sends every busy queue's last packet.
     `Flights.settle` ends the flights still aloft when the run stops. A run
-    of a periodic source steps, so period skipping never meets a flight; a
-    run that never resolves a long route reads no route and flies nothing.
+    that never resolves a long route reads no route and flies nothing.
 
-    Period skipping. When `skip_period` gives a period q, the run looks for
-    a repeated state by Brent's method. The
-    state before step s is `shifted_state`: in id order, each queued packet's
-    route, hops done, and arrival and injection steps minus s. Before a step
-    every packet in the system waits in the queue `route[hops_done]`, so the
-    state fixes the queues, `busy` and `in_system`, up to the shift of times.
-    The run saves the state before steps 2, 4, 8 and so on, one at a time,
-    and compares the state before each later step with it whenever the
-    packets in the system agree and the steps differ by a multiple of q: two
-    int comparisons a step. On a repeat of the state saved before `s0`,
-    before step `s1 = s0 + P`, `skip_periods` appends as many whole periods
-    as `max_steps` allows, and its docstring says why the copies are exact;
-    the run then steps on, and `trace.recurrence` is `(s0, P, 0)`. The saved
-    state is compared with every state up to the next save, so P is the
-    least period of the run from `s0` on. The first saved step at or past
-    both the step from which the run is periodic and its least period finds
-    the repeat one period later, and only one state is held at a time; a
-    dict of every state seen would grow with the steps times the packets in
-    flight.
+    Period skipping. When `skip_period` gives a period q, the run looks for a
+    repeated state by Brent's method. The state before step s is
+    `shifted_state`: in id order, each packet's route, hops done, and arrival
+    and injection steps minus s, for the queued packets and those of the
+    flights aloft (`queued`), a flight's computed from the step it left,
+    without changing it (see "Period skipping" in `flights`). Before a step
+    every queued packet waits in the queue `route[hops_done]`, and a flight's
+    entry names the queue it is in, so the state fixes the queues, `busy` and
+    `in_system`, up to the shift of times. The run saves the state before steps
+    2, 4, 8 and so on, one at a time, and compares the state before each later
+    step with it whenever the packets in the system agree and the steps differ
+    by a multiple of q: two int comparisons a step. On a repeat of the state
+    saved before `s0`, before step `s1 = s0 + P`, `Fleet.ground` puts each
+    flight aloft in the queue it is in, and `skip_periods` appends as many
+    whole periods as `max_steps` allows; its docstring says why the copies are
+    exact. The run sorts its queues again, which the copier refilled in id
+    order, steps on, and `trace.recurrence` is `(s0, P, 0)`. The saved state is
+    compared with every state up to the next save, so P is the least period of
+    the run from `s0` on. The first saved step at or past both the step from
+    which the run is periodic and its least period finds the repeat one period
+    later, and only one state is held at a time; a dict of every state seen
+    would grow with the steps times the packets in flight.
     """
     check_max_steps(max_steps)
     key = get_discipline(strategy)
@@ -303,7 +305,7 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
     saved_in = saved_step = -1
     saved: tuple = ()  # len(packets), the queued packets and their state at saved_step
     recurrence = None
-    routes, fleet = wire(network, key, custom or period is not None)
+    routes, fleet = wire(network, key, custom)
     queues: list[list[Packet]] = [[] for _ in network.edges]
     busy: set[int] = set()
     packets: list[Packet] = []
@@ -315,20 +317,24 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
             break
         if in_system == saved_in and (now - saved_step) % period == 0:
             first_count, twins, first_state = saved
-            alive = queued(queues, busy)
-            if shifted_state(alive, now) == first_state:
+            aloft = list(fleet.active.aloft())  # a run that may skip has a built-in key
+            alive = queued(queues, busy, aloft)
+            if shifted_state(alive, now, aloft) == first_state:
                 recurrence = Recurrence(saved_step, now - saved_step, 0)
                 save_at, saved_in = 0, -1  # a later repeat would leave no more whole periods
                 periods = (max_steps - now + 1) // recurrence.period
                 if periods:
+                    fleet.active.ground(queues, busy, now)  # the copier reads queued packets
                     steps, packets = skip_periods(
                         recurrence, periods, first_count, twins, alive, packets, steps, queues
                     )
+                    fleet.sort(queues, busy)  # after the skip, which refills them in id order
                     now += periods * recurrence.period
                     continue
         if now == save_at:
-            alive = queued(queues, busy)
-            saved = (len(packets), alive, shifted_state(alive, now))
+            aloft = list(fleet.active.aloft())
+            alive = queued(queues, busy, aloft)
+            saved = (len(packets), alive, shifted_state(alive, now, aloft))
             saved_in, saved_step, save_at = in_system, now, 2 * now
         injected = inject(adversary, now, packets, routes, queues, busy)
         if routes.long:  # the run flies from the step that resolves a long route on
@@ -348,17 +354,30 @@ def run(network: Network, strategy, adversary: Adversary, max_steps: int) -> Tra
 # ---- period skipping, shared by both engines ---------------------------------
 
 
-def queued(queues: list[list[Packet]], busy: set[int]) -> list[Packet]:
-    """The packets in the queues that `busy` names, in id order."""
-    return sorted(chain.from_iterable(map(queues.__getitem__, busy)), key=_packet_id)
+def queued(
+    queues: list[list[Packet]], busy: set[int], aloft: list[Flight] = ()
+) -> list[Packet]:
+    """The packets in the queues that `busy` names, and those of the flights
+    `aloft`, in id order."""
+    waiting = chain.from_iterable(map(queues.__getitem__, busy))
+    return sorted(chain(waiting, (pkt for pkt, _ in aloft)), key=_packet_id)
 
 
-def shifted_state(alive: list[Packet], now: int) -> tuple:
+def shifted_state(alive: list[Packet], now: int, aloft: list[Flight] = ()) -> tuple:
     """Each packet's route, hops done, and arrival and injection steps minus
     `now`: two runs of a built-in key in such states, at steps that agree
-    modulo a periodic source's period, go on as shifted copies."""
+    modulo a periodic source's period, go on as shifted copies.
+
+    The packet of a flight `(pkt, start)` of `aloft` keeps its fields from
+    before it left (see `flights`), and before step `now` it is alone in the
+    queue of `route[hops_done + now - start]`, where it arrived at `now`: its
+    entry is computed from that, and no packet changes."""
+    starts = {pkt.id: start for pkt, start in aloft}
     return tuple(
-        (p.route, p.hops_done, p.arrived_in_queue_at - now, p.injected_at - now) for p in alive
+        (p.route, p.hops_done, p.arrived_in_queue_at - now, p.injected_at - now)
+        if p.id not in starts
+        else (p.route, p.hops_done + now - starts[p.id], 0, p.injected_at - now)
+        for p in alive
     )
 
 
@@ -419,9 +438,10 @@ def skip_periods(
     `skip_period`'s docstring every later step repeats the step one period
     earlier, shifted.
 
-    `first_count` packets had been injected before `s0`, `twins` were queued
-    then and `alive` are queued now, both in id order; `alive[i]` is the twin
-    of `twins[i]`, one period later. Each copied period holds the period's
+    `first_count` packets had been injected before `s0`, `twins` were in the
+    system then, queued or aloft (only their ids are read), and `alive` are
+    queued now, both in id order; `alive[i]` is the twin of `twins[i]`, one
+    period later. Each copied period holds the period's
     step rows and the packets injected in it, with ids shifted by the packets
     injected per period, times by the period and phases by
     `recurrence.phases`. Every copy takes its packet's final fields:

@@ -1,9 +1,11 @@
 """Flights (`aqsim.flights`) against stepping. Under a built-in key, on any
 network, a phased run, with the held packets that pass-through sends when it
-is on, and a plain run of a source that declares no period move a lone
+is on, and a plain run, of any source, a periodic one included, move a lone
 packet as a flight; the same key behind a wrapper is custom, so that run
 steps every hop. Both must give the same run, bit for bit, and the same
-crossings per step."""
+crossings per step. A plain run of a periodic source finds its repeat with
+flights aloft and grounds them before it copies periods, which the wrapped
+key's run steps through."""
 
 import random
 from collections import Counter
@@ -606,6 +608,40 @@ def late_script(rng: random.Random, routes, horizon: int):
     return script
 
 
+class PeriodicSource:
+    """A duck-typed source that declares a period: the paths of `first` at
+    step 1 and, from step 2 on, those of `table[t % q]`, q being the number
+    of residues in `table`."""
+
+    def __init__(self, first, table):
+        self.first, self.table, self.period = first, table, len(table)
+
+    def injections_for(self, step):
+        paths = self.first if step == 1 else self.table[step % self.period]
+        return [PacketPath(edges) for edges in paths]
+
+    def done_after(self, step):
+        return False
+
+
+def periodic_tables(rng: random.Random, routes):
+    """A random burst for step 1, and one table of up to 2 paths per residue
+    of a period q drawn from 1 to 6, no edge crossed more than q times a
+    period: every queue stays bounded, so a run on a DAG repeats a state."""
+    q = rng.randint(1, 6)
+    load = Counter()
+    table = []
+    for _ in range(q):
+        paths = []
+        for _ in range(rng.randint(0, 2)):
+            route = rng.choice(routes)
+            if all(load[e] < q for e in route):
+                load.update(route)
+                paths.append(route)
+        table.append(paths)
+    return [rng.choice(routes) for _ in range(rng.randint(0, 3))], table
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -613,18 +649,26 @@ def late_script(rng: random.Random, routes, horizon: int):
     name=st.sampled_from(sorted(DISCIPLINES)),
     horizon=st.integers(1, 60),
     cut=st.booleans(),
+    periodic=st.booleans(),
 )
-def test_plain_flights_match_stepping(seed, shape, name, horizon, cut):
+def test_plain_flights_match_stepping(seed, shape, name, horizon, cut, periodic):
     # random lines and in-trees ("forest") and DAGs, under scripts that bring
-    # routes late, so meeting queues are added while flights are aloft
+    # routes late, so meeting queues are added while flights are aloft, or
+    # under a periodic source, whose run finds its repeat with flights aloft
+    # and copies periods, which the wrapped key steps through
     rng = random.Random(seed)
     net, routes = random_network(rng) if shape == "forest" else random_dag(rng)
-    script = late_script(rng, routes, horizon)
+    if periodic:
+        first, table = periodic_tables(rng, routes)
+        source = lambda: PeriodicSource(first, table)  # noqa: E731
+    else:
+        script = late_script(rng, routes, horizon)
+        source = lambda: ScriptSource(script)  # noqa: E731
     max_steps = rng.randint(1, horizon + 10) if cut else horizon + 400
-    got, want = flown_and_stepped(net, name, lambda: ScriptSource(script), max_steps, None)
-    assert_same_run(got, want)
-    hops = sum(p.hops_done for p in got[0].packets)
-    assert sum(got[3]) == hops  # the run flies from its first injection: every crossing is flown
+    got, want = flown_and_stepped(net, name, source, max_steps, None)
+    assert_same_run(got, want, skips=got[0].recurrence is not None)
+    # the run flies from its first injection: every crossing it makes is flown
+    assert sum(got[3]) == len(got[2])
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
@@ -717,11 +761,11 @@ def test_a_plain_run_that_flies_picks_without_scanning(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "source, d, flies",
-    [("script", 64, True), ("script", 63, False), ("periodic", 64, False)],
+    [("script", 64, True), ("script", 63, False), ("periodic", 64, True), ("periodic", 63, False)],
 )
-def test_only_a_long_route_of_a_source_without_a_period_flies(monkeypatch, source, d, flies):
+def test_only_a_long_route_flies(monkeypatch, source, d, flies):
     # a plain run reads no route and lands nothing until it resolves a route
-    # of MIN_DILATION edges, and never under a source that declares a period
+    # of MIN_DILATION edges, whether or not its source declares a period
     monkeypatch.setattr(flights, "MIN_DILATION", 64)
     net = line_network(d)
     if source == "periodic":
@@ -744,3 +788,69 @@ def test_only_a_long_route_of_a_source_without_a_period_flies(monkeypatch, sourc
     ):
         sim_engine.run(net, "FIFO", adversary, 400)
     assert bool(calls["land"]) == bool(calls["read"]) == flies
+
+
+# ---- plain runs that skip periods ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_plain_run_grounds_its_flights_before_a_skip(name):
+    # the saturating d=8 line repeats with period 2, and every packet past e1
+    # is aloft then: the copier reads each packet's queue and hops, so each
+    # flight is ended in the queue it is in before the skip
+    net = line_network(8)
+    full = path(*(f"e{i}" for i in range(1, 9)))
+    source = lambda: saturating_adversary(net, full, Fraction(1, 2), 4)  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 201, None)
+    assert_same_run(got, want, skips=True)
+    trace = got[0]
+    assert trace.recurrence == (16, 2, 0) and trace.steps.periods == 92
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_the_queue_order_follows_a_plain_period_skip(name):
+    # e1 of the d=3 line takes a burst of 4 at step 1, then 6 packets every 6
+    # steps, so it always holds some. The state before step 8 recurs before
+    # step 14; the run copies 14 periods and steps on from step 98 to 102,
+    # delivering packets from e1, which the copier refills in id order: the
+    # run sorts it again after the skip
+    net = line_network(3)
+    full = ("e1", "e2", "e3")
+    source = lambda: PeriodicSource([full] * 4, [[full] * 6] + [[]] * 5)  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 102, None)
+    assert_same_run(got, want, skips=True)
+    trace = got[0]
+    assert trace.recurrence == (8, 6, 0) and trace.steps.periods == 14
+    assert trace.max_queue_len == 6
+    assert sum(98 <= (p.delivered_at or 0) for p in trace.packets) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_a_plain_state_holds_the_flights_aloft(name):
+    # one packet flies the d=8 line, alone, and the source injects nothing
+    # more: the queues are empty before steps 2 and 3, but the flight is in
+    # e2, then in e3, so the state repeats only once it is delivered
+    net = line_network(8)
+    source = lambda: PeriodicSource([tuple(f"e{i}" for i in range(1, 9))], [[]])  # noqa: E731
+    got, want = flown_and_stepped(net, name, source, 50, None)
+    assert_same_run(got, want, skips=True)
+    assert got[0].recurrence == (16, 1, 0) and got[3] == [8]
+
+
+@pytest.mark.parametrize("name", ["FFS", "LIS"])
+def test_a_plain_state_places_a_flight_by_its_start(name):
+    # e2 of the d=3 line holds packet 1 at step 2 and packet 2, from e1, at
+    # step 3, and takes a packet by injection every 2 steps from step 2 on.
+    # Under FFS and LIS packets 1 and 2 go before packet 3, injected at step
+    # 2, so before step 4 it waits in e2; before step 6 packet 4, injected at
+    # step 4, was sent at step 5 and is aloft in e3. Its fields
+    # are still those of a packet waiting in e2 since its injection, as
+    # packet 3's were: only its place, computed from the step its flight
+    # left, tells the two states apart, and the run repeats from step 8
+    net = line_network(3)
+    source = lambda: PeriodicSource(  # noqa: E731
+        [("e1", "e2", "e3"), ("e1", "e2")], [[("e2", "e3")], []]
+    )
+    got, want = flown_and_stepped(net, name, source, 32, None)
+    assert_same_run(got, want, skips=True)
+    assert got[0].recurrence == (8, 2, 0)

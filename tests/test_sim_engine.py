@@ -3,11 +3,13 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from operator import attrgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossings import check_schedule, recorded_moves
+from aqsim import flights
 from aqsim.adversary import burst_adversary, saturating_adversary, scripted_adversary, InjectionEvent
 from aqsim.interval_strategy import run_interval
 from aqsim.network import line_network, path
@@ -343,14 +345,25 @@ def test_advance_keeps_busy_exact_and_moved_in_sender_order(data):
 def test_plain_period_skipping_on_the_long_line(name):
     # the d=256 line at r=1/2 has period 2, and a packet lives at least 256
     # steps, so packets queued at the repeat outlive about 128 periods and
-    # each one ends as its twin, itself queued then, does one period on
+    # each one ends as its twin, itself queued then, does one period on. The
+    # built-in key's run flies (its route has 256 edges), so flights are aloft
+    # when the repeat is found, and are grounded before the skip
     net = line_network(256)
     route = path(*(f"e{i}" for i in range(1, 257)))
     builtin = DISCIPLINES[name]
-    got, want = (
-        run(net, key, saturating_adversary(net, route, Fraction(1, 2), 4), 1500)
-        for key in (name, lambda pkt: builtin(pkt))
-    )
+    runs, fly = [], flights.fly
+    for key in (name, lambda pkt: builtin(pkt)):
+        ended = []
+
+        def counted(pkt, start, hops):
+            ended.append(pkt)
+            fly(pkt, start, hops)
+
+        with mock.patch.object(flights, "fly", counted):
+            runs.append(run(net, key, saturating_adversary(net, route, Fraction(1, 2), 4), 1500))
+        runs.append(ended)
+    got, got_flights, want, want_flights = runs
+    assert got_flights and not want_flights
     assert got.recurrence == Recurrence(512, 2, 0)
     assert want.recurrence is None
     assert got.steps == want.steps
